@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     EventFileError,
     FitError,
+    InputTooLarge,
     SpanTreeError,
 )
 from .generators import (
@@ -85,6 +86,7 @@ __all__ = [
     "GeneratorSpec",
     "GridBinning",
     "Histogram",
+    "InputTooLarge",
     "MstConstraint",
     "Point",
     "PointSet",

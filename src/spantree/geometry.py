@@ -64,6 +64,8 @@ class PointSet:
             raise ValueError("a PointSet must contain at least one point")
         if n < 1:
             raise ValueError("points must have at least one coordinate")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coordinates must be finite")
 
         if weights is None:
             w = np.ones(m, dtype=np.float64)
@@ -71,6 +73,8 @@ class PointSet:
             w = np.array(weights, dtype=np.float64, copy=True)
             if w.shape != (m,):
                 raise ValueError(f"weights must have shape ({m},), got {w.shape}")
+            if not np.all(np.isfinite(w)):
+                raise ValueError("weights must be finite")
             if np.any(w < 0):
                 raise ValueError("weights must be non-negative")
 

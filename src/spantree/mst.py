@@ -1,27 +1,57 @@
 """Euclidean minimal spanning tree construction.
 
-Kruskal's algorithm over the full pairwise distance set is the reference
-construction; a Prim implementation is kept as an independent cross-check.
-Candidate generation is O(m^2) in memory and O(m^2 log m) in time, which is
-exact and comfortably fast up to m of a few times 10^4.
+Kruskal's algorithm over a sparse candidate graph that provably contains
+the tree is the production construction; a Prim implementation is kept as
+an independent cross-check.
+
+Candidate edges come from the distinct points. Duplicated rows are first
+collapsed onto their lowest index, and each duplicate gets a zero-length
+edge to that representative. Over the distinct points:
+
+* d = 1: consecutive points in sorted order;
+* d = 2, 3: the edges of the Delaunay triangulation (Qhull). Every tree
+  edge uv is a strict Gabriel edge, because a third point w in its closed
+  diametral ball would have max(|uw|, |vw|) < |uv|, making uv the strict
+  maximum on the cycle u-v-w. Strict Gabriel edges lie in every Delaunay
+  triangulation (Shamos & Hoey 1975);
+* d >= 4, or when Qhull cannot serve (too few, collinear or coplanar
+  points, a closest pair too near for its floating-point predicates, or
+  points it drops as near-coincident): every pair of points.
+
+Memory is O(m) for the sparse paths and O(m^2) for the all-pairs path,
+which refuses, before allocating, an input larger than physical memory.
 
 Equal-length candidate edges are ordered by their canonical (u, v) index
 pair, so the produced tree is deterministic even on degenerate inputs such
-as unperturbed lattices where the minimal spanning tree is not unique.
+as unperturbed lattices where the minimal spanning tree is not unique. That
+order makes the collapse exact: the zero-length duplicate edges come first
+and form a star on each representative, and any later edge touching a
+duplicate sorts after the equal-length edge between the representatives.
+The sparse and all-pairs paths therefore return the same tree, bit for bit.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError, cKDTree
 from scipy.spatial.distance import pdist
 
+from .errors import InputTooLarge
 from .geometry import PointSet
 
 # Kruskal rarely needs more than a small multiple of m candidate edges
 # before the tree closes; start there and widen on the rare miss.
 _PREFIX_FACTOR = 16
+
+# Qhull decides the empty-sphere test in floating point, to within a few tens
+# of eps * R^2 in squared distance, R the extent of the points; near-duplicate
+# inputs showed missed tree edges up to closest-pair / R = 1.1e-7. A tree edge
+# clears every other point by at least delta^2 / 2, delta the closest pair, so
+# the triangulation is used only while delta / R stays above this bound.
+_MIN_SEPARATION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -191,23 +221,98 @@ def _empty_tree(ps: PointSet) -> Tree:
     return Tree(ps, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))
 
 
-def build_mst_kruskal(ps: PointSet) -> Tree:
-    """Build the minimal spanning tree of a point set with Kruskal's algorithm.
+def _physical_memory_bytes() -> int | None:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        # no sysconf (Windows) or the value is unknown: nothing to check against
+        return None
 
-    Edges appear in the result sorted by length ascending, ties broken by the
-    canonical (u, v) pair. Each edge carries weight(u) * weight(v). A single
-    point yields a tree with zero edges.
+
+def check_all_pairs_memory(m: int) -> None:
+    """Raise :class:`InputTooLarge` if the all-pairs build cannot fit in memory.
+
+    The condensed distance vector and its partition copy take about
+    8 * m(m - 1) / 2 bytes each.
     """
-    m = len(ps)
-    if m == 1:
-        return _empty_tree(ps)
+    need = 8 * m * m
+    available = _physical_memory_bytes()
+    if available is not None and need > available:
+        raise InputTooLarge(
+            f"an exact tree over these {m} points needs all pairwise distances, "
+            f"about {need / 2**30:.1f} GiB, more than the "
+            f"{available / 2**30:.1f} GiB of physical memory"
+        )
 
-    dists = pdist(ps.coords)
+
+def _sparse_candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Candidate edges (u < v) containing the canonical tree, or None.
+
+    None means the point set needs the all-pairs path.
+    """
+    m, d = coords.shape
+    if d > 3:
+        return None
+    unique, first, inverse = np.unique(
+        coords, axis=0, return_index=True, return_inverse=True
+    )
+    rep = first[inverse.reshape(-1)]
+    dup = np.flatnonzero(rep != np.arange(m))
+    if d == 1:
+        a, b = first[:-1], first[1:]
+    else:
+        # the translation keeps Qhull's precision tied to the extent, not the offset
+        pts = unique - unique.min(axis=0)
+        closest = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
+        if closest < _MIN_SEPARATION * pts.max():
+            return None
+        try:
+            tri = Delaunay(pts)
+        except QhullError:
+            return None
+        if tri.coplanar.size:
+            return None
+        indptr, neighbours = tri.vertex_neighbor_vertices
+        owner = np.repeat(np.arange(len(pts)), np.diff(indptr))
+        keep = owner < neighbours
+        a, b = first[owner[keep]], first[neighbours[keep]]
+    us = np.concatenate([rep[dup], np.minimum(a, b)])
+    vs = np.concatenate([dup, np.maximum(a, b)])
+    return us, vs
+
+
+def _kruskal(m: int, cand_u, cand_v, cand_len) -> tuple[list[int], list[int], list[float]]:
+    """Scan candidates in the given order; stop once m - 1 edges are accepted."""
+    uf = UnionFind(m)
+    us: list[int] = []
+    vs: list[int] = []
+    lengths: list[float] = []
+    for u, v, length in zip(cand_u, cand_v, cand_len):
+        if uf.union(u, v):
+            us.append(u)
+            vs.append(v)
+            lengths.append(length)
+            if len(us) == m - 1:
+                break
+    return us, vs, lengths
+
+
+def _kruskal_sparse(coords: np.ndarray, cand_u: np.ndarray, cand_v: np.ndarray):
+    diff = coords[cand_u] - coords[cand_v]
+    lengths = np.sqrt((diff * diff).sum(axis=1))
+    order = np.lexsort((cand_v, cand_u, lengths))
+    return _kruskal(
+        len(coords), cand_u[order].tolist(), cand_v[order].tolist(), lengths[order].tolist()
+    )
+
+
+def _kruskal_all_pairs(coords: np.ndarray):
+    m = len(coords)
+    check_all_pairs_memory(m)
+    dists = pdist(coords)
     n_pairs = dists.size
     row_starts = _condensed_row_starts(m)
-    vertex_w = ps.weights
 
-    target = m - 1
     k = min(_PREFIX_FACTOR * m, n_pairs)
     while True:
         if k >= n_pairs:
@@ -219,27 +324,38 @@ def build_mst_kruskal(ps: PointSet) -> Tree:
             selected = np.flatnonzero(dists <= kth_value)
             selected = selected[np.argsort(dists[selected], kind="stable")]
 
-        uf = UnionFind(m)
-        us: list[int] = []
-        vs: list[int] = []
-        lengths: list[float] = []
         cand_u, cand_v = _decode_condensed(selected, row_starts)
-        done = False
-        for u, v, i in zip(cand_u.tolist(), cand_v.tolist(), selected.tolist()):
-            if uf.union(u, v):
-                us.append(u)
-                vs.append(v)
-                lengths.append(dists[i])
-                if len(us) == target:
-                    done = True
-                    break
-        if done or k >= n_pairs:
-            break
+        us, vs, lengths = _kruskal(
+            m, cand_u.tolist(), cand_v.tolist(), dists[selected].tolist()
+        )
+        if len(us) == m - 1 or k >= n_pairs:
+            return us, vs, lengths
         k = min(k * 8, n_pairs)
+
+
+def build_mst_kruskal(ps: PointSet) -> Tree:
+    """Build the minimal spanning tree of a point set with Kruskal's algorithm.
+
+    Edges appear in the result sorted by length ascending, ties broken by the
+    canonical (u, v) pair. Each edge carries weight(u) * weight(v). A single
+    point yields a tree with zero edges.
+
+    Raises :class:`InputTooLarge` when the point set needs the all-pairs
+    candidate path and that path would not fit in physical memory.
+    """
+    if len(ps) == 1:
+        return _empty_tree(ps)
+
+    coords = ps.coords
+    candidates = _sparse_candidates(coords)
+    if candidates is None:
+        us, vs, lengths = _kruskal_all_pairs(coords)
+    else:
+        us, vs, lengths = _kruskal_sparse(coords, *candidates)
 
     us_arr = np.array(us, dtype=np.int64)
     vs_arr = np.array(vs, dtype=np.int64)
-    weights = vertex_w[us_arr] * vertex_w[vs_arr]
+    weights = ps.weights[us_arr] * ps.weights[vs_arr]
     return Tree(ps, us_arr, vs_arr, np.array(lengths), weights)
 
 

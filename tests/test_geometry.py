@@ -67,6 +67,20 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet([[0.0], [1.0]], weights=[1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PointSet([[0.0, 1.0], [2.0, bad], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="finite"):
+            PointSet([0.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PointSet([[0.0], [1.0]], weights=[1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            PointSet([[0.0], [1.0]]).with_weights([bad, 1.0])
+
     def test_immutable_arrays(self):
         ps = PointSet([[0.0, 1.0]])
         with pytest.raises(ValueError):

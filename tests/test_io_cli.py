@@ -238,6 +238,18 @@ class TestCliBuildStats:
         events.write_text("x,y\n1.0,1.0\n1.0,1.0\n")
         assert run_cli("stats", events, "-o", tmp_path / "out") == 3
 
+    def test_all_pairs_memory_refusal_exit_code(self, tmp_path, monkeypatch):
+        # 4-d input takes the all-pairs path; pretend the machine is tiny
+        from spantree import mst
+
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
+        events = tmp_path / "e.csv"
+        rng = np.random.default_rng(59)
+        write_events(PointSet(rng.random((40, 4))), events)
+        out = tmp_path / "t.csv"
+        assert run_cli("build", events, "-o", out) == 3
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path):
         events = tmp_path / "e.csv"
         events.write_text("x\n0.0\n1.0\n")

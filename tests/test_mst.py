@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from spantree import (
+    InputTooLarge,
     PointSet,
     build_mst_kruskal,
     build_mst_prim,
     euclidean_distance,
+    generate,
+    preset_spec,
     tree_total_length,
 )
+from spantree import mst
+from spantree.generators import PRESET_NAMES
 
-from bruteforce import min_spanning_total_bruteforce
+from bruteforce import canonical_mst_dense, min_spanning_total_bruteforce
 
 BUILDERS = (build_mst_kruskal, build_mst_prim)
 
@@ -90,15 +98,27 @@ class TestKruskalDeterminism:
         assert tree.edge_set() == {(0, 1), (0, 2), (1, 3)}
 
     def test_prefix_growth_path(self):
-        # two distant clusters force the bridge edge deep into the sorted
-        # order, past the initial candidate prefix
+        # two distant 4-d clusters (d >= 4 takes the all-pairs path) force the
+        # bridge edge deep into the sorted order, past the initial candidate prefix
         rng = np.random.default_rng(31)
-        a = rng.random((150, 2))
-        b = rng.random((150, 2)) + 500.0
+        a = rng.random((150, 4))
+        b = rng.random((150, 4)) + 500.0
         ps = PointSet(np.vstack([a, b]))
         tree = build_mst_kruskal(ps)
         tree.validate()
         assert tree.edge_set() == build_mst_prim(ps).edge_set()
+
+    def test_uniform_1d_preset_is_sorted_chain(self):
+        # 100 000 points: far beyond what an all-pairs build could hold
+        ps = generate(preset_spec("uniform-1d", 4))
+        m = len(ps)
+        tree = build_mst_kruskal(ps)
+        order = np.argsort(ps.coords[:, 0], kind="stable")
+        expected = set(zip(np.minimum(order[:-1], order[1:]).tolist(),
+                           np.maximum(order[:-1], order[1:]).tolist()))
+        assert m == 100_000
+        assert tree.edge_count == m - 1
+        assert tree.edge_set() == expected
 
 
 class TestAlgorithmAgreement:
@@ -132,3 +152,126 @@ class TestTreeValidation:
         bad = Tree(ps, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 2.0], [1.0, 1.0, 1.0])
         with pytest.raises(AssertionError):
             bad.validate()
+
+
+def _lattice(dim: int, k: int) -> np.ndarray:
+    axes = np.meshgrid(*[np.arange(float(k))] * dim, indexing="ij")
+    return np.stack(axes, axis=-1).reshape(-1, dim)
+
+
+def _staggered_lattice_3d() -> np.ndarray:
+    g = _lattice(3, 2)
+    g[:, 0] += 0.5 * g[:, 1]
+    return g
+
+
+def _assert_canonical(ps: PointSet) -> None:
+    tree = build_mst_kruskal(ps)
+    us, vs, lengths = canonical_mst_dense(ps.coords)
+    np.testing.assert_array_equal(tree.edge_u, us)
+    np.testing.assert_array_equal(tree.edge_v, vs)
+    assert tree.lengths.tobytes() == lengths.tobytes()
+    np.testing.assert_array_equal(tree.edge_weights, ps.weights[us] * ps.weights[vs])
+
+
+def _integer_cloud(dim: int, m: int, jitter: float, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 4, (m, dim)).astype(float) + rng.normal(0.0, jitter, (m, dim))
+
+
+_rng = np.random.default_rng(43)
+_t = _rng.random(200)
+_uv = _rng.random((200, 2))
+_base2 = _rng.random((150, 2))
+_GATE_CASES = {
+    "lattice-2d": _lattice(2, 15),
+    "lattice-2d-jitter": _lattice(2, 15) + _rng.normal(0.0, 1e-13, (225, 2)),
+    "lattice-2d-offset": _lattice(2, 15) + 1e6,
+    "lattice-3d": _lattice(3, 6),
+    "lattice-3d-jitter": _lattice(3, 6) + _rng.normal(0.0, 1e-13, (216, 3)),
+    "lattice-3d-offset": _lattice(3, 6) + 1e6,
+    "staggered-3d-offset": _staggered_lattice_3d() + 1e6,
+    "duplicated-rows-1d": np.repeat(_rng.random((40, 1)), 3, axis=0)[_rng.permutation(120)],
+    "duplicated-rows-2d": np.vstack([_base2, _base2[_rng.integers(0, 150, 60)]]),
+    "duplicated-rows-3d": np.vstack([_lattice(3, 4)] * 3),
+    "signed-zeros": np.array([[0.0, 0.0], [-0.0, 0.0], [1.0, -0.0], [1.0, 0.0], [0.0, 2.0]]),
+    "identical-1d": np.full((25, 1), 0.3),
+    "identical-2d": np.full((25, 2), 0.3),
+    "identical-3d": np.full((25, 3), 0.3),
+    "collinear-2d": np.column_stack([_t, 2.0 * _t + 1.0]),
+    "coplanar-3d": np.column_stack([_uv, _uv @ [0.5, -2.0] + 3.0]),
+    "cocircular-2d": np.column_stack(
+        [np.cos(np.arange(48) * np.pi / 24), np.sin(np.arange(48) * np.pi / 24)]
+    ),
+    # closer than the triangulation can resolve: the all-pairs path
+    "near-duplicates-2d": np.vstack([_base2, _base2[:40] + _rng.normal(0.0, 1e-9, (40, 2))]),
+    # integer points 1e-9 apart: Qhull's own triangulation misses a tree edge here
+    "near-duplicates-3d": _integer_cloud(3, 120, 1e-9, seed=1),
+}
+_GATE_CASES.update(
+    {f"small-d{d}-m{m}": _rng.random((m, d)) for d in (1, 2, 3, 4) for m in range(2, d + 3)}
+)
+
+
+class TestExactnessGate:
+    """The tree equals the canonical all-pairs Kruskal tree, bit for bit."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name):
+        _assert_canonical(generate(preset_spec(name, 3, count=2000)))
+
+    @pytest.mark.parametrize("name", sorted(_GATE_CASES))
+    def test_degenerate_and_small_inputs(self, name):
+        _assert_canonical(PointSet(_GATE_CASES[name]))
+
+    def test_weighted_input(self):
+        rng = np.random.default_rng(47)
+        for dim in (1, 2, 3, 4):
+            _assert_canonical(PointSet(rng.random((300, dim)), weights=rng.random(300) * 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        m=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        integer_valued=st.booleans(),
+    )
+    def test_permutation_invariance(self, dim, m, seed, integer_valued):
+        rng = np.random.default_rng(seed)
+        coords = rng.integers(0, 4, (m, dim)).astype(float) if integer_valued else rng.random((m, dim))
+        perm = rng.permutation(m)
+        tree = build_mst_kruskal(PointSet(coords))
+        permuted = build_mst_kruskal(PointSet(coords[perm]))
+        assert permuted.lengths.tobytes() == tree.lengths.tobytes()
+        d = pdist(coords)
+        if np.unique(d).size == d.size:
+            # the tree is unique, so it cannot depend on the labelling
+            relabelled = {tuple(sorted((int(perm[u]), int(perm[v]))))
+                          for u, v in permuted.edge_set()}
+            assert relabelled == tree.edge_set()
+
+
+class TestAllPairsMemoryGuard:
+    def test_refuses_before_allocating(self):
+        with pytest.raises(InputTooLarge, match="physical memory"):
+            mst.check_all_pairs_memory(10**9)
+
+    def test_limit_is_physical_memory(self, monkeypatch):
+        # about 8 m^2 bytes: 1000 points need 8 MB
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 8_000_000)
+        mst.check_all_pairs_memory(1000)
+        with pytest.raises(InputTooLarge):
+            mst.check_all_pairs_memory(1001)
+
+    def test_build_refuses_when_memory_short(self, monkeypatch):
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
+        with pytest.raises(InputTooLarge):
+            build_mst_kruskal(PointSet(np.random.default_rng(53).random((50, 4))))
+
+    @pytest.mark.parametrize(
+        "name", ["duplicated-rows-1d", "duplicated-rows-2d", "lattice-2d-offset",
+                 "lattice-3d-offset", "staggered-3d-offset"]
+    )
+    def test_sparse_inputs_never_reach_guard(self, name, monkeypatch):
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
+        build_mst_kruskal(PointSet(_GATE_CASES[name])).validate()
