@@ -44,14 +44,8 @@ from .generators import (
     preset_spec,
     sample_1d,
 )
-from .geometry import (
-    AffineRescale,
-    Point,
-    PointSet,
-    euclidean_distance,
-    rescale_features,
-)
-from .mst import Edge, Tree, UnionFind, build_mst_kruskal, build_mst_prim, tree_total_length
+from .geometry import AffineRescale, PointSet, rescale_features
+from .mst import Tree, build_mst_kruskal, tree_total_length
 from .stats import (
     Branch,
     Histogram,
@@ -63,7 +57,6 @@ from .stats import (
     log_normalized_lengths,
     mean_edge_length,
     mean_log_norm_length,
-    normalize_by_factor,
     normalize_to,
     normalized_lengths,
     summarize,
@@ -79,7 +72,6 @@ __all__ = [
     "ConfigError",
     "DegenerateStatistic",
     "DimensionMismatch",
-    "Edge",
     "EventFileError",
     "FitError",
     "FitResult",
@@ -88,22 +80,18 @@ __all__ = [
     "Histogram",
     "InputTooLarge",
     "MstConstraint",
-    "Point",
     "PointSet",
     "RegionWeight",
     "SpanTreeError",
     "Tree",
     "TreeStatsSummary",
-    "UnionFind",
     "apply_region_weights",
     "build_mst_kruskal",
-    "build_mst_prim",
     "calibrate_mu_vs_alpha",
     "connection_lengths",
     "connection_ratios",
     "degrees",
     "edge_lengths",
-    "euclidean_distance",
     "extract_branches",
     "fit_alpha",
     "gen_disc",
@@ -117,7 +105,6 @@ __all__ = [
     "log_normalized_lengths",
     "mean_edge_length",
     "mean_log_norm_length",
-    "normalize_by_factor",
     "normalize_to",
     "normalized_lengths",
     "observed_mu",

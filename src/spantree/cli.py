@@ -125,20 +125,26 @@ def _region_weight_from_config(section: dict) -> tuple[RegionWeight, tuple[str, 
 # ---------------------------------------------------------------------------
 # gen
 
-def _cmd_gen(args) -> int:
+def _gen_spec(args) -> GeneratorSpec:
     if args.preset:
-        spec = preset_spec(args.preset, args.seed if args.seed is not None else 0, args.count)
-    else:
-        try:
-            payload = json.loads(Path(args.spec).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{args.spec}: cannot load generator spec: {exc}") from exc
-        if args.seed is not None:
-            payload["seed"] = args.seed
-        if args.count is not None:
-            payload["count"] = args.count
-        spec = GeneratorSpec.from_dict(payload)
-    ps = generate(spec)
+        return preset_spec(args.preset, args.seed if args.seed is not None else 0, args.count)
+    try:
+        payload = json.loads(Path(args.spec).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{args.spec}: cannot load generator spec: {exc}") from exc
+    if args.seed is not None:
+        payload["seed"] = args.seed
+    if args.count is not None:
+        payload["count"] = args.count
+    return GeneratorSpec.from_dict(payload)
+
+
+def _cmd_gen(args) -> int:
+    try:
+        spec = _gen_spec(args)
+        ps = generate(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid generator spec: {exc}") from exc
     cfg = {"command": "gen", "spec": spec.to_dict()}
     out = _out_base(args.output)
     if out.is_dir():

@@ -11,6 +11,14 @@ Edge-to-vertex proximity uses the edge midpoint, which is a cheap and
 deterministic stand-in for a local density probe. The k-edge pool defaults
 to the reference tree (separation judged against the reference's local
 density) and can be switched to the subject tree.
+
+Both searches run on a kd-tree (``scipy.spatial.cKDTree``) at every input
+size. Among edges at equal distance the lowest edge index wins, so the
+result does not depend on how the kd-tree orders ties. The test suite
+checks both statistics bit for bit against an exhaustive all-pairs scan.
+From eight dimensions on, the kd-tree sums squared coordinate differences
+in four interleaved partial sums, so a distance can differ from a plain
+left-to-right sum in its last bit.
 """
 
 from __future__ import annotations
@@ -19,15 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateStatistic, DimensionMismatch
 from .mst import Tree
-
-# exhaustive search is the reference behaviour; a spatial index is used
-# only above this size and must agree with it exactly
-_EXHAUSTIVE_LIMIT = 10_000
-_CHUNK_ROWS = 512
 
 EDGE_POOLS = ("reference", "subject")
 
@@ -74,33 +76,37 @@ def _check_dimensions(subject: Tree, reference: Tree) -> None:
 
 def _nearest_point_distances(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Distance from each query point to its nearest target point."""
-    if targets.shape[0] > _EXHAUSTIVE_LIMIT:
-        dist, _ = cKDTree(targets).query(queries, k=1)
-        return np.atleast_1d(dist)
-    out = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], _CHUNK_ROWS):
-        block = queries[start : start + _CHUNK_ROWS]
-        out[start : start + block.shape[0]] = cdist(block, targets).min(axis=1)
-    return out
+    return cKDTree(targets).query(queries, k=1)[0]
 
 
 def _nearest_edge_mean_lengths(
     queries: np.ndarray, midpoints: np.ndarray, lengths: np.ndarray, k: int
 ) -> np.ndarray:
-    """Mean length of the k edges whose midpoints lie nearest each query."""
+    """Mean length of the k edges whose midpoints lie nearest each query.
+
+    Equal distances go to the lowest edge index. The kd-tree breaks ties in
+    no fixed order, so each query asks for a few neighbours more than k; a
+    row is settled once its last returned distance exceeds its k-th (every
+    edge tied with the k-th is then among those returned) or once every edge
+    was returned. Unsettled rows ask again for twice as many.
+    """
     n_edges = midpoints.shape[0]
     k_eff = min(k, n_edges)
-    if n_edges > _EXHAUSTIVE_LIMIT:
-        _, idx = cKDTree(midpoints).query(queries, k=k_eff)
-        idx = np.atleast_2d(idx.reshape(queries.shape[0], k_eff))
-        return lengths[idx].mean(axis=1)
+    index = cKDTree(midpoints)
     out = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], _CHUNK_ROWS):
-        block = queries[start : start + _CHUNK_ROWS]
-        d = cdist(block, midpoints)
-        # stable sort keeps the lowest edge index on distance ties
-        nearest = np.argsort(d, axis=1, kind="stable")[:, :k_eff]
-        out[start : start + block.shape[0]] = lengths[nearest].mean(axis=1)
+    rows = np.arange(queries.shape[0])
+    n = k_eff + 4
+    while rows.size:
+        n = min(n, n_edges)
+        dist, idx = index.query(queries[rows], k=n)
+        dist = dist.reshape(rows.size, n)
+        idx = idx.reshape(rows.size, n)
+        done = (dist[:, -1] > dist[:, k_eff - 1]) | (n == n_edges)
+        order = np.lexsort((idx[done], dist[done]))[:, :k_eff]
+        nearest = np.take_along_axis(idx[done], order, axis=1)
+        out[rows[done]] = lengths[nearest].mean(axis=1)
+        rows = rows[~done]
+        n *= 2
     return out
 
 

@@ -1,4 +1,4 @@
-"""Points, point sets, Euclidean distance, and feature rescaling.
+"""Point sets and feature rescaling.
 
 A :class:`PointSet` is the substrate for everything else in the package:
 each point is an event in an n-dimensional feature space, carrying a
@@ -12,32 +12,12 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
 RESCALE_MODES = ("none", "unit-range", "unit-variance")
-
-
-@dataclass(frozen=True)
-class Point:
-    """A single event: coordinates, a non-negative weight, an optional label."""
-
-    coords: tuple[float, ...]
-    weight: float = 1.0
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"point weight must be non-negative, got {self.weight}")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coords)
 
 
 class PointSet:
@@ -96,24 +76,6 @@ class PointSet:
         self._labels = labels
         self._feature_names = feature_names
 
-    @classmethod
-    def from_points(cls, points: Iterable[Point], feature_names=None) -> "PointSet":
-        pts = list(points)
-        if not pts:
-            raise ValueError("a PointSet must contain at least one point")
-        dim = pts[0].dimension
-        for p in pts:
-            if p.dimension != dim:
-                raise DimensionMismatch(
-                    f"all points must share one dimension ({dim} vs {p.dimension})"
-                )
-        coords = np.array([p.coords for p in pts], dtype=np.float64)
-        weights = np.array([p.weight for p in pts], dtype=np.float64)
-        labels = [p.label for p in pts]
-        if all(l is None for l in labels):
-            labels = None
-        return cls(coords, weights, labels, feature_names)
-
     @property
     def coords(self) -> np.ndarray:
         return self._coords
@@ -136,14 +98,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self._coords.shape[0]
-
-    def point(self, i: int) -> Point:
-        label = self._labels[i] if self._labels is not None else None
-        return Point(tuple(self._coords[i]), float(self._weights[i]), label)
-
-    @property
-    def points(self) -> list[Point]:
-        return [self.point(i) for i in range(len(self))]
 
     def feature_index(self, feature: int | str) -> int:
         """Resolve a feature given by position or by name to a column index."""
@@ -175,19 +129,6 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet(m={len(self)}, dimension={self.dimension})"
-
-
-def euclidean_distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    if a.dimension != b.dimension:
-        raise DimensionMismatch(
-            f"points have different dimensions: {a.dimension} vs {b.dimension}"
-        )
-    acc = 0.0
-    for x, y in zip(a.coords, b.coords):
-        d = x - y
-        acc += d * d
-    return math.sqrt(acc)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from io import StringIO
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -71,7 +72,8 @@ def write_events(ps: PointSet, path: str | Path, comment: str | None = None) -> 
     """Write a point set as a delimited event table.
 
     The weight column is emitted only when some weight differs from 1, the
-    label column only when labels are present.
+    label column only when labels are present. A field holding a comma or a
+    quote is quoted, so such a label reads back unchanged.
     """
     names = ps.feature_names or tuple(f"x{i}" for i in range(ps.dimension))
     with_weights = bool(np.any(ps.weights != 1.0))
@@ -82,18 +84,19 @@ def write_events(ps: PointSet, path: str | Path, comment: str | None = None) -> 
     if with_labels:
         header.append(LABEL_COLUMN)
 
-    lines = []
+    buf = StringIO()
     if comment:
-        lines.append(comment)
-    lines.append(",".join(header))
+        buf.write(comment + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for i in range(len(ps)):
         row = [_fmt(v) for v in ps.coords[i]]
         if with_weights:
             row.append(_fmt(ps.weights[i]))
         if with_labels:
             row.append(ps.labels[i] or "")
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+        writer.writerow(row)
+    Path(path).write_text(buf.getvalue())
 
 
 @dataclass(frozen=True)
@@ -291,8 +294,22 @@ def read_histogram_csv(path: str | Path) -> Histogram:
     return Histogram(lo, hi, len(rows), contents, underflow, overflow, folds)
 
 
+def _finite_or_null(obj: Any) -> Any:
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, Mapping):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def write_json(payload: Mapping[str, Any], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+    """Write indented, key-sorted JSON; a non-finite float is written as null."""
+    text = json.dumps(
+        _finite_or_null(payload), indent=2, sort_keys=True, default=str, allow_nan=False
+    )
+    Path(path).write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +367,13 @@ class RunConfig:
     statistics: tuple[str, ...] = ALL_STATISTICS
     fit: FitSettings | None = None
     histogram_specs: dict[str, dict[str, Any]] = field(default_factory=dict)
-    comparisons: tuple[dict[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
+        if self.rescale != "none":
+            raise ConfigError(
+                f"run configs support only rescale 'none', got {self.rescale!r}; "
+                "rescale event files with the --rescale flag of build, stats or compare"
+            )
         unknown = set(self.statistics) - set(ALL_STATISTICS)
         if unknown:
             raise ConfigError(f"unknown statistics {sorted(unknown)}; known: {ALL_STATISTICS}")
@@ -360,12 +381,6 @@ class RunConfig:
             for role in (self.fit.background, self.fit.signal, self.fit.observed):
                 if role not in self.inputs:
                     raise ConfigError(f"fit references undeclared input {role!r}")
-        for comparison in self.comparisons:
-            for role in ("subject", "reference"):
-                if comparison.get(role) not in self.inputs:
-                    raise ConfigError(
-                        f"comparison references undeclared input {comparison.get(role)!r}"
-                    )
 
     def to_dict(self) -> dict[str, Any]:
         inputs = {}
@@ -407,12 +422,18 @@ class RunConfig:
             }
         if self.histogram_specs:
             out["histogram_specs"] = self.histogram_specs
-        if self.comparisons:
-            out["comparisons"] = list(self.comparisons)
         return out
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "RunConfig":
+        if not isinstance(d, Mapping):
+            raise ConfigError("a run configuration must be a JSON object")
+        # "config" is the hash that effective_config.json carries next to the
+        # settings; it is recomputed on every run, so an echoed config loads
+        known = {f.name for f in fields(cls)} | {"config"}
+        unknown = sorted(set(d) - known)
+        if unknown:
+            raise ConfigError(f"unknown run configuration keys {unknown}; known: {sorted(known)}")
         try:
             raw_inputs = d["inputs"]
             seed = d.get("seed")
@@ -459,7 +480,6 @@ class RunConfig:
                 statistics=tuple(d.get("statistics", ALL_STATISTICS)),
                 fit=fit,
                 histogram_specs=dict(d.get("histogram_specs", {})),
-                comparisons=tuple(d.get("comparisons", ())),
             )
         except ConfigError:
             raise

@@ -1,8 +1,7 @@
 """Euclidean minimal spanning tree construction.
 
-Kruskal's algorithm over a sparse candidate graph that provably contains
-the tree is the production construction; a Prim implementation is kept as
-an independent cross-check.
+Kruskal's algorithm scans a sparse candidate graph that provably contains
+the tree.
 
 Candidate edges come from the distinct points. Duplicated rows are first
 collapsed onto their lowest index, and each duplicate gets a zero-length
@@ -33,7 +32,6 @@ The sparse and all-pairs paths therefore return the same tree, bit for bit.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
@@ -54,17 +52,7 @@ _PREFIX_FACTOR = 16
 _MIN_SEPARATION = 1e-6
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Tree edge between vertex indices u < v of the source point set."""
-
-    u: int
-    v: int
-    length: float
-    weight: float = 1.0
-
-
-class UnionFind:
+class _UnionFind:
     """Disjoint-set forest with path compression and union by rank."""
 
     __slots__ = ("parent", "rank")
@@ -124,7 +112,6 @@ class Tree:
             adjacency[u].append(i)
             adjacency[v].append(i)
         self._adjacency = tuple(tuple(es) for es in adjacency)
-        self._edges: tuple[Edge, ...] | None = None
 
     @property
     def source(self) -> PointSet:
@@ -158,15 +145,6 @@ class Tree:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return self._adjacency
 
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        if self._edges is None:
-            self._edges = tuple(
-                Edge(int(u), int(v), float(l), float(w))
-                for u, v, l, w in zip(self._us, self._vs, self._lengths, self._weights)
-            )
-        return self._edges
-
     def degree(self, vertex: int) -> int:
         return len(self._adjacency[vertex])
 
@@ -187,7 +165,7 @@ class Tree:
         m = self.vertex_count
         if self.edge_count != m - 1:
             raise AssertionError(f"expected {m - 1} edges, found {self.edge_count}")
-        uf = UnionFind(m)
+        uf = _UnionFind(m)
         for u, v in zip(self._us.tolist(), self._vs.tolist()):
             if not uf.union(u, v):
                 raise AssertionError(f"edge ({u}, {v}) closes a cycle")
@@ -283,7 +261,7 @@ def _sparse_candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
 
 def _kruskal(m: int, cand_u, cand_v, cand_len) -> tuple[list[int], list[int], list[float]]:
     """Scan candidates in the given order; stop once m - 1 edges are accepted."""
-    uf = UnionFind(m)
+    uf = _UnionFind(m)
     us: list[int] = []
     vs: list[int] = []
     lengths: list[float] = []
@@ -357,45 +335,6 @@ def build_mst_kruskal(ps: PointSet) -> Tree:
     vs_arr = np.array(vs, dtype=np.int64)
     weights = ps.weights[us_arr] * ps.weights[vs_arr]
     return Tree(ps, us_arr, vs_arr, np.array(lengths), weights)
-
-
-def build_mst_prim(ps: PointSet) -> Tree:
-    """Build the minimal spanning tree with Prim's algorithm.
-
-    Used as an independent cross-check of the Kruskal construction; the two
-    produce identical edge sets whenever all pairwise distances are distinct.
-    Output edge ordering matches the Kruskal convention.
-    """
-    m = len(ps)
-    if m == 1:
-        return _empty_tree(ps)
-
-    coords = ps.coords
-    best_dist = np.sqrt(((coords - coords[0]) ** 2).sum(axis=1))
-    best_dist[0] = np.inf
-    best_from = np.zeros(m, dtype=np.int64)
-    in_tree = np.zeros(m, dtype=bool)
-    in_tree[0] = True
-
-    us = np.empty(m - 1, dtype=np.int64)
-    vs = np.empty(m - 1, dtype=np.int64)
-    lengths = np.empty(m - 1, dtype=np.float64)
-    for i in range(m - 1):
-        j = int(np.argmin(best_dist))
-        f = int(best_from[j])
-        us[i], vs[i] = (f, j) if f < j else (j, f)
-        lengths[i] = best_dist[j]
-        in_tree[j] = True
-        best_dist[j] = np.inf
-        dj = np.sqrt(((coords - coords[j]) ** 2).sum(axis=1))
-        closer = (dj < best_dist) & ~in_tree
-        best_dist[closer] = dj[closer]
-        best_from[closer] = j
-
-    order = np.lexsort((vs, us, lengths))
-    us, vs, lengths = us[order], vs[order], lengths[order]
-    weights = ps.weights[us] * ps.weights[vs]
-    return Tree(ps, us, vs, lengths, weights)
 
 
 def tree_total_length(t: Tree) -> float:

@@ -234,11 +234,6 @@ def histogram(values, lo: float, hi: float, nbins: int, overflow: bool = True) -
     return Histogram(lo, hi, nbins, contents, under_w, over_w, overflow)
 
 
-def normalize_by_factor(h: Histogram, factor: float) -> Histogram:
-    """Scale every bin (and the under/overflow counters) by a fixed factor."""
-    return h.scaled(float(factor))
-
-
 def normalize_to(h: Histogram, reference: Histogram) -> Histogram:
     """Scale ``h`` so its total weight matches the reference histogram's.
 
@@ -246,10 +241,10 @@ def normalize_to(h: Histogram, reference: Histogram) -> Histogram:
     are overlaid, their branch-count histograms should instead be scaled by
     the factor taken from the log-normalized-length pair, since equally
     sized trees need not have equally many branches; use
-    :func:`normalize_by_factor` with that factor for those.
+    :meth:`Histogram.scaled` with that factor for those.
     """
     if reference.total <= 0:
         raise DegenerateStatistic("reference histogram has non-positive total weight")
     if h.total <= 0:
         raise DegenerateStatistic("histogram has non-positive total weight; cannot normalize")
-    return normalize_by_factor(h, reference.total / h.total)
+    return h.scaled(reference.total / h.total)

@@ -8,13 +8,25 @@ The canonical-tree oracle runs Kruskal over every pair of points in
 (length, u, v) order and returns the exact tree the package must build,
 edge order and length bits included. Practical up to a few thousand points.
 
-Neither shares code with the construction algorithms under test.
+Prim's algorithm is a second, differently built tree construction; it
+agrees with Kruskal's edge set whenever all pairwise distances differ.
+
+The comparison oracle scans every subject vertex against every reference
+vertex and pool edge midpoint, with a stable sort that gives distance ties
+to the lowest edge index.
+
+None shares an algorithm with the code under test; Prim returns its
+result in the package's `Tree` container.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
+
+from spantree import PointSet, Tree
+
+_CHUNK_ROWS = 512
 
 
 def canonical_mst_dense(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,3 +96,89 @@ def min_spanning_total_bruteforce(coords: np.ndarray) -> float:
     second = np.argmax(degree == 1, axis=1)
     totals += dist[first, second]
     return float(totals.min())
+
+
+def build_mst_prim(ps: PointSet) -> Tree:
+    """Build the minimal spanning tree with Prim's algorithm.
+
+    Output edge ordering matches the Kruskal convention: length ascending,
+    ties broken by the canonical (u, v) pair.
+    """
+    m = len(ps)
+    if m == 1:
+        return Tree(ps, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))
+
+    coords = ps.coords
+    best_dist = np.sqrt(((coords - coords[0]) ** 2).sum(axis=1))
+    best_dist[0] = np.inf
+    best_from = np.zeros(m, dtype=np.int64)
+    in_tree = np.zeros(m, dtype=bool)
+    in_tree[0] = True
+
+    us = np.empty(m - 1, dtype=np.int64)
+    vs = np.empty(m - 1, dtype=np.int64)
+    lengths = np.empty(m - 1, dtype=np.float64)
+    for i in range(m - 1):
+        j = int(np.argmin(best_dist))
+        f = int(best_from[j])
+        us[i], vs[i] = (f, j) if f < j else (j, f)
+        lengths[i] = best_dist[j]
+        in_tree[j] = True
+        best_dist[j] = np.inf
+        dj = np.sqrt(((coords - coords[j]) ** 2).sum(axis=1))
+        closer = (dj < best_dist) & ~in_tree
+        best_dist[closer] = dj[closer]
+        best_from[closer] = j
+
+    order = np.lexsort((vs, us, lengths))
+    us, vs, lengths = us[order], vs[order], lengths[order]
+    weights = ps.weights[us] * ps.weights[vs]
+    return Tree(ps, us, vs, lengths, weights)
+
+
+def nearest_point_distances_exhaustive(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Distance from each query point to its nearest target point."""
+    out = np.empty(queries.shape[0])
+    for start in range(0, queries.shape[0], _CHUNK_ROWS):
+        block = queries[start : start + _CHUNK_ROWS]
+        out[start : start + block.shape[0]] = cdist(block, targets).min(axis=1)
+    return out
+
+
+def nearest_edge_mean_lengths_exhaustive(
+    queries: np.ndarray, midpoints: np.ndarray, lengths: np.ndarray, k: int
+) -> np.ndarray:
+    """Mean length of the k edges whose midpoints lie nearest each query."""
+    k_eff = min(k, midpoints.shape[0])
+    out = np.empty(queries.shape[0])
+    for start in range(0, queries.shape[0], _CHUNK_ROWS):
+        block = queries[start : start + _CHUNK_ROWS]
+        d = cdist(block, midpoints)
+        # stable sort keeps the lowest edge index on distance ties
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :k_eff]
+        out[start : start + block.shape[0]] = lengths[nearest].mean(axis=1)
+    return out
+
+
+def connection_lengths_exhaustive(subject: Tree, reference: Tree) -> np.ndarray:
+    """Per subject vertex, the distance to the nearest reference vertex."""
+    return nearest_point_distances_exhaustive(subject.source.coords, reference.source.coords)
+
+
+def connection_ratios_exhaustive(
+    subject: Tree, reference: Tree, k: int, edge_pool: str = "reference"
+) -> np.ndarray:
+    """Connection length over the mean length of the k nearest pool edges.
+
+    A zero local mean gives an infinite ratio.
+    """
+    pool = reference if edge_pool == "reference" else subject
+    c = connection_lengths_exhaustive(subject, reference)
+    coords = pool.source.coords
+    midpoints = 0.5 * (coords[pool.edge_u] + coords[pool.edge_v])
+    local_mean = nearest_edge_mean_lengths_exhaustive(
+        subject.source.coords, midpoints, pool.lengths, k
+    )
+    ratio = np.full(c.shape, np.inf)
+    np.divide(c, local_mean, out=ratio, where=local_mean != 0)
+    return ratio

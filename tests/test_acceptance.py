@@ -19,7 +19,6 @@ from spantree import (
     GridBinning,
     PointSet,
     build_mst_kruskal,
-    build_mst_prim,
     calibrate_mu_vs_alpha,
     connection_lengths,
     connection_ratios,
@@ -41,7 +40,7 @@ from spantree import (
 from spantree.analysis import MstConstraint
 from spantree.cli import main as cli_main
 
-from bruteforce import min_spanning_total_bruteforce
+from bruteforce import build_mst_prim, min_spanning_total_bruteforce
 
 # demo constants shared by the fit criteria: a broad uniform disc with a
 # denser disc embedded off-center, mixed at a true signal fraction of 0.3

@@ -71,7 +71,7 @@ class TestRegionWeights:
     def test_edge_weight_product_rule(self):
         ps = PointSet([[70.0, 50.0], [120.0, 50.0]], feature_names=("mll", "qt"))
         tree = build_mst_kruskal(apply_region_weights(ps, self._box()))
-        assert tree.edges[0].weight == 0.0
+        assert tree.edge_weights[0] == 0.0
 
     def test_tree_structure_unchanged(self):
         rng = np.random.default_rng(20)

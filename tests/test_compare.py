@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import spantree.compare as compare_mod
 from spantree import (
     DegenerateStatistic,
     DimensionMismatch,
     PointSet,
     build_mst_kruskal,
+    compare,
     connection_lengths,
     connection_ratios,
     preset_spec,
     generate,
+)
+
+from bruteforce import (
+    connection_lengths_exhaustive,
+    connection_ratios_exhaustive,
+    nearest_edge_mean_lengths_exhaustive,
 )
 
 
@@ -30,6 +38,10 @@ class TestConnectionLengths:
         b = tree_of([[3.0, 4.0]])
         assert connection_lengths(a, b).connection_length[0] == 5.0
         assert connection_lengths(b, a).connection_length[0] == 5.0
+        # sqrt(3^2 + 4^2 + 0^2) = 5 in three dimensions
+        c = tree_of([[1.0, 2.0, 3.0]])
+        d = tree_of([[4.0, 6.0, 3.0]])
+        assert connection_lengths(c, d).connection_length[0] == 5.0
 
     def test_directional_asymmetry_dense_sparse(self):
         dense = build_mst_kruskal(generate(preset_spec("dense-grid", 3)))
@@ -63,21 +75,19 @@ class TestConnectionLengths:
         ).connection_length
         np.testing.assert_allclose(moved, base, rtol=1e-9)
 
-    def test_matches_exhaustive_when_accelerated(self, monkeypatch):
+    def test_matches_exhaustive_when_accelerated(self):
         rng = np.random.default_rng(3)
         subject = tree_of(rng.random((1000, 2)))
         reference = tree_of(rng.random((1000, 2)))
-        exhaustive = connection_lengths(subject, reference).connection_length
-        monkeypatch.setattr(compare_mod, "_EXHAUSTIVE_LIMIT", 0)
+        exhaustive = connection_lengths_exhaustive(subject, reference)
         accelerated = connection_lengths(subject, reference).connection_length
         np.testing.assert_array_equal(exhaustive, accelerated)
 
-    def test_ratio_matches_exhaustive_when_accelerated(self, monkeypatch):
+    def test_ratio_matches_exhaustive_when_accelerated(self):
         rng = np.random.default_rng(8)
         subject = tree_of(rng.random((400, 2)))
         reference = tree_of(rng.random((400, 2)))
-        exhaustive = connection_ratios(subject, reference, k=5).connection_ratio
-        monkeypatch.setattr(compare_mod, "_EXHAUSTIVE_LIMIT", 0)
+        exhaustive = connection_ratios_exhaustive(subject, reference, k=5)
         accelerated = connection_ratios(subject, reference, k=5).connection_ratio
         np.testing.assert_array_equal(exhaustive, accelerated)
 
@@ -98,6 +108,63 @@ class TestConnectionRatios:
         res = connection_ratios(subject, reference, k=2)
         assert res.connection_length[0] == pytest.approx(10.0, rel=1e-12)
         assert res.connection_ratio[0] == pytest.approx(10.0, rel=1e-12)
+
+    def test_distance_tie_goes_to_lowest_edge_index(self):
+        # edge 6 (length sqrt 17) is nearest; the midpoints of edge 0 (length 1)
+        # and edge 5 (length sqrt 13) tie for second, and edge 0 must win
+        reference = tree_of(
+            [[-4, 0], [-2, 2], [1, -2], [1, 4], [2, 0], [3, -4], [3, 0], [4, 4]]
+        )
+        subject = tree_of([[1.0, 1.5]])
+        res = connection_ratios(subject, reference, k=2)
+        local_mean = (1.0 + np.sqrt(17.0)) / 2.0
+        assert res.connection_ratio[0] == res.connection_length[0] / local_mean
+        np.testing.assert_array_equal(
+            res.connection_ratio, connection_ratios_exhaustive(subject, reference, k=2)
+        )
+
+    def test_tie_wider_than_first_query(self):
+        # twenty midpoints at distance exactly 25 from the query, more than the
+        # first kd-tree query returns, so the lowest tied index needs a wider
+        # one; the far points spread the midpoints over several kd-tree leaves
+        ring = np.array([(0, 25), (7, 24), (15, 20), (20, 15), (24, 7)], float)
+        ring = np.vstack([ring, -ring, ring * [1, -1], ring * [-1, 1]])
+        rng = np.random.default_rng(12)
+        query = np.zeros((1, 2))
+        for _ in range(20):
+            far = rng.uniform(30.0, 60.0, (40, 2))
+            midpoints = np.vstack([[[0.5, 0.0]], rng.permutation(np.vstack([ring, far]))])
+            lengths = rng.random(len(midpoints))
+            for k in (2, 3):
+                np.testing.assert_array_equal(
+                    compare._nearest_edge_mean_lengths(query, midpoints, lengths, k),
+                    nearest_edge_mean_lengths_exhaustive(query, midpoints, lengths, k),
+                )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        sizes=st.tuples(st.integers(2, 120), st.integers(2, 120)),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, 0.5]),
+        k=st.integers(1, 8),
+        edge_pool=st.sampled_from(["reference", "subject"]),
+    )
+    def test_integer_inputs_match_exhaustive(self, dim, sizes, seed, offset, k, edge_pool):
+        # small integer coordinates make distance ties common and every
+        # distance exact, whatever order the squares are summed in; up to
+        # 120 points spread the edges over several kd-tree leaves
+        rng = np.random.default_rng(seed)
+        subject = tree_of(rng.integers(-6, 7, (sizes[0], dim)).astype(float))
+        reference = tree_of(rng.integers(-6, 7, (sizes[1], dim)) + offset)
+        res = connection_ratios(subject, reference, k=k, edge_pool=edge_pool)
+        np.testing.assert_array_equal(
+            res.connection_length, connection_lengths_exhaustive(subject, reference)
+        )
+        np.testing.assert_array_equal(
+            res.connection_ratio,
+            connection_ratios_exhaustive(subject, reference, k, edge_pool),
+        )
 
     def test_k_larger_than_pool_uses_all(self):
         reference = tree_of([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])  # lengths 1 and 2

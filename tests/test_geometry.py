@@ -1,53 +1,7 @@
 import numpy as np
 import pytest
 
-from spantree import (
-    DimensionMismatch,
-    Point,
-    PointSet,
-    euclidean_distance,
-    rescale_features,
-)
-
-
-class TestEuclideanDistance:
-    def test_3_4_5_triangle(self):
-        assert euclidean_distance(Point((0.0, 0.0)), Point((3.0, 4.0))) == 5.0
-
-    def test_identical_points(self):
-        assert euclidean_distance(Point((1.5,)), Point((1.5,))) == 0.0
-
-    def test_3d_hand_computed(self):
-        # sqrt(3^2 + 4^2 + 0^2) = 5
-        assert euclidean_distance(Point((1.0, 2.0, 3.0)), Point((4.0, 6.0, 3.0))) == pytest.approx(5.0, rel=1e-15)
-
-    def test_symmetry(self):
-        a, b = Point((0.2, -1.0, 4.0)), Point((2.0, 0.5, -3.0))
-        assert euclidean_distance(a, b) == euclidean_distance(b, a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            euclidean_distance(Point((0.0,)), Point((0.0, 1.0)))
-
-    def test_triangle_inequality_random(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            dim = int(rng.integers(1, 5))
-            a, b, c = (Point(tuple(rng.normal(size=dim))) for _ in range(3))
-            ab = euclidean_distance(a, b)
-            bc = euclidean_distance(b, c)
-            ac = euclidean_distance(a, c)
-            assert ac <= ab + bc + 1e-9 * (ab + bc)
-
-
-class TestPoint:
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            Point((0.0,), weight=-1.0)
-
-    def test_defaults(self):
-        p = Point((1.0, 2.0))
-        assert p.weight == 1.0 and p.label is None and p.dimension == 2
+from spantree import PointSet, rescale_features
 
 
 class TestPointSet:
@@ -59,9 +13,14 @@ class TestPointSet:
         ps = PointSet([0.0, 1.0, 2.0])
         assert ps.dimension == 1 and len(ps) == 3
 
-    def test_from_points_mixed_dimensions(self):
-        with pytest.raises(DimensionMismatch):
-            PointSet.from_points([Point((0.0,)), Point((0.0, 1.0))])
+    def test_defaults(self):
+        ps = PointSet([[1.0, 2.0]])
+        np.testing.assert_array_equal(ps.weights, [1.0])
+        assert ps.labels is None and ps.feature_names is None and ps.dimension == 2
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError):
+            PointSet([[0.0], [0.0, 1.0]])
 
     def test_weights_validated(self):
         with pytest.raises(ValueError):
@@ -93,10 +52,11 @@ class TestPointSet:
         with pytest.raises(ValueError):
             ps.feature_index("nope")
 
-    def test_point_round_trip(self):
-        pts = [Point((0.0, 1.0), 2.0, "sig"), Point((3.0, 4.0), 0.5, None)]
-        ps = PointSet.from_points(pts)
-        assert ps.points == pts
+    def test_weights_and_labels_kept(self):
+        ps = PointSet([[0.0, 1.0], [3.0, 4.0]], weights=[2.0, 0.5], labels=["sig", None])
+        np.testing.assert_array_equal(ps.coords, [[0.0, 1.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ps.weights, [2.0, 0.5])
+        assert ps.labels == ("sig", None)
 
 
 class TestRescale:

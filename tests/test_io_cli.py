@@ -15,6 +15,7 @@ from spantree.io import (
     read_tree_csv,
     write_events,
     write_histogram_csv,
+    write_json,
     write_tree_csv,
 )
 
@@ -39,6 +40,12 @@ class TestEventFiles:
         np.testing.assert_array_equal(back.weights, ps.weights)
         assert back.labels == ps.labels
         assert back.feature_names == ps.feature_names
+
+    def test_label_with_comma_round_trip(self, tmp_path):
+        ps = PointSet([[0.0], [1.0], [2.0]], labels=["a,b", 'say "hi"', None])
+        path = tmp_path / "events.csv"
+        write_events(ps, path)
+        assert read_events(path).labels == ps.labels
 
     def test_missing_weight_column_defaults_to_one(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -101,6 +108,13 @@ class TestHistogramFiles:
         assert back.folds_overflow is False
 
 
+class TestJsonFiles:
+    def test_non_finite_written_as_null(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json({"a": -np.inf, "b": [1.5, np.nan], "c": {"d": np.float64(np.inf)}}, path)
+        assert json.loads(path.read_text()) == {"a": None, "b": [1.5, None], "c": {"d": None}}
+
+
 class TestRunConfig:
     def test_load_demo_config(self):
         cfg = RunConfig.load(Path(__file__).resolve().parents[1] / "configs" / "fit_demo.json")
@@ -147,6 +161,29 @@ class TestRunConfig:
                 }
             )
 
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ConfigError, match="comparisons.*extra|extra.*comparisons"):
+            RunConfig.from_dict({"seed": 1, "inputs": {}, "comparisons": [], "extra": 1})
+
+    @pytest.mark.parametrize("rescale", ["bogus", "unit-range", "unit-variance"])
+    def test_rescale_other_than_none_rejected(self, rescale):
+        with pytest.raises(ConfigError, match="rescale"):
+            RunConfig.from_dict({"seed": 1, "inputs": {}, "rescale": rescale})
+
+    def test_config_hash_unchanged(self):
+        demo = RunConfig.load(Path(__file__).resolve().parents[1] / "configs" / "fit_demo.json")
+        assert demo.hash() == "aa216e78504a"
+        full = {
+            "seed": 3,
+            "inputs": {"a": {"file": "x.csv", "filters": [{"feature": "x", "lo": 0.0}]}},
+            "statistics": ["degree"],
+            "histogram_specs": {"degree": {"lo": 0, "hi": 5, "nbins": 5}},
+            "region_weights": {"box": {"x": [0, 1]}},
+            "output_dir": "out",
+        }
+        assert RunConfig.from_dict(full).hash() == "46b255c98c36"
+        assert RunConfig.from_dict(RunConfig.from_dict(full).to_dict()).hash() == "46b255c98c36"
+
     def test_hash_stability(self):
         payload = {"b": 1, "a": [1, 2]}
         assert config_hash(payload) == config_hash({"a": [1, 2], "b": 1})
@@ -188,6 +225,16 @@ class TestCliGen:
         overridden = tmp_path / "b.csv"
         run_cli("gen", "--spec", spec_path, "--seed", 4, "-o", overridden)
         assert from_spec.read_bytes() != overridden.read_bytes()
+
+    def test_invalid_spec_exit_code(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "nope", "count": 3, "seed": 1}))
+        assert run_cli("gen", "--spec", spec_path, "-o", tmp_path / "a.csv") == 2
+        assert "nope" in capsys.readouterr().err
+        spec_path.write_text(json.dumps({"count": 3, "seed": 1}))
+        assert run_cli("gen", "--spec", spec_path, "-o", tmp_path / "a.csv") == 2
+        assert run_cli("gen", "--preset", "disc", "-n", 0, "-o", tmp_path / "b.csv") == 2
+        assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
 
     def test_seed_changes_output(self, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -231,6 +278,16 @@ class TestCliBuildStats:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run_cli("build", tmp_path / "missing.csv", "-o", tmp_path / "t.csv") == 2
+
+    def test_duplicated_row_summary_is_valid_json(self, tmp_path):
+        # a zero-length edge makes the mean log normalized length -inf
+        events = tmp_path / "e.csv"
+        events.write_text("x,y\n0.0,0.0\n1.0,0.0\n1.0,0.0\n3.0,1.0\n")
+        outdir = tmp_path / "out"
+        assert run_cli("stats", events, "-o", outdir) == 0
+        text = (outdir / "summary.json").read_text()
+        assert "Infinity" not in text
+        assert json.loads(text)["mean_log_norm_length"] is None
 
     def test_numeric_error_exit_code(self, tmp_path):
         # coincident points: the tree exists but statistics are undefined
@@ -419,6 +476,13 @@ class TestCliFit:
         result = json.loads((outdir / "fit_result.json").read_text())
         assert "baseline" in result and "augmented" not in result
         assert (outdir / "q_curve.csv").read_text().splitlines()[1] == "alpha,q_baseline"
+
+    def test_effective_config_reruns(self, small_fit_config, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run_cli("fit", small_fit_config, "--mode", "baseline", "-o", first) == 0
+        echoed = first / "effective_config.json"
+        assert run_cli("fit", echoed, "--mode", "baseline", "-o", second) == 0
+        assert (first / "fit_result.json").read_bytes() == (second / "fit_result.json").read_bytes()
 
     def test_invalid_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,8 +8,6 @@ from spantree import (
     InputTooLarge,
     PointSet,
     build_mst_kruskal,
-    build_mst_prim,
-    euclidean_distance,
     generate,
     preset_spec,
     tree_total_length,
@@ -17,7 +15,7 @@ from spantree import (
 from spantree import mst
 from spantree.generators import PRESET_NAMES
 
-from bruteforce import canonical_mst_dense, min_spanning_total_bruteforce
+from bruteforce import build_mst_prim, canonical_mst_dense, min_spanning_total_bruteforce
 
 BUILDERS = (build_mst_kruskal, build_mst_prim)
 
@@ -26,7 +24,8 @@ BUILDERS = (build_mst_kruskal, build_mst_prim)
 class TestBothBuilders:
     def test_collinear_chain(self, build):
         tree = build(PointSet([0.0, 1.0, 3.0]))
-        assert [(e.u, e.v, e.length) for e in tree.edges] == [(0, 1, 1.0), (1, 2, 2.0)]
+        edges = list(zip(tree.edge_u.tolist(), tree.edge_v.tolist(), tree.lengths.tolist()))
+        assert edges == [(0, 1, 1.0), (1, 2, 2.0)]
         assert tree_total_length(tree) == 3.0
 
     def test_single_point(self, build):
@@ -60,17 +59,17 @@ class TestBothBuilders:
         rng = np.random.default_rng(17)
         ps = PointSet(rng.random((40, 2)))
         tree = build(ps)
-        for e in tree.edges:
-            d = euclidean_distance(ps.point(e.u), ps.point(e.v))
-            assert e.length == pytest.approx(d, rel=1e-12)
+        for u, v, length in zip(tree.edge_u, tree.edge_v, tree.lengths):
+            d = np.sqrt(((ps.coords[u] - ps.coords[v]) ** 2).sum())
+            assert length == pytest.approx(d, rel=1e-12)
 
     def test_edge_weight_is_vertex_product(self, build):
         rng = np.random.default_rng(19)
         weights = rng.random(25)
         ps = PointSet(rng.random((25, 2)), weights=weights)
         tree = build(ps)
-        for e in tree.edges:
-            assert e.weight == pytest.approx(weights[e.u] * weights[e.v], rel=1e-12)
+        for u, v, w in zip(tree.edge_u, tree.edge_v, tree.edge_weights):
+            assert w == pytest.approx(weights[u] * weights[v], rel=1e-12)
 
     def test_sorted_1d_is_consecutive_chain(self, build):
         rng = np.random.default_rng(23)

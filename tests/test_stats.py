@@ -12,7 +12,6 @@ from spantree import (
     histogram,
     log_normalized_lengths,
     mean_log_norm_length,
-    normalize_by_factor,
     normalize_to,
     normalized_lengths,
     sample_1d,
@@ -94,7 +93,7 @@ class TestNormalizedLengths:
         # suppressing one endpoint zeroes its edges out of the mean
         ps = PointSet([0.0, 1.0, 3.0], weights=[1.0, 1.0, 0.0])
         tree = build_mst_kruskal(ps)
-        vals = dict(zip([e.length for e in tree.edges], [v for v, _ in normalized_lengths(tree)]))
+        vals = dict(zip(tree.lengths.tolist(), [v for v, _ in normalized_lengths(tree)]))
         assert vals[1.0] == pytest.approx(1.0)  # mean over surviving weight is 1.0
         assert vals[2.0] == pytest.approx(2.0)
 
@@ -248,7 +247,7 @@ class TestNormalization:
 
     def test_factor_one_is_identity(self):
         h = histogram([(0.25, 2.0), (0.75, 3.0)], 0.0, 1.0, 2)
-        out = normalize_by_factor(h, 1.0)
+        out = h.scaled(1.0)
         np.testing.assert_array_equal(out.contents, h.contents)
 
     def test_zero_total_raises(self):
@@ -271,7 +270,7 @@ class TestNormalization:
         lnb_b = histogram(
             [(np.log(b.length), b.weight) for b in extract_branches(tree_b)], -4.0, 2.0, 20
         )
-        scaled = normalize_by_factor(lnb_b, factor)
+        scaled = lnb_b.scaled(factor)
         assert scaled.total == pytest.approx(lnb_b.total * factor, rel=1e-12)
         assert factor != pytest.approx(lnl_a.total / lnb_b.total)
 
