@@ -2,7 +2,8 @@
 
 The spanning-tree oracle enumerates every labeled tree on m vertices
 through its Prufer sequence (m^(m-2) trees) and returns the minimal total
-edge length. Practical up to m = 8 (262144 trees).
+edge length. Practical up to m = 8 (262144 trees); the trees of each m
+are decoded once and reused.
 
 The canonical-tree oracle runs Kruskal over every pair of points in
 (length, u, v) order and returns the exact tree the package must build,
@@ -20,6 +21,8 @@ result in the package's `Tree` container.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -59,18 +62,14 @@ def canonical_mst_dense(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return us[picked].astype(np.int64), vs[picked].astype(np.int64), lengths[picked]
 
 
-def min_spanning_total_bruteforce(coords: np.ndarray) -> float:
-    """Minimum total edge length over all labeled spanning trees."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim == 1:
-        coords = coords.reshape(-1, 1)
-    m = coords.shape[0]
-    if m < 2:
-        return 0.0
-    dist = squareform(pdist(coords))
-    if m == 2:
-        return float(dist[0, 1])
+@lru_cache(maxsize=None)
+def _labeled_tree_edges(m: int) -> np.ndarray:
+    """Every labeled tree on m >= 3 vertices, one row of m - 1 edges each.
 
+    Row r is the tree of Prufer sequence r; an edge (a, b) is stored as
+    the flat index a * m + b of an m x m matrix. The rows depend on m
+    alone, so they are decoded once and reused for every point set.
+    """
     n_seq = m ** (m - 2)
     seqs = np.stack(
         np.unravel_index(np.arange(n_seq), (m,) * (m - 2)), axis=1
@@ -83,18 +82,39 @@ def min_spanning_total_bruteforce(coords: np.ndarray) -> float:
     for j in range(m - 2):
         degree[rows, seqs[:, j]] += 1
 
-    totals = np.zeros(n_seq)
+    edges = np.empty((n_seq, m - 1), dtype=np.int64)
     for j in range(m - 2):
         target = seqs[:, j]
         leaf = np.argmax(degree == 1, axis=1)
-        totals += dist[leaf, target]
+        edges[:, j] = leaf * m + target
         degree[rows, leaf] -= 1
         degree[rows, target] -= 1
 
     first = np.argmax(degree == 1, axis=1)
     degree[rows, first] -= 1
     second = np.argmax(degree == 1, axis=1)
-    totals += dist[first, second]
+    edges[:, m - 2] = first * m + second
+    edges.setflags(write=False)
+    return edges
+
+
+def min_spanning_total_bruteforce(coords: np.ndarray) -> float:
+    """Minimum total edge length over all labeled spanning trees."""
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim == 1:
+        coords = coords.reshape(-1, 1)
+    m = coords.shape[0]
+    if m < 2:
+        return 0.0
+    dist = squareform(pdist(coords))
+    if m == 2:
+        return float(dist[0, 1])
+
+    flat = dist.ravel()
+    edges = _labeled_tree_edges(m)
+    totals = np.zeros(edges.shape[0])
+    for j in range(m - 1):
+        totals += flat[edges[:, j]]
     return float(totals.min())
 
 

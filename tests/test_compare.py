@@ -38,10 +38,6 @@ class TestConnectionLengths:
         b = tree_of([[3.0, 4.0]])
         assert connection_lengths(a, b).connection_length[0] == 5.0
         assert connection_lengths(b, a).connection_length[0] == 5.0
-        # sqrt(3^2 + 4^2 + 0^2) = 5 in three dimensions
-        c = tree_of([[1.0, 2.0, 3.0]])
-        d = tree_of([[4.0, 6.0, 3.0]])
-        assert connection_lengths(c, d).connection_length[0] == 5.0
 
     def test_directional_asymmetry_dense_sparse(self):
         dense = build_mst_kruskal(generate(preset_spec("dense-grid", 3)))

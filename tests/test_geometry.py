@@ -1,7 +1,47 @@
 import numpy as np
 import pytest
 
-from spantree import PointSet, rescale_features
+from spantree import (
+    DimensionMismatch,
+    PointSet,
+    build_mst_kruskal,
+    connection_lengths,
+    rescale_features,
+)
+
+
+def distance(a, b):
+    """Euclidean distance between two points, as the package measures it:
+    the connection length of a one-point tree to another."""
+    one = build_mst_kruskal(PointSet([a]))
+    other = build_mst_kruskal(PointSet([b]))
+    return float(connection_lengths(one, other).connection_length[0])
+
+
+class TestEuclideanDistance:
+    def test_3_4_5_triangle(self):
+        assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
+
+    def test_identical_points(self):
+        assert distance((1.5,), (1.5,)) == 0.0
+
+    def test_3d_hand_computed(self):
+        # sqrt(3^2 + 4^2 + 0^2) = 5
+        assert distance((1.0, 2.0, 3.0), (4.0, 6.0, 3.0)) == pytest.approx(5.0, rel=1e-15)
+
+    def test_symmetry(self):
+        a, b = (0.2, -1.0, 4.0), (2.0, 0.5, -3.0)
+        assert distance(a, b) == distance(b, a)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            distance((0.0,), (0.0, 1.0))
+
+
+class TestPoint:
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            PointSet([[0.0]], weights=[-1.0])
 
 
 class TestPointSet:
