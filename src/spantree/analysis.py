@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DegenerateStatistic, FitError
 from .geometry import PointSet
@@ -357,6 +356,8 @@ def fit_alpha(
     and background templates identical, no constraint) reports an infinite
     uncertainty.
     """
+    from scipy.optimize import minimize_scalar
+
     alphas = _resolve_alpha_grid(alpha_grid)
     b, s, n = model.background, model.signal, model.observed
     occupied = n > 0
@@ -401,6 +402,8 @@ def fit_alpha(
 
 def _interval_halfwidth(q_of, alphas, curve, alpha_hat, q_min) -> float:
     """Half-width of the interval where Q <= Q_min + 1."""
+    from scipy.optimize import brentq
+
     target = q_min + 1.0
 
     def crossing(side: str) -> float | None:

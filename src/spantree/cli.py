@@ -55,6 +55,7 @@ from .io import (
     write_events,
     write_histogram_csv,
     write_json,
+    write_text_atomic,
     write_tree_csv,
 )
 from .mst import build_mst_kruskal, tree_total_length
@@ -246,7 +247,7 @@ def _write_comparison(outdir: Path, tag: str, result, hist_specs, prov: str) -> 
             f"{int(result.vertex_indices[i])},{float(result.connection_length[i])!r},"
             f"{float(ratios[i])!r},{float(result.weights[i])!r}"
         )
-    (outdir / f"comparison_{tag}.csv").write_text("\n".join(lines) + "\n")
+    write_text_atomic(outdir / f"comparison_{tag}.csv", "\n".join(lines) + "\n")
 
     h_c = _stat_histogram(result.length_pairs(), hist_specs.get("connection_length"))
     write_histogram_csv(h_c, outdir / f"hist_connection_length_{tag}.csv", prov)
@@ -391,7 +392,7 @@ def _cmd_fit(args) -> int:
         if augmented is not None:
             row.append(repr(float(augmented.q_curve[i, 1])))
         curve_lines.append(",".join(row))
-    (outdir / "q_curve.csv").write_text("\n".join(curve_lines) + "\n")
+    write_text_atomic(outdir / "q_curve.csv", "\n".join(curve_lines) + "\n")
 
     result: dict = {"version": __version__, "config": cfg_hash, "mode": fit.mode}
     if baseline is not None:
@@ -471,7 +472,7 @@ def _cmd_plot_tree(args) -> int:
     out = _out_base(args.output)
     if out.is_dir():
         out = out / "tree.svg"
-    out.write_text(svg)
+    write_text_atomic(out, svg)
     print(f"wrote {out}")
     return 0
 
@@ -483,7 +484,7 @@ def _cmd_plot_hist(args) -> int:
     out = _out_base(args.output)
     if out.is_dir():
         out = out / "histogram.svg"
-    out.write_text(svg)
+    write_text_atomic(out, svg)
     print(f"wrote {out}")
     return 0
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateStatistic, DimensionMismatch
 from .mst import Tree
@@ -76,6 +75,8 @@ def _check_dimensions(subject: Tree, reference: Tree) -> None:
 
 def _nearest_point_distances(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Distance from each query point to its nearest target point."""
+    from scipy.spatial import cKDTree
+
     return cKDTree(targets).query(queries, k=1)[0]
 
 
@@ -90,6 +91,8 @@ def _nearest_edge_mean_lengths(
     edge tied with the k-th is then among those returned) or once every edge
     was returned. Unsettled rows ask again for twice as many.
     """
+    from scipy.spatial import cKDTree
+
     n_edges = midpoints.shape[0]
     k_eff = min(k, n_edges)
     index = cKDTree(midpoints)

@@ -426,8 +426,14 @@ PRESET_NAMES = tuple(sorted(_preset_table(0, None)))
 
 
 def preset_spec(name: str, seed: int, count: int | None = None) -> GeneratorSpec:
-    """Look up a named preset, optionally overriding its sample count."""
+    """Look up a named preset, optionally overriding its sample count.
+
+    The grid presets have a fixed size and take no count.
+    """
     table = _preset_table(seed, count)
     if name not in table:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return table[name]
+    spec = table[name]
+    if count is not None and spec.kind in ("grid", "quadratic_grid"):
+        raise ValueError(f"preset {name!r} always has {spec.count} events; it takes no count")
+    return spec

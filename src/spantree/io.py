@@ -8,7 +8,8 @@ so a write/read cycle preserves every value bit for bit.
 Every file this package writes starts with a one-line provenance comment
 carrying the tool version, the hash of the effective configuration that
 produced it, and the master seed, so identical configurations can be
-recognized from their outputs alone.
+recognized from their outputs alone. Every file is written through
+:func:`write_text_atomic`, so it is never left half-written.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from io import StringIO
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,6 +67,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step.
+
+    The text goes to a new file beside ``path`` that is then renamed over
+    it, so ``path`` never holds part of the text: a failed or interrupted
+    write leaves the old file, if any, as it was. The file gets the mode
+    of a newly created one, even where it replaces another.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    # created like open(path, "w") would create path: mode 0o666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # event files
 
@@ -96,7 +119,7 @@ def write_events(ps: PointSet, path: str | Path, comment: str | None = None) -> 
         if with_labels:
             row.append(ps.labels[i] or "")
         writer.writerow(row)
-    Path(path).write_text(buf.getvalue())
+    write_text_atomic(path, buf.getvalue())
 
 
 @dataclass(frozen=True)
@@ -108,6 +131,28 @@ class ColumnFilter:
     hi: float | None = None
 
 
+def _csv_records(lines: Iterable[str]):
+    """Yield (first line number, cells) for each csv record in ``lines``.
+
+    Blank lines and lines starting with ``#`` are skipped between records; a
+    quoted field keeps every line it spans, blank or not.
+    """
+    start = 0
+
+    def record_lines():
+        nonlocal start
+        for lineno, line in enumerate(lines, start=1):
+            if not start:
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                start = lineno
+            yield line
+
+    for cells in csv.reader(record_lines()):
+        yield start, cells
+        start = 0
+
+
 def read_events(path: str | Path, filters: Sequence[ColumnFilter] = ()) -> PointSet:
     """Parse an event table into a PointSet.
 
@@ -116,20 +161,17 @@ def read_events(path: str | Path, filters: Sequence[ColumnFilter] = ()) -> Point
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        # newline="" hands line endings inside quoted labels to the csv reader as written
+        with open(path, newline="") as fh:
+            records = list(_csv_records(fh))
     except OSError as exc:
         raise EventFileError(f"{path}: cannot read event file: {exc}") from exc
-
-    rows = [
-        (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not rows:
+    except csv.Error as exc:
+        raise EventFileError(f"{path}: {exc}") from exc
+    if not records:
         raise EventFileError(f"{path}: no header row found")
 
-    header = next(csv.reader([rows[0][1]]))
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in records[0][1]]
     feature_cols = [i for i, h in enumerate(header) if h not in _RESERVED]
     if not feature_cols:
         raise EventFileError(f"{path}: header declares no feature columns")
@@ -140,9 +182,7 @@ def read_events(path: str | Path, filters: Sequence[ColumnFilter] = ()) -> Point
     coords: list[list[float]] = []
     weights: list[float] = []
     labels: list[str | None] = []
-    reader = csv.reader(line for _, line in rows[1:])
-    linenos = [lineno for lineno, _ in rows[1:]]
-    for lineno, cells in zip(linenos, reader):
+    for lineno, cells in records[1:]:
         if len(cells) != len(header):
             raise EventFileError(
                 f"{path}: line {lineno}: expected {len(header)} fields, found {len(cells)}"
@@ -199,7 +239,7 @@ def write_tree_csv(tree: Tree, path: str | Path, comment: str | None = None) -> 
         tree.edge_u.tolist(), tree.edge_v.tolist(), tree.lengths.tolist(), tree.edge_weights.tolist()
     ):
         lines.append(f"{u},{v},{_fmt(l)},{_fmt(w)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_tree_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -250,7 +290,7 @@ def write_histogram_csv(h: Histogram, path: str | Path, comment: str | None = No
         lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{_fmt(h.contents[i])}")
     lines.append(f"overflow,,{_fmt(h.overflow)}")
     lines.append(f"underflow,,{_fmt(h.underflow)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_histogram_csv(path: str | Path) -> Histogram:
@@ -309,7 +349,7 @@ def write_json(payload: Mapping[str, Any], path: str | Path) -> None:
     text = json.dumps(
         _finite_or_null(payload), indent=2, sort_keys=True, default=str, allow_nan=False
     )
-    Path(path).write_text(text + "\n")
+    write_text_atomic(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
-from scipy.spatial.distance import pdist
 
 from .errors import InputTooLarge
 from .geometry import PointSet
@@ -239,6 +237,10 @@ def _sparse_candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     if d == 1:
         a, b = first[:-1], first[1:]
     else:
+        # imported here, not at module level: scipy.spatial takes about half a
+        # second to load, and commands that build no tree should not pay it
+        from scipy.spatial import Delaunay, QhullError, cKDTree
+
         # the translation keeps Qhull's precision tied to the extent, not the offset
         pts = unique - unique.min(axis=0)
         closest = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
@@ -285,6 +287,8 @@ def _kruskal_sparse(coords: np.ndarray, cand_u: np.ndarray, cand_v: np.ndarray):
 
 
 def _kruskal_all_pairs(coords: np.ndarray):
+    from scipy.spatial.distance import pdist
+
     m = len(coords)
     check_all_pairs_memory(m)
     dists = pdist(coords)

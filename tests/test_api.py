@@ -1,4 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
 import spantree
+from spantree import PointSet, histogram
+from spantree.io import write_events, write_histogram_csv
 
 PUBLIC_API = [
     "__version__",
@@ -63,3 +72,52 @@ def test_star_import_gives_exactly_the_public_api():
     exec("from spantree import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(PUBLIC_API)
+
+
+# Runs the CLI in a fresh interpreter, then prints its exit code and the
+# scipy modules it loaded.
+_PROBE = """
+import sys
+from spantree.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code)
+print(" ".join(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def _scipy_loaded_by(*argv) -> set[str]:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, modules = proc.stdout.splitlines()[-2:]
+    assert code == "0", proc.stderr
+    return set(modules.split())
+
+
+def test_import_and_version_load_no_scipy():
+    assert _scipy_loaded_by("--version") == set()
+
+
+def test_gen_and_plot_hist_load_no_scipy(tmp_path):
+    events = tmp_path / "disc.csv"
+    assert _scipy_loaded_by("gen", "--preset", "disc", "-n", 50, "-o", events) == set()
+    hist = tmp_path / "hist.csv"
+    write_histogram_csv(histogram([(0.5, 1.0), (1.5, 2.0)], 0.0, 2.0, 2), hist)
+    assert _scipy_loaded_by("plot", "hist", hist, "-o", tmp_path / "hist.svg") == set()
+
+
+def test_stats_loads_no_scipy_optimize(tmp_path):
+    events = tmp_path / "events.csv"
+    write_events(PointSet(np.random.default_rng(5).random((40, 2))), events)
+    loaded = _scipy_loaded_by("stats", events, "-o", tmp_path / "out")
+    assert "scipy.spatial" in loaded
+    assert not any(m.startswith("scipy.optimize") for m in loaded)

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from spantree.io import (
     write_events,
     write_histogram_csv,
     write_json,
+    write_text_atomic,
     write_tree_csv,
 )
 
@@ -46,6 +48,22 @@ class TestEventFiles:
         path = tmp_path / "events.csv"
         write_events(ps, path)
         assert read_events(path).labels == ps.labels
+
+    def test_label_with_newline_round_trip(self, tmp_path):
+        ps = PointSet(
+            [[0.0], [1.0], [2.0], [3.0]], labels=["a\nb", "c\n\nd", "e\r\nf", None]
+        )
+        path = tmp_path / "events.csv"
+        write_events(ps, path, comment="# test file")
+        assert read_events(path).labels == ps.labels
+
+    def test_comments_and_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text('# head\nx,label\n\n1.0,"two\n\n# lines"\n  \n# note\n3.0\n')
+        with pytest.raises(EventFileError, match="line 9: expected 2 fields, found 1"):
+            read_events(path)
+        path.write_text('# head\nx,label\n\n1.0,"two\n\n# lines"\n  \n# note\n3.0,c\n')
+        assert read_events(path).labels == ("two\n\n# lines", "c")
 
     def test_missing_weight_column_defaults_to_one(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -113,6 +131,29 @@ class TestJsonFiles:
         path = tmp_path / "out.json"
         write_json({"a": -np.inf, "b": [1.5, np.nan], "c": {"d": np.float64(np.inf)}}, path)
         assert json.loads(path.read_text()) == {"a": None, "b": [1.5, None], "c": {"d": None}}
+
+
+class TestAtomicWrites:
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        write_json({"a": 1}, path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            write_json({"a": 2}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_new_file_gets_default_mode(self, tmp_path):
+        reference = tmp_path / "reference.txt"
+        reference.write_text("x")
+        path = tmp_path / "out.txt"
+        write_text_atomic(path, "x")
+        assert path.stat().st_mode == reference.stat().st_mode
 
 
 class TestRunConfig:
@@ -235,6 +276,15 @@ class TestCliGen:
         assert run_cli("gen", "--spec", spec_path, "-o", tmp_path / "a.csv") == 2
         assert run_cli("gen", "--preset", "disc", "-n", 0, "-o", tmp_path / "b.csv") == 2
         assert not (tmp_path / "a.csv").exists() and not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("preset", ["sparse-grid", "dense-grid", "quadratic-grid"])
+    def test_grid_preset_rejects_count(self, preset, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert run_cli("gen", "--preset", preset, "-n", 50, "-o", out) == 2
+        assert "takes no count" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("gen", "--preset", preset, "-o", out) == 0
+        assert len(read_events(out)) == 800
 
     def test_seed_changes_output(self, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
