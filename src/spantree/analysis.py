@@ -24,11 +24,13 @@ uncertainty is half the width of the Q_min + 1 interval.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from . import mst
 from .errors import DegenerateStatistic, FitError
 from .geometry import PointSet
 from .mst import build_mst_kruskal
@@ -249,6 +251,45 @@ def _resample_mixture(
     return PointSet(np.vstack(coords), np.concatenate(weights))
 
 
+def _trial_mu(inputs: tuple, j: int) -> float:
+    """The statistic of calibration trial ``j``, numbered fraction-major."""
+    background, signal, count, alphas, trials, seqs = inputs
+    rng = np.random.Generator(np.random.PCG64(seqs[j]))
+    return observed_mu(
+        _resample_mixture(background, signal, count, float(alphas[j // trials]), rng)
+    )
+
+
+# the calibration inputs, set by the pool initializer in each worker process
+_worker_inputs: tuple = ()
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_trial_mu(j: int) -> float:
+    return _trial_mu(_worker_inputs, j)
+
+
+def _trial_workers(n_trials: int, count: int) -> int:
+    """Worker processes for ``n_trials`` calibration trees of ``count`` points.
+
+    One per usable CPU, at most one per trial, and no more than the
+    all-pairs builds of ``count`` points that fit in physical memory at once.
+    """
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:
+        workers = os.cpu_count() or 1
+    workers = min(workers, n_trials)
+    memory = mst._physical_memory_bytes()
+    if memory is not None:
+        workers = min(workers, memory // mst.all_pairs_bytes(count))
+    return max(workers, 1)
+
+
 def calibrate_mu_vs_alpha(
     background: PointSet,
     signal: PointSet,
@@ -266,6 +307,13 @@ def calibrate_mu_vs_alpha(
     (fraction, statistic) points gives the calibration. Requires at least
     two distinct fractions, two trials, and components at least ``count``
     events each. ``count`` defaults to the smaller component size.
+
+    The trials run in forked worker processes, one per usable CPU, capped
+    by the trial count and by how many all-pairs builds of ``count`` points
+    fit in physical memory. They run in this process instead when that
+    leaves one worker, fork is unavailable, this process is a daemon, or
+    other threads are running. Each trial draws from its own spawned seed,
+    so the result is bit for bit the same for any number of CPUs.
     """
     alphas = np.asarray(list(alphas), dtype=np.float64)
     if alphas.size < 2 or np.unique(alphas).size < 2:
@@ -282,19 +330,38 @@ def calibrate_mu_vs_alpha(
             f"({len(background)} background, {len(signal)} signal events)"
         )
 
-    seqs = np.random.SeedSequence(seed).spawn(alphas.size * trials)
-    mu = np.empty((alphas.size, trials))
+    import multiprocessing
+    import threading
+
+    n_trials = alphas.size * trials
+    seqs = np.random.SeedSequence(seed).spawn(n_trials)
+    inputs = (background, signal, count, alphas, trials, seqs)
+    workers = _trial_workers(n_trials, count)
+    if (
+        workers > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+        # a fork while another thread runs can copy a lock that thread holds
+        and threading.active_count() == 1
+    ):
+        # loaded once here, so the forked workers do not each import it again
+        import scipy.spatial  # noqa: F401
+
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, _init_worker, inputs) as pool:
+            # imap yields in trial order and raises a worker's error at its
+            # trial, so the first failure is the one the serial loop would raise
+            values = list(pool.imap(_worker_trial_mu, range(n_trials), chunksize=1))
+    else:
+        values = [_trial_mu(inputs, j) for j in range(n_trials)]
+    mu = np.array(values, dtype=np.float64).reshape(alphas.size, trials)
     for i, a in enumerate(alphas):
-        for t in range(trials):
-            rng = np.random.Generator(np.random.PCG64(seqs[i * trials + t]))
-            mix = _resample_mixture(background, signal, count, float(a), rng)
-            mu[i, t] = observed_mu(mix)
-            if not math.isfinite(mu[i, t]):
-                raise DegenerateStatistic(
-                    f"mixture at fraction {a:g} produced a non-finite statistic; "
-                    "coincident points (components sharing events?) make the "
-                    "log normalized length undefined"
-                )
+        if not np.all(np.isfinite(mu[i])):
+            raise DegenerateStatistic(
+                f"mixture at fraction {a:g} produced a non-finite statistic; "
+                "coincident points (components sharing events?) make the "
+                "log normalized length undefined"
+            )
 
     x = np.repeat(alphas, trials)
     y = mu.ravel()

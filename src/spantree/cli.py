@@ -439,9 +439,10 @@ def _parse_axes(spec: str | None, ps: PointSet) -> tuple[int, int]:
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 2:
         raise ConfigError(f"--axes expects two comma-separated features, got {spec!r}")
-    idx = []
-    for part in parts:
-        idx.append(ps.feature_index(int(part) if part.lstrip("-").isdigit() else part))
+    try:
+        idx = [ps.feature_index(int(p) if p.lstrip("-").isdigit() else p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"--axes {spec!r}: {exc}") from exc
     return idx[0], idx[1]
 
 

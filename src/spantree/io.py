@@ -314,7 +314,10 @@ def read_histogram_csv(path: str | Path) -> Histogram:
             continue
         cells = stripped.split(",")
         if cells[0] in ("overflow", "underflow"):
-            value = float(cells[-1])
+            try:
+                value = float(cells[-1])
+            except ValueError as exc:
+                raise EventFileError(f"{path}: line {lineno}: {exc}") from exc
             if cells[0] == "overflow":
                 overflow = value
             else:

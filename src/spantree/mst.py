@@ -205,13 +205,18 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
-def check_all_pairs_memory(m: int) -> None:
-    """Raise :class:`InputTooLarge` if the all-pairs build cannot fit in memory.
+def all_pairs_bytes(m: int) -> int:
+    """Memory the all-pairs build of ``m`` points needs, about 8 * m^2 bytes.
 
     The condensed distance vector and its partition copy take about
     8 * m(m - 1) / 2 bytes each.
     """
-    need = 8 * m * m
+    return 8 * m * m
+
+
+def check_all_pairs_memory(m: int) -> None:
+    """Raise :class:`InputTooLarge` if the all-pairs build cannot fit in memory."""
+    need = all_pairs_bytes(m)
     available = _physical_memory_bytes()
     if available is not None and need > available:
         raise InputTooLarge(

@@ -224,7 +224,9 @@ def histogram(values, lo: float, hi: float, nbins: int, overflow: bool = True) -
     inside = ~(under | over)
     idx = np.floor((vals[inside] - lo) / (hi - lo) * nbins).astype(np.int64)
     np.clip(idx, 0, nbins - 1, out=idx)
-    contents = np.bincount(idx, weights=w[inside], minlength=nbins)
+    # bincount gives an integer array when nothing lands inside; folding a
+    # fractional overflow weight into it would truncate that weight
+    contents = np.bincount(idx, weights=w[inside], minlength=nbins).astype(np.float64)
 
     under_w = float(w[under].sum())
     over_w = float(w[over].sum())

@@ -16,8 +16,14 @@ The comparison oracle scans every subject vertex against every reference
 vertex and pool edge midpoint, with a stable sort that gives distance ties
 to the lowest edge index.
 
-None shares an algorithm with the code under test; Prim returns its
-result in the package's `Tree` container.
+None of these shares an algorithm with the code under test; Prim returns
+its result in the package's `Tree` container.
+
+The calibration oracle is the exception: it calls the package's own
+resampling and tree statistic, because what it checks is the scheduling.
+It runs the trials one after another in this process, from the same
+spawned seeds, so a calibration on worker processes must reproduce its
+statistics bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from spantree import PointSet, Tree
+from spantree import PointSet, Tree, observed_mu
+from spantree.analysis import _resample_mixture
 
 _CHUNK_ROWS = 512
 
@@ -202,3 +209,16 @@ def connection_ratios_exhaustive(
     ratio = np.full(c.shape, np.inf)
     np.divide(c, local_mean, out=ratio, where=local_mean != 0)
     return ratio
+
+
+def calibration_mu_serial(
+    background: PointSet, signal: PointSet, alphas, trials: int, seed: int, count: int
+) -> np.ndarray:
+    """``mu_samples`` of a calibration, the trials run in a plain loop."""
+    seqs = np.random.SeedSequence(seed).spawn(len(alphas) * trials)
+    mu = np.empty((len(alphas), trials))
+    for i, alpha in enumerate(alphas):
+        for t in range(trials):
+            rng = np.random.Generator(np.random.PCG64(seqs[i * trials + t]))
+            mu[i, t] = observed_mu(_resample_mixture(background, signal, count, float(alpha), rng))
+    return mu

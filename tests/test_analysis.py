@@ -1,13 +1,17 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from bruteforce import calibration_mu_serial
 from spantree import (
     BinnedModel,
     FitError,
     GeneratorSpec,
     GridBinning,
+    InputTooLarge,
     MstConstraint,
     PointSet,
     RegionWeight,
@@ -18,6 +22,7 @@ from spantree import (
     generate,
     observed_mu,
 )
+from spantree import analysis, mst
 
 # shared demo components: broad background disc with a denser signal disc inside
 BG_SPEC = GeneratorSpec("disc", 12000, 101, 0.2, {"center": (0.0, 0.0), "radius": 20.0})
@@ -193,6 +198,100 @@ class TestCalibration:
         a = calibrate_mu_vs_alpha(bg, sig, [0.2, 0.4], trials=2, seed=5, count=800)
         b = calibrate_mu_vs_alpha(bg, sig, [0.2, 0.4], trials=2, seed=5, count=800)
         np.testing.assert_array_equal(a.mu_samples, b.mu_samples)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+def _components(d: int, m: int, seed: int) -> tuple[PointSet, PointSet]:
+    rng = np.random.default_rng(seed)
+    return PointSet(rng.normal(size=(m, d))), PointSet(rng.normal(0.5, 0.5, size=(m, d)))
+
+
+@needs_fork
+class TestCalibrationPool:
+    """Two workers are forced, so the pool runs on a one-CPU machine too."""
+
+    @pytest.fixture
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_trial_workers", lambda n_trials, count: 2)
+
+    @pytest.mark.parametrize("d, count", [(2, 600), (4, 250)])
+    def test_matches_serial_oracle(self, monkeypatch, two_workers, d, count):
+        # d = 2 builds on Delaunay edges, d = 4 on all pairs
+        bg, sig = _components(d, 2 * count, seed=70 + d)
+        alphas = [0.0, 0.3, 0.6, 1.0]
+        pooled = calibrate_mu_vs_alpha(bg, sig, alphas, trials=3, seed=9, count=count)
+        oracle = calibration_mu_serial(bg, sig, alphas, 3, 9, count)
+        np.testing.assert_array_equal(pooled.mu_samples, oracle)
+        monkeypatch.setattr(analysis, "_trial_workers", lambda n_trials, count: 1)
+        serial = calibrate_mu_vs_alpha(bg, sig, alphas, trials=3, seed=9, count=count)
+        np.testing.assert_array_equal(serial.mu_samples, oracle)
+        for field in ("slope", "intercept", "slope_stderr", "sigma_l"):
+            assert getattr(pooled, field) == getattr(serial, field)
+
+    def test_trials_run_in_worker_processes(self, monkeypatch, two_workers):
+        monkeypatch.setattr(analysis, "observed_mu", lambda ps: float(os.getpid()))
+        bg, sig = _components(2, 200, seed=5)
+        cal = calibrate_mu_vs_alpha(bg, sig, [0.2, 0.8], trials=4, seed=3, count=100)
+        pids = set(cal.mu_samples.ravel().tolist())
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= 2
+
+    def test_serial_while_another_thread_runs(self, monkeypatch, two_workers):
+        import threading
+
+        monkeypatch.setattr(analysis, "observed_mu", lambda ps: float(os.getpid()))
+        bg, sig = _components(2, 200, seed=5)
+        results = []
+        caller = threading.Thread(target=lambda: results.append(
+            calibrate_mu_vs_alpha(bg, sig, [0.2, 0.8], trials=2, seed=3, count=100)
+        ))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(results) == 1
+        assert set(results[0].mu_samples.ravel().tolist()) == {float(os.getpid())}
+
+    def test_worker_error_keeps_its_type(self, monkeypatch, two_workers):
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
+        bg, sig = _components(4, 100, seed=6)
+        with pytest.raises(InputTooLarge, match="physical memory"):
+            calibrate_mu_vs_alpha(bg, sig, [0.0, 1.0], trials=2, seed=1, count=50)
+
+    def test_degenerate_statistic_names_first_fraction(self, two_workers, demo_samples):
+        from spantree import DegenerateStatistic
+
+        bg, _ = demo_samples
+        with pytest.raises(DegenerateStatistic, match="fraction 0.1 "):
+            calibrate_mu_vs_alpha(bg, bg, [0.1, 0.5], trials=2, seed=31, count=1500)
+
+
+class TestTrialWorkers:
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def test_one_worker_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: None)
+        assert analysis._trial_workers(36, 3000) == 8
+
+    def test_capped_by_trial_count(self, monkeypatch):
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: None)
+        assert analysis._trial_workers(4, 3000) == 4
+
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: mst.all_pairs_bytes(3000))
+        assert analysis._trial_workers(36, 3000) == 1
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 3 * mst.all_pairs_bytes(3000))
+        assert analysis._trial_workers(36, 3000) == 3
+
+    def test_at_least_one_worker(self, monkeypatch):
+        # the build itself then refuses the input
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
+        assert analysis._trial_workers(36, 3000) == 1
 
 
 class TestFit:

@@ -125,6 +125,18 @@ class TestHistogramFiles:
         assert back.underflow == h.underflow and back.overflow == h.overflow
         assert back.folds_overflow is False
 
+    @pytest.mark.parametrize("row", ["overflow", "underflow"])
+    def test_non_numeric_trailer_rejected(self, tmp_path, row):
+        path = tmp_path / "h.csv"
+        write_histogram_csv(Histogram(0.0, 1.0, 2, np.array([1.0, 2.0])), path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(row + ","))
+        lines[at] = f"{row},,abc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(EventFileError, match=f"line {at + 1}:"):
+            read_histogram_csv(path)
+        assert run_cli("plot", "hist", path, "-o", tmp_path / "h.svg") == 2
+
 
 class TestJsonFiles:
     def test_non_finite_written_as_null(self, tmp_path):
@@ -564,6 +576,14 @@ class TestCliPlot:
         out = tmp_path / "t.svg"
         assert run_cli("plot", "tree", "--events", events, "-o", out) == 2
         assert run_cli("plot", "tree", "--events", events, "--axes", "x,z", "-o", out) == 0
+
+    def test_unknown_axis_is_config_error(self, tmp_path, capsys):
+        events = tmp_path / "e3.csv"
+        run_cli("gen", "--preset", "disc3d-uniform", "--seed", 13, "-n", 30, "-o", events)
+        out = tmp_path / "t.svg"
+        assert run_cli("plot", "tree", "--events", events, "--axes", "x,nope", "-o", out) == 2
+        assert "nope" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_projections_differ(self, tmp_path):
         events = tmp_path / "e3.csv"

@@ -201,6 +201,11 @@ class TestHistogram:
         np.testing.assert_array_equal(h.contents, [1.0, 2.0])
         assert h.overflow == 0.0
 
+    def test_fractional_overflow_folds_with_no_entry_inside(self):
+        h = histogram([(1.5, 0.25), (-1.0, 0.5)], 0.0, 1.0, 1, overflow=True)
+        np.testing.assert_array_equal(h.contents, [0.25])
+        assert h.total == 0.75
+
     def test_overflow_counter_when_not_folding(self):
         h = histogram([(0.5, 1.0), (99.0, 2.5)], 0.0, 2.0, 2, overflow=False)
         np.testing.assert_array_equal(h.contents, [1.0, 0.0])
