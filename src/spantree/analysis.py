@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -277,17 +277,54 @@ def _trial_workers(n_trials: int, count: int) -> int:
     """Worker processes for ``n_trials`` calibration trees of ``count`` points.
 
     One per usable CPU, at most one per trial, and no more than the
-    all-pairs builds of ``count`` points that fit in physical memory at once.
+    all-pairs builds of ``count`` points that fit in free memory at once.
+    The cap holds at every dimension, since a d <= 3 mixture with
+    near-duplicate points also builds on all pairs.
     """
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:
         workers = os.cpu_count() or 1
     workers = min(workers, n_trials)
-    memory = mst._physical_memory_bytes()
-    if memory is not None:
-        workers = min(workers, memory // mst.all_pairs_bytes(count))
+    free = mst._free_memory_bytes()
+    if free is not None:
+        workers = min(workers, free // mst.all_pairs_bytes(count))
     return max(workers, 1)
+
+
+def _trial_values(inputs: tuple, n_trials: int) -> Iterator[float]:
+    """The statistic of every calibration trial, in trial order.
+
+    The trials run in forked worker processes when more than one worker is
+    allowed, fork is available, this process is not a daemon and no other
+    thread runs; otherwise in this process, one after another.
+    """
+    import multiprocessing
+    import threading
+
+    workers = _trial_workers(n_trials, inputs[2])
+    if (
+        workers > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+        # a fork while another thread runs can copy a lock that thread holds
+        and threading.active_count() == 1
+    ):
+        from concurrent.futures import ProcessPoolExecutor
+
+        # loaded once here, so the forked workers do not each import it again
+        import scipy.spatial  # noqa: F401
+
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            workers, mp_context=ctx, initializer=_init_worker, initargs=inputs
+        ) as pool:
+            # map yields in trial order and raises a worker's error at its
+            # trial; a worker that dies raises BrokenProcessPool
+            yield from pool.map(_worker_trial_mu, range(n_trials))
+    else:
+        for j in range(n_trials):
+            yield _trial_mu(inputs, j)
 
 
 def calibrate_mu_vs_alpha(
@@ -310,10 +347,12 @@ def calibrate_mu_vs_alpha(
 
     The trials run in forked worker processes, one per usable CPU, capped
     by the trial count and by how many all-pairs builds of ``count`` points
-    fit in physical memory. They run in this process instead when that
-    leaves one worker, fork is unavailable, this process is a daemon, or
-    other threads are running. Each trial draws from its own spawned seed,
-    so the result is bit for bit the same for any number of CPUs.
+    fit in free memory. They run in this process instead when that leaves
+    one worker, fork is unavailable, this process is a daemon, or other
+    threads are running. Each trial draws from its own spawned seed, so the
+    result is bit for bit the same for any number of CPUs. The first trial
+    in (fraction, trial) order that fails decides the error; a worker
+    process that dies raises ``concurrent.futures.process.BrokenProcessPool``.
     """
     alphas = np.asarray(list(alphas), dtype=np.float64)
     if alphas.size < 2 or np.unique(alphas).size < 2:
@@ -330,38 +369,23 @@ def calibrate_mu_vs_alpha(
             f"({len(background)} background, {len(signal)} signal events)"
         )
 
-    import multiprocessing
-    import threading
-
     n_trials = alphas.size * trials
     seqs = np.random.SeedSequence(seed).spawn(n_trials)
-    inputs = (background, signal, count, alphas, trials, seqs)
-    workers = _trial_workers(n_trials, count)
-    if (
-        workers > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-        # a fork while another thread runs can copy a lock that thread holds
-        and threading.active_count() == 1
-    ):
-        # loaded once here, so the forked workers do not each import it again
-        import scipy.spatial  # noqa: F401
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, _init_worker, inputs) as pool:
-            # imap yields in trial order and raises a worker's error at its
-            # trial, so the first failure is the one the serial loop would raise
-            values = list(pool.imap(_worker_trial_mu, range(n_trials), chunksize=1))
-    else:
-        values = [_trial_mu(inputs, j) for j in range(n_trials)]
-    mu = np.array(values, dtype=np.float64).reshape(alphas.size, trials)
-    for i, a in enumerate(alphas):
-        if not np.all(np.isfinite(mu[i])):
-            raise DegenerateStatistic(
-                f"mixture at fraction {a:g} produced a non-finite statistic; "
-                "coincident points (components sharing events?) make the "
-                "log normalized length undefined"
-            )
+    values = _trial_values((background, signal, count, alphas, trials, seqs), n_trials)
+    mu = np.empty(n_trials)
+    try:
+        for j, value in enumerate(values):
+            if not math.isfinite(value):
+                raise DegenerateStatistic(
+                    f"mixture at fraction {alphas[j // trials]:g} produced a "
+                    "non-finite statistic; coincident points (components "
+                    "sharing events?) make the log normalized length undefined"
+                )
+            mu[j] = value
+    finally:
+        # cancels the trials not yet started when one fails
+        values.close()
+    mu = mu.reshape(alphas.size, trials)
 
     x = np.repeat(alphas, trials)
     y = mu.ravel()

@@ -205,6 +205,14 @@ def _physical_memory_bytes() -> int | None:
         return None
 
 
+def _free_memory_bytes() -> int | None:
+    """Memory not in use by any process or the page cache, or None if unknown."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def all_pairs_bytes(m: int) -> int:
     """Memory the all-pairs build of ``m`` points needs, about 8 * m^2 bytes.
 

@@ -1,6 +1,9 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +270,77 @@ class TestCalibrationPool:
         with pytest.raises(DegenerateStatistic, match="fraction 0.1 "):
             calibrate_mu_vs_alpha(bg, bg, [0.1, 0.5], trials=2, seed=31, count=1500)
 
+    def test_earlier_degenerate_trial_wins_over_later_error(self, monkeypatch, two_workers):
+        from spantree import DegenerateStatistic
+
+        def trial_mu(inputs, j):
+            if j == 3:
+                raise RuntimeError("later trial")
+            return math.nan if j == 1 else 0.0
+
+        monkeypatch.setattr(analysis, "_trial_mu", trial_mu)
+        bg, sig = _components(2, 200, seed=5)
+        with pytest.raises(DegenerateStatistic, match="fraction 0.2 "):
+            calibrate_mu_vs_alpha(bg, sig, [0.2, 0.8], trials=2, seed=3, count=100)
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        # a fresh interpreter, so a hang ends in a timeout rather than a stuck run
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _DEAD_WORKER],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "BrokenProcessPool"
+
+
+_DEAD_WORKER = """
+import os
+
+import numpy as np
+from spantree import PointSet, analysis
+
+real_trial_mu = analysis._trial_mu
+
+
+def trial_mu(inputs, j):
+    if j == 2:
+        os._exit(1)
+    return real_trial_mu(inputs, j)
+
+
+analysis._trial_workers = lambda n_trials, count: 2
+analysis._trial_mu = trial_mu
+rng = np.random.default_rng(5)
+bg, sig = PointSet(rng.normal(size=(200, 2))), PointSet(rng.normal(size=(200, 2)))
+try:
+    analysis.calibrate_mu_vs_alpha(bg, sig, [0.2, 0.8], trials=3, seed=3, count=100)
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
+class TestSerialCalibration:
+    def test_stops_at_first_degenerate_trial(self, monkeypatch):
+        from spantree import DegenerateStatistic
+
+        monkeypatch.setattr(analysis, "_trial_workers", lambda n_trials, count: 1)
+        calls = []
+
+        def observed(ps):
+            calls.append(1)
+            return math.nan if len(calls) == 2 else 0.0
+
+        monkeypatch.setattr(analysis, "observed_mu", observed)
+        bg, sig = _components(2, 200, seed=5)
+        with pytest.raises(DegenerateStatistic, match="fraction 0.2 "):
+            calibrate_mu_vs_alpha(bg, sig, [0.2, 0.8], trials=3, seed=3, count=100)
+        assert len(calls) == 2
+
 
 class TestTrialWorkers:
     @pytest.fixture(autouse=True)
@@ -275,22 +349,28 @@ class TestTrialWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
     def test_one_worker_per_cpu(self, monkeypatch):
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: None)
+        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: None)
         assert analysis._trial_workers(36, 3000) == 8
 
     def test_capped_by_trial_count(self, monkeypatch):
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: None)
+        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: None)
         assert analysis._trial_workers(4, 3000) == 4
 
     def test_memory_cap(self, monkeypatch):
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: mst.all_pairs_bytes(3000))
+        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: mst.all_pairs_bytes(3000))
         assert analysis._trial_workers(36, 3000) == 1
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 3 * mst.all_pairs_bytes(3000))
+        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: 3 * mst.all_pairs_bytes(3000))
         assert analysis._trial_workers(36, 3000) == 3
+
+    def test_memory_cap_counts_free_not_physical_memory(self, monkeypatch):
+        # two builds fit in physical memory, but only one in what is free
+        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 2 * mst.all_pairs_bytes(20000))
+        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: mst.all_pairs_bytes(20000) + 1)
+        assert analysis._trial_workers(36, 20000) == 1
 
     def test_at_least_one_worker(self, monkeypatch):
         # the build itself then refuses the input
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
+        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: 1000)
         assert analysis._trial_workers(36, 3000) == 1
 
 
