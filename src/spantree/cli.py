@@ -83,31 +83,39 @@ def _ensure_dir(path: Path) -> Path:
     return path
 
 
-def _auto_range(values: list[tuple[float, float]]) -> tuple[float, float]:
-    finite = [v for v, _ in values if np.isfinite(v)]
-    if not finite:
+def _auto_range(values: np.ndarray) -> tuple[float, float]:
+    finite = values[np.isfinite(values)]
+    if not finite.size:
         return 0.0, 1.0
-    lo, hi = min(finite), max(finite)
+    lo, hi = float(finite.min()), float(finite.max())
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
     return lo, hi + 1e-9 * span
 
 
-def _stat_histogram(values, spec: dict | None, integer_valued: bool = False):
+def _stat_histogram(values, weights, spec: dict | None, integer_valued: bool = False):
     if spec:
         return histogram(
             values,
+            weights,
             float(spec["lo"]),
             float(spec["hi"]),
             int(spec["nbins"]),
             bool(spec.get("overflow", True)),
         )
     if integer_valued:
-        top = max(int(v) for v, _ in values)
-        return histogram(values, 0.5, top + 0.5, top, overflow=False)
+        top = int(values.max())
+        return histogram(values, weights, 0.5, top + 0.5, top, overflow=False)
     lo, hi = _auto_range(values)
-    return histogram(values, lo, hi, _DEFAULT_NBINS, overflow=True)
+    return histogram(values, weights, lo, hi, _DEFAULT_NBINS, overflow=True)
+
+
+def _log_branch_lengths(branches) -> tuple[np.ndarray, np.ndarray]:
+    lengths = np.fromiter((b.length for b in branches), np.float64, len(branches))
+    weights = np.fromiter((b.weight for b in branches), np.float64, len(branches))
+    keep = lengths > 0
+    return np.log(lengths[keep]), weights[keep]
 
 
 def _region_weight_from_config(section: dict) -> tuple[RegionWeight, tuple[str, ...]]:
@@ -207,14 +215,14 @@ def _cmd_stats(args) -> int:
     stat_values = {
         "edge_length": lambda: edge_lengths(tree),
         "log_norm_length": lambda: log_normalized_lengths(tree),
-        "degree": lambda: [(float(d), w) for d, w in degrees(tree)],
-        "log_branch_length": lambda: [
-            (float(np.log(b.length)), b.weight) for b in extract_branches(tree) if b.length > 0
-        ],
+        "degree": lambda: degrees(tree),
+        "log_branch_length": lambda: _log_branch_lengths(extract_branches(tree)),
     }
     for name in statistics:
-        values = stat_values[name]()
-        h = _stat_histogram(values, hist_specs.get(name), integer_valued=(name == "degree"))
+        values, weights = stat_values[name]()
+        h = _stat_histogram(
+            values, weights, hist_specs.get(name), integer_valued=(name == "degree")
+        )
         write_histogram_csv(h, outdir / f"hist_{name}.csv", prov)
 
     summary = summarize(tree)
@@ -249,10 +257,13 @@ def _write_comparison(outdir: Path, tag: str, result, hist_specs, prov: str) -> 
         )
     write_text_atomic(outdir / f"comparison_{tag}.csv", "\n".join(lines) + "\n")
 
-    h_c = _stat_histogram(result.length_pairs(), hist_specs.get("connection_length"))
+    h_c = _stat_histogram(*result.length_pairs(), hist_specs.get("connection_length"))
     write_histogram_csv(h_c, outdir / f"hist_connection_length_{tag}.csv", prov)
-    finite_ratios = [(v, w) for v, w in result.ratio_pairs() if np.isfinite(v)]
-    h_r = _stat_histogram(finite_ratios or [(0.0, 0.0)], hist_specs.get("connection_ratio"))
+    ratios, weights = result.ratio_pairs()
+    finite = np.isfinite(ratios)
+    # with no finite ratio, one zero-weight entry keeps the automatic range defined
+    ratios, weights = (ratios[finite], weights[finite]) if finite.any() else (np.zeros(1),) * 2
+    h_r = _stat_histogram(ratios, weights, hist_specs.get("connection_ratio"))
     write_histogram_csv(h_r, outdir / f"hist_connection_ratio_{tag}.csv", prov)
 
 
@@ -451,10 +462,9 @@ def _cmd_plot_tree(args) -> int:
     ax, ay = _parse_axes(args.axes, ps)
     if args.tree:
         us, vs, _, _ = read_tree_csv(args.tree)
-        pairs = list(zip(us.tolist(), vs.tolist()))
     else:
         tree = build_mst_kruskal(ps)
-        pairs = list(zip(tree.edge_u.tolist(), tree.edge_v.tolist()))
+        us, vs = tree.edge_u, tree.edge_v
     cfg = {
         "command": "plot-tree",
         "events": file_fingerprint(args.events),
@@ -465,7 +475,7 @@ def _cmd_plot_tree(args) -> int:
     names = ps.feature_names or tuple(f"x{i}" for i in range(ps.dimension))
     svg = render_tree_svg(
         coords,
-        pairs,
+        zip(us.tolist(), vs.tolist()),
         labels=ps.labels,
         title=f"{names[ax]} vs {names[ay]}",
         comment=provenance_line(config_hash(cfg)),

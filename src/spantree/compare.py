@@ -56,13 +56,15 @@ class ComparisonResult:
             r.setflags(write=False)
             object.__setattr__(self, "connection_ratio", r)
 
-    def length_pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.connection_length.tolist(), self.weights.tolist()))
+    def length_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (connection lengths, weights) arrays."""
+        return self.connection_length, self.weights
 
-    def ratio_pairs(self) -> list[tuple[float, float]]:
+    def ratio_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (connection ratios, weights) arrays."""
         if self.connection_ratio is None:
             raise ValueError("this result carries no connection ratios")
-        return list(zip(self.connection_ratio.tolist(), self.weights.tolist()))
+        return self.connection_ratio, self.weights
 
 
 def _check_dimensions(subject: Tree, reference: Tree) -> None:

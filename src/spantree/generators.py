@@ -42,11 +42,6 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Derive n independent generators from one master seed."""
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Declarative description of one synthetic sample.

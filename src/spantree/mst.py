@@ -1,7 +1,12 @@
 """Euclidean minimal spanning tree construction.
 
-Kruskal's algorithm scans a sparse candidate graph that provably contains
-the tree.
+The tree is the canonical Kruskal tree of a sparse candidate graph that
+provably contains it. The candidates are ranked by (length, u, v), each
+rank serving as a distinct weight, and a Borůvka merge over the ranks finds
+the tree in a few array passes: each round every component takes its
+lowest-ranked outgoing candidate (Borůvka 1926). Distinct weights make the
+minimal spanning forest unique, so it is exactly the forest a Kruskal scan
+of the candidates in rank order accepts, edge order included.
 
 Candidate edges come from the distinct points. Duplicated rows are first
 collapsed onto their lowest index, and each duplicate gets a zero-length
@@ -38,8 +43,8 @@ import numpy as np
 from .errors import InputTooLarge
 from .geometry import PointSet
 
-# Kruskal rarely needs more than a small multiple of m candidate edges
-# before the tree closes; start there and widen on the rare miss.
+# The shortest few multiples of m pairs rarely miss a tree edge; start the
+# all-pairs path there and widen on the rare miss.
 _PREFIX_FACTOR = 16
 
 # Qhull decides the empty-sphere test in floating point, to within a few tens
@@ -50,42 +55,11 @@ _PREFIX_FACTOR = 16
 _MIN_SEPARATION = 1e-6
 
 
-class _UnionFind:
-    """Disjoint-set forest with path compression and union by rank."""
-
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 class Tree:
     """A minimal spanning tree: m - 1 edges over a source point set.
 
-    Edge data is stored as parallel arrays (endpoint indices, lengths,
-    weights) plus a per-vertex adjacency list of incident edge indices.
-    Instances are immutable once built.
+    Edge data is stored as parallel arrays: endpoint indices, lengths and
+    weights. Instances are immutable once built.
     """
 
     def __init__(self, source: PointSet, us, vs, lengths, weights) -> None:
@@ -104,12 +78,6 @@ class Tree:
         self._vs = vs
         self._lengths = lengths
         self._weights = weights
-
-        adjacency: list[list[int]] = [[] for _ in range(len(source))]
-        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            adjacency[u].append(i)
-            adjacency[v].append(i)
-        self._adjacency = tuple(tuple(es) for es in adjacency)
 
     @property
     def source(self) -> PointSet:
@@ -139,42 +107,13 @@ class Tree:
     def edge_weights(self) -> np.ndarray:
         return self._weights
 
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._adjacency
-
-    def degree(self, vertex: int) -> int:
-        return len(self._adjacency[vertex])
+    def vertex_degrees(self) -> np.ndarray:
+        """Number of tree edges at each vertex."""
+        m = self.vertex_count
+        return np.bincount(self._us, minlength=m) + np.bincount(self._vs, minlength=m)
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(zip(self._us.tolist(), self._vs.tolist()))
-
-    def other_end(self, edge_index: int, vertex: int) -> int:
-        u = int(self._us[edge_index])
-        v = int(self._vs[edge_index])
-        if vertex == u:
-            return v
-        if vertex == v:
-            return u
-        raise ValueError(f"vertex {vertex} is not an endpoint of edge {edge_index}")
-
-    def validate(self) -> None:
-        """Structural checks: edge count, connectivity, acyclicity, lengths."""
-        m = self.vertex_count
-        if self.edge_count != m - 1:
-            raise AssertionError(f"expected {m - 1} edges, found {self.edge_count}")
-        uf = _UnionFind(m)
-        for u, v in zip(self._us.tolist(), self._vs.tolist()):
-            if not uf.union(u, v):
-                raise AssertionError(f"edge ({u}, {v}) closes a cycle")
-        roots = {uf.find(i) for i in range(m)}
-        if len(roots) != 1:
-            raise AssertionError(f"tree has {len(roots)} components")
-        coords = self._source.coords
-        diffs = coords[self._us] - coords[self._vs]
-        expected = np.sqrt((diffs * diffs).sum(axis=1))
-        if self.edge_count and not np.allclose(self._lengths, expected, rtol=1e-12, atol=0.0):
-            raise AssertionError("stored edge lengths disagree with vertex coordinates")
 
     def __repr__(self) -> str:
         return f"Tree(m={self.vertex_count}, edges={self.edge_count})"
@@ -234,6 +173,25 @@ def check_all_pairs_memory(m: int) -> None:
         )
 
 
+def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse equal rows onto their lowest index.
+
+    Returns ``first``, the lowest index of each distinct row with the rows in
+    lexicographic order, and ``rep``, the lowest index equal to each row.
+    Rows compare as numbers, so -0.0 and 0.0 are one value.
+    """
+    order = np.lexsort(coords.T[::-1])
+    rows = coords[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    # the sort is stable, so each run of equal rows starts at its lowest index
+    first = order[new]
+    rep = np.empty_like(order)
+    rep[order] = first[np.cumsum(new) - 1]
+    return first, rep
+
+
 def _sparse_candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Candidate edges (u < v) containing the canonical tree, or None.
 
@@ -242,10 +200,7 @@ def _sparse_candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     m, d = coords.shape
     if d > 3:
         return None
-    unique, first, inverse = np.unique(
-        coords, axis=0, return_index=True, return_inverse=True
-    )
-    rep = first[inverse.reshape(-1)]
+    first, rep = _distinct_rows(coords)
     dup = np.flatnonzero(rep != np.arange(m))
     if d == 1:
         a, b = first[:-1], first[1:]
@@ -254,6 +209,7 @@ def _sparse_candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
         # second to load, and commands that build no tree should not pay it
         from scipy.spatial import Delaunay, QhullError, cKDTree
 
+        unique = coords[first]
         # the translation keeps Qhull's precision tied to the extent, not the offset
         pts = unique - unique.min(axis=0)
         closest = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
@@ -274,32 +230,52 @@ def _sparse_candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | No
     return us, vs
 
 
-def _kruskal(m: int, cand_u, cand_v, cand_len) -> tuple[list[int], list[int], list[float]]:
-    """Scan candidates in the given order; stop once m - 1 edges are accepted."""
-    uf = _UnionFind(m)
-    us: list[int] = []
-    vs: list[int] = []
-    lengths: list[float] = []
-    for u, v, length in zip(cand_u, cand_v, cand_len):
-        if uf.union(u, v):
-            us.append(u)
-            vs.append(v)
-            lengths.append(length)
-            if len(us) == m - 1:
-                break
-    return us, vs, lengths
+def _boruvka(m: int, cand_u: np.ndarray, cand_v: np.ndarray) -> np.ndarray:
+    """Positions of the minimum spanning forest's edges among ranked candidates.
+
+    Candidate i weighs i, so every weight is distinct and the forest is the
+    one a Kruskal scan of the candidates in order accepts. Each round, every
+    component picks its lowest-ranked candidate to another component; a pair
+    that picked the same candidate is rooted at its lower id, every other
+    component hooks onto the one it picked, and pointer jumping relabels.
+    The positions come back in ascending order, which is Kruskal's.
+    """
+    n = cand_u.size
+    comp = np.arange(m)
+    live = np.arange(n)
+    chosen = np.zeros(n, dtype=bool)
+    while True:
+        cu, cv = comp[cand_u[live]], comp[cand_v[live]]
+        outgoing = cu != cv
+        if not outgoing.any():
+            return np.flatnonzero(chosen)
+        live, cu, cv = live[outgoing], cu[outgoing], cv[outgoing]
+        best = np.full(m, n)
+        np.minimum.at(best, cu, live)
+        np.minimum.at(best, cv, live)
+        roots = np.flatnonzero(best < n)
+        pick = best[roots]
+        chosen[pick] = True
+        other = comp[cand_u[pick]] + comp[cand_v[pick]] - roots
+        hook = (best[other] != pick) | (roots > other)
+        parent = np.arange(m)
+        parent[roots[hook]] = other[hook]
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
+        comp = parent[comp]
 
 
-def _kruskal_sparse(coords: np.ndarray, cand_u: np.ndarray, cand_v: np.ndarray):
+def _ranked_tree(coords: np.ndarray, cand_u: np.ndarray, cand_v: np.ndarray):
     diff = coords[cand_u] - coords[cand_v]
     lengths = np.sqrt((diff * diff).sum(axis=1))
     order = np.lexsort((cand_v, cand_u, lengths))
-    return _kruskal(
-        len(coords), cand_u[order].tolist(), cand_v[order].tolist(), lengths[order].tolist()
-    )
+    cand_u, cand_v, lengths = cand_u[order], cand_v[order], lengths[order]
+    picks = _boruvka(len(coords), cand_u, cand_v)
+    return cand_u[picks], cand_v[picks], lengths[picks]
 
 
-def _kruskal_all_pairs(coords: np.ndarray):
+def _all_pairs_tree(coords: np.ndarray):
     from scipy.spatial.distance import pdist
 
     m = len(coords)
@@ -319,21 +295,19 @@ def _kruskal_all_pairs(coords: np.ndarray):
             selected = np.flatnonzero(dists <= kth_value)
             selected = selected[np.argsort(dists[selected], kind="stable")]
 
-        cand_u, cand_v = _decode_condensed(selected, row_starts)
-        us, vs, lengths = _kruskal(
-            m, cand_u.tolist(), cand_v.tolist(), dists[selected].tolist()
-        )
-        if len(us) == m - 1 or k >= n_pairs:
-            return us, vs, lengths
+        picks = selected[_boruvka(m, *_decode_condensed(selected, row_starts))]
+        # a spanning forest of the prefix with m - 1 edges is the whole tree
+        if picks.size == m - 1 or k >= n_pairs:
+            return (*_decode_condensed(picks, row_starts), dists[picks])
         k = min(k * 8, n_pairs)
 
 
 def build_mst_kruskal(ps: PointSet) -> Tree:
-    """Build the minimal spanning tree of a point set with Kruskal's algorithm.
+    """Build the minimal spanning tree of a point set.
 
-    Edges appear in the result sorted by length ascending, ties broken by the
-    canonical (u, v) pair. Each edge carries weight(u) * weight(v). A single
-    point yields a tree with zero edges.
+    The tree is the canonical Kruskal tree: edges appear sorted by length
+    ascending, ties broken by the canonical (u, v) pair. Each edge carries
+    weight(u) * weight(v). A single point yields a tree with zero edges.
 
     Raises :class:`InputTooLarge` when the point set needs the all-pairs
     candidate path and that path would not fit in physical memory.
@@ -344,14 +318,10 @@ def build_mst_kruskal(ps: PointSet) -> Tree:
     coords = ps.coords
     candidates = _sparse_candidates(coords)
     if candidates is None:
-        us, vs, lengths = _kruskal_all_pairs(coords)
+        us, vs, lengths = _all_pairs_tree(coords)
     else:
-        us, vs, lengths = _kruskal_sparse(coords, *candidates)
-
-    us_arr = np.array(us, dtype=np.int64)
-    vs_arr = np.array(vs, dtype=np.int64)
-    weights = ps.weights[us_arr] * ps.weights[vs_arr]
-    return Tree(ps, us_arr, vs_arr, np.array(lengths), weights)
+        us, vs, lengths = _ranked_tree(coords, *candidates)
+    return Tree(ps, us, vs, lengths, ps.weights[us] * ps.weights[vs])
 
 
 def tree_total_length(t: Tree) -> float:

@@ -46,11 +46,11 @@ class TreeStatsSummary:
     branch_count: int
 
 
-def edge_lengths(t: Tree) -> list[tuple[float, float]]:
-    """Per-edge (length, weight) pairs in tree edge order."""
+def edge_lengths(t: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge (lengths, weights) arrays in tree edge order."""
     if t.edge_count == 0:
         raise DegenerateStatistic("edge statistics are undefined for a tree with no edges")
-    return list(zip(t.lengths.tolist(), t.edge_weights.tolist()))
+    return t.lengths, t.edge_weights
 
 
 def mean_edge_length(t: Tree) -> float:
@@ -63,41 +63,39 @@ def mean_edge_length(t: Tree) -> float:
     return float((t.lengths * t.edge_weights).sum() / wsum)
 
 
-def _normalized(t: Tree) -> tuple[np.ndarray, np.ndarray]:
+def normalized_lengths(t: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge (length / mean length, weight) arrays."""
     mean = mean_edge_length(t)
     if mean == 0:
         raise DegenerateStatistic("mean edge length is zero (all points coincident)")
     return t.lengths / mean, t.edge_weights
 
 
-def normalized_lengths(t: Tree) -> list[tuple[float, float]]:
-    """Per-edge (length / mean length, weight) pairs."""
-    norm, w = _normalized(t)
-    return list(zip(norm.tolist(), w.tolist()))
-
-
-def log_normalized_lengths(t: Tree) -> list[tuple[float, float]]:
-    """Per-edge (ln of normalized length, weight) pairs.
+def log_normalized_lengths(t: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge (ln of normalized length, weight) arrays.
 
     Coincident points produce zero-length edges whose entry is -inf.
     """
-    norm, w = _normalized(t)
+    norm, w = normalized_lengths(t)
     with np.errstate(divide="ignore"):
-        logs = np.log(norm)
-    return list(zip(logs.tolist(), w.tolist()))
+        return np.log(norm), w
 
 
 def mean_log_norm_length(t: Tree) -> float:
     """Weighted mean of the log normalized edge length distribution."""
-    norm, w = _normalized(t)
+    norm, w = normalized_lengths(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         return float((np.log(norm) * w).sum() / w.sum())
 
 
-def degrees(t: Tree) -> list[tuple[int, float]]:
-    """Per-vertex (degree, vertex weight) pairs."""
-    w = t.source.weights
-    return [(len(adj), float(w[i])) for i, adj in enumerate(t.adjacency)]
+def degrees(t: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex (degrees, vertex weights) arrays."""
+    return t.vertex_degrees(), t.source.weights
+
+
+def _branch_count(deg: np.ndarray) -> int:
+    # one branch per leaf, or a single one for a pure path
+    return 1 if deg.max() <= 2 else int((deg == 1).sum())
 
 
 def extract_branches(t: Tree) -> list[Branch]:
@@ -110,49 +108,68 @@ def extract_branches(t: Tree) -> list[Branch]:
     if t.edge_count == 0:
         raise DegenerateStatistic("branch decomposition is undefined for a tree with no edges")
 
-    deg = [len(adj) for adj in t.adjacency]
-    leaves = sorted(i for i, d in enumerate(deg) if d == 1)
-    edge_w = t.edge_weights
-    lengths = t.lengths
+    # compressed adjacency: the incident edges of vertex x sit in slots
+    # start[x], start[x] + 1, ..., each with the neighbour it leads to
+    deg = t.vertex_degrees()
+    slots = np.argsort(np.concatenate([t.edge_u, t.edge_v]), kind="stable")
+    start = (np.cumsum(deg) - deg).tolist()
+    slot_edge = (slots % t.edge_count).tolist()
+    slot_next = np.concatenate([t.edge_v, t.edge_u])[slots].tolist()
+    is_chain = (deg == 2).tolist()
 
-    def walk(start: int) -> Branch:
-        path = [start]
-        edges: list[int] = []
-        prev_edge = -1
-        cur = start
-        while True:
-            nxt_edge = next(e for e in t.adjacency[cur] if e != prev_edge)
-            nxt = t.other_end(nxt_edge, cur)
-            edges.append(nxt_edge)
-            path.append(nxt)
-            if deg[nxt] != 2:
-                break
-            prev_edge = nxt_edge
-            cur = nxt
-        total = float(lengths[edges].sum())
-        weight = float(np.prod(edge_w[edges]))
-        return Branch(tuple(path), tuple(edges), total, weight)
-
-    if max(deg) <= 2:
+    leaves = np.flatnonzero(deg == 1).tolist()
+    if _branch_count(deg) == 1:
         # pure path: one branch from the lowest-index leaf to the other
-        return [walk(leaves[0])]
-    return [walk(leaf) for leaf in leaves]
+        leaves = leaves[:1]
+    paths = []
+    edges: list[int] = []  # every branch's edges, one branch after another
+    for cur in leaves:
+        path = [cur]
+        prev_edge = -1
+        while True:
+            s = start[cur]
+            if slot_edge[s] == prev_edge:
+                s += 1
+            prev_edge = slot_edge[s]
+            cur = slot_next[s]
+            edges.append(prev_edge)
+            path.append(cur)
+            if not is_chain[cur]:
+                break
+        paths.append(path)
+
+    # branches of one size reduce as the rows of a matrix: each row along the
+    # contiguous axis, so exactly as its own 1-d .sum() and np.prod() would
+    sizes = np.array([len(p) - 1 for p in paths])
+    offsets = np.cumsum(sizes) - sizes
+    flat = np.array(edges)
+    totals = np.empty(len(paths))
+    weights = np.empty(len(paths))
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        members = flat[offsets[rows, None] + np.arange(size)]
+        totals[rows] = np.add.reduce(t.lengths[members], axis=1)
+        weights[rows] = np.multiply.reduce(t.edge_weights[members], axis=1)
+    return [
+        Branch(tuple(p), tuple(edges[o : o + len(p) - 1]), total, weight)
+        for p, o, total, weight in zip(paths, offsets.tolist(), totals.tolist(), weights.tolist())
+    ]
 
 
 def summarize(t: Tree) -> TreeStatsSummary:
     """Compute the headline statistics of one tree."""
     mean = mean_edge_length(t)
     mu = mean_log_norm_length(t)
-    counts: dict[int, float] = {}
-    for d, w in degrees(t):
-        counts[d] = counts.get(d, 0.0) + w
-    branches = extract_branches(t) if t.edge_count else []
+    deg, w = degrees(t)
+    # bincount adds each degree's weights in vertex order
+    totals = np.bincount(deg, weights=w).tolist()
+    present = np.flatnonzero(np.bincount(deg)).tolist()
     return TreeStatsSummary(
         mean_edge_length=mean,
         edge_count=t.edge_count,
         mean_log_norm_length=mu,
-        degree_counts=counts,
-        branch_count=len(branches),
+        degree_counts={d: totals[d] for d in present},
+        branch_count=_branch_count(deg),
     )
 
 
@@ -198,10 +215,12 @@ class Histogram:
         )
 
 
-def histogram(values, lo: float, hi: float, nbins: int, overflow: bool = True) -> Histogram:
-    """Histogram (value, weight) pairs into ``nbins`` uniform bins on [lo, hi).
+def histogram(
+    values, weights, lo: float, hi: float, nbins: int, overflow: bool = True
+) -> Histogram:
+    """Histogram weighted values into ``nbins`` uniform bins on [lo, hi).
 
-    ``values`` is any sequence of (value, weight) pairs. With ``overflow``
+    ``values`` and ``weights`` are equal-length 1-d arrays. With ``overflow``
     set, values >= hi accumulate into the final bin; values < lo always go
     to the underflow counter reported separately. Bin contents are weight
     sums, so the grand total (bins + underflow + overflow) equals the total
@@ -212,13 +231,11 @@ def histogram(values, lo: float, hi: float, nbins: int, overflow: bool = True) -
     if nbins < 1:
         raise ValueError(f"nbins must be positive, got {nbins}")
 
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return Histogram(lo, hi, nbins, np.zeros(nbins), 0.0, 0.0, overflow)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("values must be (value, weight) pairs")
+    vals = np.asarray(values, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if vals.ndim != 1 or vals.shape != w.shape:
+        raise ValueError("values and weights must be 1-d arrays of equal length")
 
-    vals, w = arr[:, 0], arr[:, 1]
     under = vals < lo
     over = vals >= hi
     inside = ~(under | over)

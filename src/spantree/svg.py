@@ -7,7 +7,7 @@ be diffed in golden tests.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class _PlotFrame:
 
 def render_tree_svg(
     coords: np.ndarray,
-    edge_pairs: Sequence[tuple[int, int]],
+    edge_pairs: Iterable[tuple[int, int]],
     labels: Sequence[str | None] | None = None,
     title: str = "",
     comment: str | None = None,

@@ -8,6 +8,9 @@ are decoded once and reused.
 The canonical-tree oracle runs Kruskal over every pair of points in
 (length, u, v) order and returns the exact tree the package must build,
 edge order and length bits included. Practical up to a few thousand points.
+Its scan, a sequential union-find over ranked candidates, is also the
+oracle for the package's array merge, and the union-find checks that a
+tree is one (``validate_tree``).
 
 Prim's algorithm is a second, differently built tree construction; it
 agrees with Kruskal's edge set whenever all pairwise distances differ.
@@ -39,6 +42,48 @@ from spantree.analysis import _resample_mixture
 _CHUNK_ROWS = 512
 
 
+class _UnionFind:
+    """Disjoint-set forest with path compression and union by rank."""
+
+    __slots__ = ("parent", "rank")
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.rank = [0] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        return True
+
+
+def kruskal_positions(m: int, cand_u: np.ndarray, cand_v: np.ndarray) -> np.ndarray:
+    """Positions of the candidates a Kruskal scan in the given order accepts."""
+    uf = _UnionFind(m)
+    picked = []
+    for i, (u, v) in enumerate(zip(cand_u.tolist(), cand_v.tolist())):
+        if uf.union(u, v):
+            picked.append(i)
+            if len(picked) == m - 1:
+                break
+    return np.array(picked, dtype=np.int64)
+
+
 def canonical_mst_dense(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(edge_u, edge_v, lengths) of the canonical all-pairs Kruskal tree."""
     coords = np.asarray(coords, dtype=np.float64)
@@ -48,25 +93,27 @@ def canonical_mst_dense(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     us, vs = np.triu_indices(m, 1)
     lengths = pdist(coords)
     order = np.lexsort((vs, us, lengths))
-
-    parent = list(range(m))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    picked = []
-    for i in order.tolist():
-        ru, rv = root(int(us[i])), root(int(vs[i]))
-        if ru != rv:
-            parent[ru] = rv
-            picked.append(i)
-            if len(picked) == m - 1:
-                break
-    picked = np.array(picked, dtype=np.int64)
+    picked = order[kruskal_positions(m, us[order], vs[order])]
     return us[picked].astype(np.int64), vs[picked].astype(np.int64), lengths[picked]
+
+
+def validate_tree(tree: Tree) -> None:
+    """Structural checks: edge count, connectivity, acyclicity, lengths."""
+    m = tree.vertex_count
+    if tree.edge_count != m - 1:
+        raise AssertionError(f"expected {m - 1} edges, found {tree.edge_count}")
+    uf = _UnionFind(m)
+    for u, v in zip(tree.edge_u.tolist(), tree.edge_v.tolist()):
+        if not uf.union(u, v):
+            raise AssertionError(f"edge ({u}, {v}) closes a cycle")
+    roots = {uf.find(i) for i in range(m)}
+    if len(roots) != 1:
+        raise AssertionError(f"tree has {len(roots)} components")
+    coords = tree.source.coords
+    diffs = coords[tree.edge_u] - coords[tree.edge_v]
+    expected = np.sqrt((diffs * diffs).sum(axis=1))
+    if tree.edge_count and not np.allclose(tree.lengths, expected, rtol=1e-12, atol=0.0):
+        raise AssertionError("stored edge lengths disagree with vertex coordinates")
 
 
 @lru_cache(maxsize=None)

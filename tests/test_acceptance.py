@@ -135,9 +135,9 @@ def test_04_statistic_identities():
     rng = np.random.default_rng(99)
     for m in (2, 17, 400):
         tree = build_mst_kruskal(PointSet(rng.random((m, 2))))
-        mean_norm = np.mean([v for v, _ in normalized_lengths(tree)])
+        mean_norm = np.mean(normalized_lengths(tree)[0])
         assert mean_norm == pytest.approx(1.0, abs=1e-12)
-        assert sum(d for d, _ in degrees(tree)) == 2 * (m - 1)
+        assert degrees(tree)[0].sum() == 2 * (m - 1)
 
     for n in (2, 50, 300):
         path = build_mst_kruskal(PointSet(np.sort(rng.random(n))))
@@ -145,11 +145,11 @@ def test_04_statistic_identities():
 
     coords = rng.random((300, 3))
     reference = histogram(
-        log_normalized_lengths(build_mst_kruskal(PointSet(coords))), -4.0, 2.0, 40
+        *log_normalized_lengths(build_mst_kruskal(PointSet(coords))), -4.0, 2.0, 40
     )
     for scale in (2.0, 3.7, 0.125):
         scaled = histogram(
-            log_normalized_lengths(build_mst_kruskal(PointSet(coords * scale))), -4.0, 2.0, 40
+            *log_normalized_lengths(build_mst_kruskal(PointSet(coords * scale))), -4.0, 2.0, 40
         )
         np.testing.assert_array_equal(scaled.contents, reference.contents)
         assert scaled.underflow == reference.underflow
@@ -186,8 +186,8 @@ def test_06_hidden_variable_discrimination():
     t3e = build_mst_kruskal(
         gen_disc3d(4000, radius=20.0, sigma=0.2, z_kind="exponential", seed=602)
     )
-    lnl_u = [v for v, _ in log_normalized_lengths(t3u)]
-    lnl_e = [v for v, _ in log_normalized_lengths(t3e)]
+    lnl_u = log_normalized_lengths(t3u)[0]
+    lnl_e = log_normalized_lengths(t3e)[0]
     p_lnl = scipy_stats.ks_2samp(lnl_u, lnl_e).pvalue
     c_ue = connection_lengths(t3u, t3e).connection_length
     c_eu = connection_lengths(t3e, t3u).connection_length
@@ -259,13 +259,11 @@ def test_09_performance_6000_points():
     start = time.perf_counter()
     tree = build_mst_kruskal(ps)
     summary = summarize(tree)
-    histogram(log_normalized_lengths(tree), -4.0, 2.0, 50)
-    histogram([(float(d), w) for d, w in degrees(tree)], 0.5, 8.5, 8)
+    histogram(*log_normalized_lengths(tree), -4.0, 2.0, 50)
+    histogram(*degrees(tree), 0.5, 8.5, 8)
+    branches = [b for b in extract_branches(tree) if b.length > 0]
     histogram(
-        [(np.log(b.length), b.weight) for b in extract_branches(tree) if b.length > 0],
-        -4.0,
-        4.0,
-        50,
+        [np.log(b.length) for b in branches], [b.weight for b in branches], -4.0, 4.0, 50
     )
     elapsed = time.perf_counter() - start
     assert summary.edge_count == 5999

@@ -111,7 +111,7 @@ def test_gen_and_plot_hist_load_no_scipy(tmp_path):
     events = tmp_path / "disc.csv"
     assert _scipy_loaded_by("gen", "--preset", "disc", "-n", 50, "-o", events) == set()
     hist = tmp_path / "hist.csv"
-    write_histogram_csv(histogram([(0.5, 1.0), (1.5, 2.0)], 0.0, 2.0, 2), hist)
+    write_histogram_csv(histogram([0.5, 1.5], [1.0, 2.0], 0.0, 2.0, 2), hist)
     assert _scipy_loaded_by("plot", "hist", hist, "-o", tmp_path / "hist.svg") == set()
 
 

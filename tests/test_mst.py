@@ -15,7 +15,13 @@ from spantree import (
 from spantree import mst
 from spantree.generators import PRESET_NAMES
 
-from bruteforce import build_mst_prim, canonical_mst_dense, min_spanning_total_bruteforce
+from bruteforce import (
+    build_mst_prim,
+    canonical_mst_dense,
+    kruskal_positions,
+    min_spanning_total_bruteforce,
+    validate_tree,
+)
 
 BUILDERS = (build_mst_kruskal, build_mst_prim)
 
@@ -38,7 +44,7 @@ class TestBothBuilders:
         for m in (2, 3, 10, 57):
             tree = build(PointSet(rng.random((m, 2))))
             assert tree.edge_count == m - 1
-            tree.validate()
+            validate_tree(tree)
 
     def test_small_inputs_match_bruteforce(self, build):
         rng = np.random.default_rng(5)
@@ -88,7 +94,7 @@ class TestKruskalDeterminism:
         t1 = build_mst_kruskal(ps)
         t2 = build_mst_kruskal(ps)
         assert t1.edge_set() == t2.edge_set()
-        t1.validate()
+        validate_tree(t1)
         np.testing.assert_array_equal(t1.lengths, np.ones(15))
 
     def test_square_picks_canonical_unit_edges(self):
@@ -104,7 +110,7 @@ class TestKruskalDeterminism:
         b = rng.random((150, 4)) + 500.0
         ps = PointSet(np.vstack([a, b]))
         tree = build_mst_kruskal(ps)
-        tree.validate()
+        validate_tree(tree)
         assert tree.edge_set() == build_mst_prim(ps).edge_set()
 
     def test_uniform_1d_preset_is_sorted_chain(self):
@@ -150,7 +156,7 @@ class TestTreeValidation:
         ps = PointSet([[0.0], [1.0], [2.0]])
         bad = Tree(ps, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 2.0], [1.0, 1.0, 1.0])
         with pytest.raises(AssertionError):
-            bad.validate()
+            validate_tree(bad)
 
 
 def _lattice(dim: int, k: int) -> np.ndarray:
@@ -230,6 +236,20 @@ class TestExactnessGate:
         for dim in (1, 2, 3, 4):
             _assert_canonical(PointSet(rng.random((300, dim)), weights=rng.random(300) * 3))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_signed_zero_duplicates_collapse_like_unique(self, dim):
+        # -0.0 and 0.0 compare equal, so their rows are duplicates of the lowest index
+        rng = np.random.default_rng(59 + dim)
+        coords = rng.integers(-1, 2, (60, dim)) * rng.choice([-1.0, 1.0], (60, dim))
+        assert np.signbit(coords[coords == 0]).any() and not np.signbit(coords[coords == 0]).all()
+        first, rep = mst._distinct_rows(coords)
+        _, unique_first, inverse = np.unique(
+            coords, axis=0, return_index=True, return_inverse=True
+        )
+        np.testing.assert_array_equal(first, unique_first)
+        np.testing.assert_array_equal(rep, unique_first[inverse.reshape(-1)])
+        _assert_canonical(PointSet(coords))
+
     @settings(max_examples=60, deadline=None)
     @given(
         dim=st.integers(1, 4),
@@ -250,6 +270,39 @@ class TestExactnessGate:
             relabelled = {tuple(sorted((int(perm[u]), int(perm[v]))))
                           for u, v in permuted.edge_set()}
             assert relabelled == tree.edge_set()
+
+
+class TestBoruvkaMerge:
+    """The array merge accepts exactly the candidates a union-find Kruskal scan does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 50),
+        extra=st.integers(0, 150),
+        seed=st.integers(0, 2**32 - 1),
+        connected=st.booleans(),
+        distinct_lengths=st.sampled_from([1, 3, 10**6]),
+    )
+    def test_matches_union_find_kruskal(self, m, extra, seed, connected, distinct_lengths):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, m, extra)
+        b = rng.integers(0, m, extra)
+        if connected:
+            # a random spanning tree among the candidates makes the graph connected
+            perm = rng.permutation(m)
+            attach = (rng.random(m - 1) * np.arange(1, m)).astype(np.int64)
+            a = np.concatenate([a, perm[1:]])
+            b = np.concatenate([b, perm[attach]])
+        keep = a != b
+        us = np.minimum(a, b)[keep].astype(np.int64)
+        vs = np.maximum(a, b)[keep].astype(np.int64)
+        lengths = rng.integers(0, distinct_lengths, us.size).astype(float)
+        order = np.lexsort((vs, us, lengths))
+        us, vs = us[order], vs[order]
+        got = mst._boruvka(m, us, vs)
+        np.testing.assert_array_equal(got, kruskal_positions(m, us, vs))
+        if connected:
+            assert got.size == m - 1
 
 
 class TestAllPairsMemoryGuard:
@@ -275,4 +328,4 @@ class TestAllPairsMemoryGuard:
     )
     def test_sparse_inputs_never_reach_guard(self, name, monkeypatch):
         monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
-        build_mst_kruskal(PointSet(_GATE_CASES[name])).validate()
+        validate_tree(build_mst_kruskal(PointSet(_GATE_CASES[name])))

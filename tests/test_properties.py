@@ -70,7 +70,7 @@ def test_histogram_conserves_weight(n, seed, lo, width, nbins, fold):
     rng = np.random.default_rng(seed)
     values = rng.normal(lo + width / 2, width, n)
     weights = rng.random(n) * 3
-    h = histogram(list(zip(values, weights)), lo, lo + width, nbins, overflow=fold)
+    h = histogram(values, weights, lo, lo + width, nbins, overflow=fold)
     total = h.contents.sum() + h.underflow + h.overflow
     assert total == pytest.approx(weights.sum(), rel=1e-12, abs=1e-12)
     if fold:

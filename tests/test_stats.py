@@ -9,11 +9,13 @@ from spantree import (
     degrees,
     edge_lengths,
     extract_branches,
+    generate,
     histogram,
     log_normalized_lengths,
     mean_log_norm_length,
     normalize_to,
     normalized_lengths,
+    preset_spec,
     sample_1d,
     summarize,
 )
@@ -51,11 +53,11 @@ def zero_edge_tree():
 
 class TestEdgeLengths:
     def test_chain(self):
-        assert [l for l, _ in edge_lengths(chain_tree())] == [1.0, 2.0]
+        assert edge_lengths(chain_tree())[0].tolist() == [1.0, 2.0]
 
     def test_unit_square(self):
         tree = build_mst_kruskal(PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-        assert [l for l, _ in edge_lengths(tree)] == [1.0, 1.0, 1.0]
+        assert edge_lengths(tree)[0].tolist() == [1.0, 1.0, 1.0]
 
     def test_zero_edge_tree_raises(self):
         with pytest.raises(DegenerateStatistic):
@@ -65,35 +67,35 @@ class TestEdgeLengths:
         n = 3000
         uni = build_mst_kruskal(sample_1d("uniform1d", n, 8))
         exp = build_mst_kruskal(sample_1d("exponential1d", n, 8))
-        uni_tail = np.quantile([l for l, _ in edge_lengths(uni)], 0.999)
-        exp_tail = np.quantile([l for l, _ in edge_lengths(exp)], 0.999)
+        uni_tail = np.quantile(edge_lengths(uni)[0], 0.999)
+        exp_tail = np.quantile(edge_lengths(exp)[0], 0.999)
         assert exp_tail > uni_tail
 
 
 class TestNormalizedLengths:
     def test_two_edges(self):
-        vals = [v for v, _ in normalized_lengths(chain_tree())]
+        vals = normalized_lengths(chain_tree())[0].tolist()
         assert vals == pytest.approx([1.0 / 1.5, 2.0 / 1.5], rel=1e-15)
 
     def test_mean_is_one(self):
         rng = np.random.default_rng(2)
         for m in (2, 5, 100):
             tree = build_mst_kruskal(PointSet(rng.random((m, 2))))
-            mean = np.mean([v for v, _ in normalized_lengths(tree)])
+            mean = np.mean(normalized_lengths(tree)[0])
             assert mean == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         coords = rng.random((50, 2))
-        base = [v for v, _ in normalized_lengths(build_mst_kruskal(PointSet(coords)))]
-        scaled = [v for v, _ in normalized_lengths(build_mst_kruskal(PointSet(coords * 37.5)))]
+        base = normalized_lengths(build_mst_kruskal(PointSet(coords)))[0]
+        scaled = normalized_lengths(build_mst_kruskal(PointSet(coords * 37.5)))[0]
         np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
     def test_weighted_mean_uses_edge_weights(self):
         # suppressing one endpoint zeroes its edges out of the mean
         ps = PointSet([0.0, 1.0, 3.0], weights=[1.0, 1.0, 0.0])
         tree = build_mst_kruskal(ps)
-        vals = dict(zip(tree.lengths.tolist(), [v for v, _ in normalized_lengths(tree)]))
+        vals = dict(zip(tree.lengths.tolist(), normalized_lengths(tree)[0].tolist()))
         assert vals[1.0] == pytest.approx(1.0)  # mean over surviving weight is 1.0
         assert vals[2.0] == pytest.approx(2.0)
 
@@ -108,26 +110,26 @@ class TestNormalizedLengths:
             normalized_lengths(tree)
 
     def test_log_values(self):
-        logs = [v for v, _ in log_normalized_lengths(chain_tree())]
+        logs = log_normalized_lengths(chain_tree())[0].tolist()
         assert logs == pytest.approx([np.log(2.0 / 3.0), np.log(4.0 / 3.0)], rel=1e-12)
 
 
 class TestDegrees:
     def test_path(self):
-        assert [d for d, _ in degrees(path_tree(5))] == [1, 2, 2, 2, 1]
+        assert degrees(path_tree(5))[0].tolist() == [1, 2, 2, 2, 1]
 
     def test_star(self):
-        assert [d for d, _ in degrees(star_tree())] == [3, 1, 1, 1]
+        assert degrees(star_tree())[0].tolist() == [3, 1, 1, 1]
 
     def test_handshake_lemma(self):
         rng = np.random.default_rng(5)
         tree = build_mst_kruskal(PointSet(rng.random((80, 3))))
-        assert sum(d for d, _ in degrees(tree)) == 2 * tree.edge_count
+        assert degrees(tree)[0].sum() == 2 * tree.edge_count
 
     def test_weights_are_vertex_weights(self):
         ps = PointSet([0.0, 1.0, 3.0], weights=[0.5, 2.0, 1.0])
         tree = build_mst_kruskal(ps)
-        assert [w for _, w in degrees(tree)] == [0.5, 2.0, 1.0]
+        assert degrees(tree)[1].tolist() == [0.5, 2.0, 1.0]
 
 
 class TestBranches:
@@ -169,20 +171,41 @@ class TestBranches:
 
     def test_branch_count_equals_leaf_count_unless_path(self):
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            tree = build_mst_kruskal(PointSet(rng.random((60, 2))))
-            leaves = sum(1 for d, _ in degrees(tree) if d == 1)
+        trees = [build_mst_kruskal(PointSet(rng.random((60, 2)))) for _ in range(10)]
+        trees += [
+            path_tree(30),
+            star_tree(),
+            build_mst_kruskal(generate(preset_spec("disc", 7, count=500))),
+            build_mst_kruskal(generate(preset_spec("quadratic-grid", 7))),
+        ]
+        for tree in trees:
+            deg = degrees(tree)[0]
             branches = extract_branches(tree)
-            if max(d for d, _ in degrees(tree)) <= 2:
+            if deg.max() <= 2:
                 assert len(branches) == 1
             else:
-                assert len(branches) == leaves
+                assert len(branches) == (deg == 1).sum()
+            # the summary counts the branches without walking them
+            assert summarize(tree).branch_count == len(branches)
 
     def test_branch_length_is_member_sum(self):
         rng = np.random.default_rng(8)
         tree = build_mst_kruskal(PointSet(rng.random((50, 2))))
         for b in extract_branches(tree):
             assert b.length == pytest.approx(float(tree.lengths[list(b.edge_indices)].sum()), rel=1e-12)
+
+    def test_branch_totals_equal_per_branch_reductions(self):
+        # short branches of a random tree and the one long branch of a path
+        rng = np.random.default_rng(14)
+        trees = [
+            build_mst_kruskal(PointSet(rng.random((300, 2)), weights=rng.random(300) + 0.5)),
+            build_mst_kruskal(PointSet(rng.random(40), weights=rng.random(40) + 0.5)),
+        ]
+        for tree in trees:
+            for b in extract_branches(tree):
+                members = list(b.edge_indices)
+                assert b.length == float(tree.lengths[members].sum())
+                assert b.weight == float(np.prod(tree.edge_weights[members]))
 
     def test_branch_weight_is_member_product(self):
         ps = PointSet([0.0, 1.0, 3.0], weights=[1.0, 0.5, 0.5])
@@ -197,67 +220,69 @@ class TestBranches:
 
 class TestHistogram:
     def test_overflow_folds_into_last_bin(self):
-        h = histogram([(0.5, 1.0), (1.5, 1.0), (99.0, 1.0)], 0.0, 2.0, 2, overflow=True)
+        h = histogram([0.5, 1.5, 99.0], [1.0, 1.0, 1.0], 0.0, 2.0, 2, overflow=True)
         np.testing.assert_array_equal(h.contents, [1.0, 2.0])
         assert h.overflow == 0.0
 
     def test_fractional_overflow_folds_with_no_entry_inside(self):
-        h = histogram([(1.5, 0.25), (-1.0, 0.5)], 0.0, 1.0, 1, overflow=True)
+        h = histogram([1.5, -1.0], [0.25, 0.5], 0.0, 1.0, 1, overflow=True)
         np.testing.assert_array_equal(h.contents, [0.25])
         assert h.total == 0.75
 
     def test_overflow_counter_when_not_folding(self):
-        h = histogram([(0.5, 1.0), (99.0, 2.5)], 0.0, 2.0, 2, overflow=False)
+        h = histogram([0.5, 99.0], [1.0, 2.5], 0.0, 2.0, 2, overflow=False)
         np.testing.assert_array_equal(h.contents, [1.0, 0.0])
         assert h.overflow == 2.5
 
     def test_empty_input(self):
-        h = histogram([], 0.0, 1.0, 4)
+        h = histogram([], [], 0.0, 1.0, 4)
         np.testing.assert_array_equal(h.contents, np.zeros(4))
         assert h.total == 0.0
 
     def test_zero_weight_entries_do_not_count(self):
-        h = histogram([(0.5, 0.0), (0.5, 1.0)], 0.0, 1.0, 1)
+        h = histogram([0.5, 0.5], [0.0, 1.0], 0.0, 1.0, 1)
         assert h.contents[0] == 1.0
 
     def test_underflow_counter(self):
-        h = histogram([(-1.0, 2.0), (0.5, 1.0)], 0.0, 1.0, 2)
+        h = histogram([-1.0, 0.5], [2.0, 1.0], 0.0, 1.0, 2)
         assert h.underflow == 2.0
         assert h.total == 3.0
 
     def test_total_preserves_weight(self):
         rng = np.random.default_rng(9)
-        values = list(zip(rng.normal(size=500), rng.random(500)))
-        h = histogram(values, -1.0, 1.0, 7, overflow=False)
-        assert h.total == pytest.approx(sum(w for _, w in values), rel=1e-12)
+        values, weights = rng.normal(size=500), rng.random(500)
+        h = histogram(values, weights, -1.0, 1.0, 7, overflow=False)
+        assert h.total == pytest.approx(weights.sum(), rel=1e-12)
 
     def test_bin_edges_half_open(self):
-        h = histogram([(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)], 0.0, 1.0, 2, overflow=False)
+        h = histogram([0.0, 0.5, 1.0], [1.0, 1.0, 1.0], 0.0, 1.0, 2, overflow=False)
         np.testing.assert_array_equal(h.contents, [1.0, 1.0])
         assert h.overflow == 1.0  # the value at hi is out of range
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
-            histogram([], 1.0, 1.0, 2)
+            histogram([], [], 1.0, 1.0, 2)
         with pytest.raises(ValueError):
-            histogram([], 0.0, 1.0, 0)
+            histogram([], [], 0.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            histogram([0.5], [1.0, 2.0], 0.0, 1.0, 2)
 
 
 class TestNormalization:
     def test_normalize_to_matches_reference(self):
-        h = histogram([(0.5, 50.0)], 0.0, 1.0, 1)
-        ref = histogram([(0.5, 100.0)], 0.0, 1.0, 1)
+        h = histogram([0.5], [50.0], 0.0, 1.0, 1)
+        ref = histogram([0.5], [100.0], 0.0, 1.0, 1)
         out = normalize_to(h, ref)
         assert out.contents[0] == pytest.approx(100.0)
 
     def test_factor_one_is_identity(self):
-        h = histogram([(0.25, 2.0), (0.75, 3.0)], 0.0, 1.0, 2)
+        h = histogram([0.25, 0.75], [2.0, 3.0], 0.0, 1.0, 2)
         out = h.scaled(1.0)
         np.testing.assert_array_equal(out.contents, h.contents)
 
     def test_zero_total_raises(self):
-        empty = histogram([], 0.0, 1.0, 2)
-        filled = histogram([(0.5, 1.0)], 0.0, 1.0, 2)
+        empty = histogram([], [], 0.0, 1.0, 2)
+        filled = histogram([0.5], [1.0], 0.0, 1.0, 2)
         with pytest.raises(DegenerateStatistic):
             normalize_to(empty, filled)
         with pytest.raises(DegenerateStatistic):
@@ -269,11 +294,12 @@ class TestNormalization:
         rng = np.random.default_rng(10)
         tree_a = build_mst_kruskal(PointSet(rng.random((120, 2))))
         tree_b = build_mst_kruskal(PointSet(rng.random((140, 2))))
-        lnl_a = histogram(log_normalized_lengths(tree_a), -3.0, 2.0, 20)
-        lnl_b = histogram(log_normalized_lengths(tree_b), -3.0, 2.0, 20)
+        lnl_a = histogram(*log_normalized_lengths(tree_a), -3.0, 2.0, 20)
+        lnl_b = histogram(*log_normalized_lengths(tree_b), -3.0, 2.0, 20)
         factor = lnl_a.total / lnl_b.total
+        branches = extract_branches(tree_b)
         lnb_b = histogram(
-            [(np.log(b.length), b.weight) for b in extract_branches(tree_b)], -4.0, 2.0, 20
+            [np.log(b.length) for b in branches], [b.weight for b in branches], -4.0, 2.0, 20
         )
         scaled = lnb_b.scaled(factor)
         assert scaled.total == pytest.approx(lnb_b.total * factor, rel=1e-12)
@@ -286,10 +312,10 @@ class TestLogNormScaleInvariance:
         rng = np.random.default_rng(11)
         coords = rng.random((200, 2))
         h1 = histogram(
-            log_normalized_lengths(build_mst_kruskal(PointSet(coords))), -4.0, 2.0, 30
+            *log_normalized_lengths(build_mst_kruskal(PointSet(coords))), -4.0, 2.0, 30
         )
         h2 = histogram(
-            log_normalized_lengths(build_mst_kruskal(PointSet(coords * scale))), -4.0, 2.0, 30
+            *log_normalized_lengths(build_mst_kruskal(PointSet(coords * scale))), -4.0, 2.0, 30
         )
         np.testing.assert_array_equal(h1.contents, h2.contents)
         assert h1.underflow == h2.underflow and h1.overflow == h2.overflow
