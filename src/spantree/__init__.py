@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     EventFileError,
     FitError,
-    InputTooLarge,
     SpanTreeError,
 )
 from .generators import (
@@ -78,7 +77,6 @@ __all__ = [
     "GeneratorSpec",
     "GridBinning",
     "Histogram",
-    "InputTooLarge",
     "MstConstraint",
     "PointSet",
     "RegionWeight",

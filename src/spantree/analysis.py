@@ -30,7 +30,6 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import mst
 from .errors import DegenerateStatistic, FitError
 from .geometry import PointSet
 from .mst import build_mst_kruskal
@@ -273,23 +272,16 @@ def _worker_trial_mu(j: int) -> float:
     return _trial_mu(_worker_inputs, j)
 
 
-def _trial_workers(n_trials: int, count: int) -> int:
-    """Worker processes for ``n_trials`` calibration trees of ``count`` points.
+def _trial_workers(n_trials: int) -> int:
+    """Worker processes for ``n_trials`` calibration trees.
 
-    One per usable CPU, at most one per trial, and no more than the
-    all-pairs builds of ``count`` points that fit in free memory at once.
-    The cap holds at every dimension, since a d <= 3 mixture with
-    near-duplicate points also builds on all pairs.
+    One per usable CPU, and at most one per trial.
     """
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:
         workers = os.cpu_count() or 1
-    workers = min(workers, n_trials)
-    free = mst._free_memory_bytes()
-    if free is not None:
-        workers = min(workers, free // mst.all_pairs_bytes(count))
-    return max(workers, 1)
+    return min(workers, n_trials)
 
 
 def _trial_values(inputs: tuple, n_trials: int) -> Iterator[float]:
@@ -302,7 +294,7 @@ def _trial_values(inputs: tuple, n_trials: int) -> Iterator[float]:
     import multiprocessing
     import threading
 
-    workers = _trial_workers(n_trials, inputs[2])
+    workers = _trial_workers(n_trials)
     if (
         workers > 1
         and "fork" in multiprocessing.get_all_start_methods()
@@ -346,13 +338,13 @@ def calibrate_mu_vs_alpha(
     events each. ``count`` defaults to the smaller component size.
 
     The trials run in forked worker processes, one per usable CPU, capped
-    by the trial count and by how many all-pairs builds of ``count`` points
-    fit in free memory. They run in this process instead when that leaves
-    one worker, fork is unavailable, this process is a daemon, or other
-    threads are running. Each trial draws from its own spawned seed, so the
-    result is bit for bit the same for any number of CPUs. The first trial
-    in (fraction, trial) order that fails decides the error; a worker
-    process that dies raises ``concurrent.futures.process.BrokenProcessPool``.
+    by the trial count; every tree build takes O(count) memory. They run in
+    this process instead when that leaves one worker, fork is unavailable,
+    this process is a daemon, or other threads are running. Each trial
+    draws from its own spawned seed, so the result is bit for bit the same
+    for any number of CPUs. The first trial in (fraction, trial) order that
+    fails decides the error; a worker process that dies raises
+    ``concurrent.futures.process.BrokenProcessPool``.
     """
     alphas = np.asarray(list(alphas), dtype=np.float64)
     if alphas.size < 2 or np.unique(alphas).size < 2:

@@ -27,7 +27,3 @@ class EventFileError(SpanTreeError):
 
 class ConfigError(SpanTreeError):
     """A run configuration is malformed or inconsistent."""
-
-
-class InputTooLarge(SpanTreeError):
-    """An input would need more memory than the machine has."""

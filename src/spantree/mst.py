@@ -20,10 +20,15 @@ edge to that representative. Over the distinct points:
   triangulation (Shamos & Hoey 1975);
 * d >= 4, or when Qhull cannot serve (too few, collinear or coplanar
   points, a closest pair too near for its floating-point predicates, or
-  points it drops as near-coincident): every pair of points.
+  points it drops as near-coincident): the tree's own edges, found by
+  Borůvka rounds over a kd-tree, in the spirit of dual-tree Borůvka (March,
+  Ram & Gray 2010) and the kNN-filtered EMST (Wang, Yu, Gu & Shun 2021).
+  Each round finds every component's lightest outgoing (length, u, v) edge
+  exactly: each point asks for its k nearest points, k doubling from 8 to
+  64, until no point it has not seen could be lighter, and the few points
+  still unsettled query a kd-tree of the points outside their component.
 
-Memory is O(m) for the sparse paths and O(m^2) for the all-pairs path,
-which refuses, before allocating, an input larger than physical memory.
+Memory is O(m) on every path.
 
 Equal-length candidate edges are ordered by their canonical (u, v) index
 pair, so the produced tree is deterministic even on degenerate inputs such
@@ -31,21 +36,16 @@ as unperturbed lattices where the minimal spanning tree is not unique. That
 order makes the collapse exact: the zero-length duplicate edges come first
 and form a star on each representative, and any later edge touching a
 duplicate sorts after the equal-length edge between the representatives.
-The sparse and all-pairs paths therefore return the same tree, bit for bit.
+Lengths sum their squares one coordinate at a time, in the order
+scipy.spatial.distance does, so every path returns the tree a Kruskal scan
+of all pairs would, bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import InputTooLarge
 from .geometry import PointSet
-
-# The shortest few multiples of m pairs rarely miss a tree edge; start the
-# all-pairs path there and widen on the rare miss.
-_PREFIX_FACTOR = 16
 
 # Qhull decides the empty-sphere test in floating point, to within a few tens
 # of eps * R^2 in squared distance, R the extent of the points; near-duplicate
@@ -119,60 +119,6 @@ class Tree:
         return f"Tree(m={self.vertex_count}, edges={self.edge_count})"
 
 
-def _condensed_row_starts(m: int) -> np.ndarray:
-    starts = np.zeros(m, dtype=np.int64)
-    if m > 1:
-        starts[1:] = np.cumsum(np.arange(m - 1, 0, -1, dtype=np.int64))
-    return starts
-
-
-def _decode_condensed(indices: np.ndarray, row_starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    us = np.searchsorted(row_starts, indices, side="right") - 1
-    vs = indices - row_starts[us] + us + 1
-    return us, vs
-
-
-def _empty_tree(ps: PointSet) -> Tree:
-    return Tree(ps, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))
-
-
-def _physical_memory_bytes() -> int | None:
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        # no sysconf (Windows) or the value is unknown: nothing to check against
-        return None
-
-
-def _free_memory_bytes() -> int | None:
-    """Memory not in use by any process or the page cache, or None if unknown."""
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def all_pairs_bytes(m: int) -> int:
-    """Memory the all-pairs build of ``m`` points needs, about 8 * m^2 bytes.
-
-    The condensed distance vector and its partition copy take about
-    8 * m(m - 1) / 2 bytes each.
-    """
-    return 8 * m * m
-
-
-def check_all_pairs_memory(m: int) -> None:
-    """Raise :class:`InputTooLarge` if the all-pairs build cannot fit in memory."""
-    need = all_pairs_bytes(m)
-    available = _physical_memory_bytes()
-    if available is not None and need > available:
-        raise InputTooLarge(
-            f"an exact tree over these {m} points needs all pairwise distances, "
-            f"about {need / 2**30:.1f} GiB, more than the "
-            f"{available / 2**30:.1f} GiB of physical memory"
-        )
-
-
 def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse equal rows onto their lowest index.
 
@@ -192,39 +138,153 @@ def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, rep
 
 
-def _sparse_candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Candidate edges (u < v) containing the canonical tree, or None.
+def _delaunay_candidates(coords: np.ndarray, first: np.ndarray):
+    """Delaunay edges between the distinct rows ``first``, or None.
 
-    None means the point set needs the all-pairs path.
+    None means Qhull cannot serve: too few, collinear or coplanar points, a
+    closest pair too near for its predicates, or points it drops.
     """
-    m, d = coords.shape
-    if d > 3:
+    # imported here, not at module level: scipy.spatial takes about half a
+    # second to load, and commands that build no tree should not pay it
+    from scipy.spatial import Delaunay, QhullError, cKDTree
+
+    unique = coords[first]
+    # the translation keeps Qhull's precision tied to the extent, not the offset
+    pts = unique - unique.min(axis=0)
+    closest = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
+    if closest < _MIN_SEPARATION * pts.max():
         return None
+    try:
+        tri = Delaunay(pts)
+    except QhullError:
+        return None
+    if tri.coplanar.size:
+        return None
+    indptr, neighbours = tri.vertex_neighbor_vertices
+    owner = np.repeat(np.arange(len(pts)), np.diff(indptr))
+    keep = owner < neighbours
+    return first[owner[keep]], first[neighbours[keep]]
+
+
+def _lengths(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the pairs (us, vs).
+
+    The squares are summed one coordinate at a time, as scipy.spatial.distance
+    sums them, so the lengths match its all-pairs distances bit for bit;
+    numpy's row sum of the squares does not at d >= 8.
+    """
+    acc = np.zeros(len(us))
+    for col in coords.T:
+        diff = col[us] - col[vs]
+        acc += diff * diff
+    return np.sqrt(acc)
+
+
+def _hook(comp: np.ndarray, roots: np.ndarray, other: np.ndarray, mutual: np.ndarray):
+    """Component labels after each component in ``roots`` joins ``other``.
+
+    Labels are vertex ids. Of a pair that picked the same edge (``mutual``)
+    the lower id stays a root, every other component hooks onto the one it
+    picked, and pointer jumping relabels each vertex with its new root.
+    """
+    hook = ~mutual | (roots > other)
+    parent = np.arange(comp.size)
+    parent[roots[hook]] = other[hook]
+    grand = parent[parent]
+    while not np.array_equal(grand, parent):
+        parent, grand = grand, grand[grand]
+    return parent[comp]
+
+
+def _lightest(edges: tuple) -> tuple:
+    """The rows of (component, length, u, v, outside point) lowest per component."""
+    comp, length, u, v, _ = edges
+    order = np.lexsort((v, u, length, comp))
+    comp = comp[order]
+    keep = order[np.diff(comp, prepend=-1) != 0]
+    return tuple(col[keep] for col in edges)
+
+
+def _offer(pts, first, comp, best, todo, tree, k, index):
+    """Fold the edges from ``todo`` to its k nearest points in ``tree`` into ``best``.
+
+    ``index`` maps the tree's points to rows of ``pts``. Returns the lightest
+    edge found so far out of each component, and the points of ``todo`` whose
+    unseen neighbours could still beat their component's edge.
+    """
+    k = min(k, tree.n)
+    dist, nbr = tree.query(pts[todo], k)
+    a = np.repeat(todo, k)
+    b = index[nbr.ravel()]
+    out = comp[a] != comp[b]
+    a, b = a[out], b[out]
+    fa, fb = first[a], first[b]
+    new = (comp[a], _lengths(pts, a, b), np.minimum(fa, fb), np.maximum(fa, fb), b)
+    best = _lightest(tuple(np.concatenate(cols) for cols in zip(best, new)))
+    bound = np.full(comp.size, np.inf)
+    bound[best[0]] = best[1]
+    # an unseen neighbour lies at least the last kd distance away, and that
+    # distance is within a few ulps of the exact length
+    last = dist.reshape(todo.size, k)[:, -1]
+    settled = (last * (1 - 1e-9) > bound[comp[todo]]) | (k == tree.n)
+    return best, todo[~settled]
+
+
+def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical tree's edges (u < v) between the distinct rows ``first``.
+
+    Borůvka rounds over one kd-tree of the rows. Each round, every point asks
+    for its k nearest points, k doubling from 8 to 64, until the lightest
+    (length, u, v) edge out of its component can no longer come from a point
+    it has not seen; the few points still unsettled then query a kd-tree of
+    the points outside their component. Each component joins the one its
+    lightest edge reaches, so the m - 1 edges found are the tree itself.
+    """
+    from scipy.spatial import cKDTree
+
+    pts = coords[first]
+    n = len(pts)
+    everyone = np.arange(n)
+    tree = cKDTree(pts)
+    comp = everyone
+    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # one distinct row: no rounds
+    found = 0
+    while found < n - 1:
+        none = np.empty(0, np.int64)
+        best = (none, np.empty(0), none, none, none)
+        todo = everyone
+        for k in (8, 16, 32, 64):
+            if todo.size:
+                best, todo = _offer(pts, first, comp, best, todo, tree, k, everyone)
+        for c in np.unique(comp[todo]):
+            outside = np.flatnonzero(comp != c)
+            local = cKDTree(pts[outside])
+            pending, k = todo[comp[todo] == c], 8
+            while pending.size:
+                best, pending = _offer(pts, first, comp, best, pending, local, k, outside)
+                k *= 2
+        roots, _, u, v, b = best
+        other = comp[b]
+        partner = np.searchsorted(roots, other)
+        mutual = (u[partner] == u) & (v[partner] == v)
+        new = ~mutual | (roots < other)
+        us.append(u[new])
+        vs.append(v[new])
+        found += int(new.sum())
+        comp = _hook(comp, roots, other, mutual)
+    return np.concatenate(us), np.concatenate(vs)
+
+
+def _candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate edges (u < v) that contain the canonical tree."""
+    m, d = coords.shape
     first, rep = _distinct_rows(coords)
     dup = np.flatnonzero(rep != np.arange(m))
     if d == 1:
         a, b = first[:-1], first[1:]
     else:
-        # imported here, not at module level: scipy.spatial takes about half a
-        # second to load, and commands that build no tree should not pay it
-        from scipy.spatial import Delaunay, QhullError, cKDTree
-
-        unique = coords[first]
-        # the translation keeps Qhull's precision tied to the extent, not the offset
-        pts = unique - unique.min(axis=0)
-        closest = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
-        if closest < _MIN_SEPARATION * pts.max():
-            return None
-        try:
-            tri = Delaunay(pts)
-        except QhullError:
-            return None
-        if tri.coplanar.size:
-            return None
-        indptr, neighbours = tri.vertex_neighbor_vertices
-        owner = np.repeat(np.arange(len(pts)), np.diff(indptr))
-        keep = owner < neighbours
-        a, b = first[owner[keep]], first[neighbours[keep]]
+        found = _delaunay_candidates(coords, first) if d <= 3 else None
+        a, b = _kd_candidates(coords, first) if found is None else found
     us = np.concatenate([rep[dup], np.minimum(a, b)])
     vs = np.concatenate([dup, np.maximum(a, b)])
     return us, vs
@@ -235,10 +295,9 @@ def _boruvka(m: int, cand_u: np.ndarray, cand_v: np.ndarray) -> np.ndarray:
 
     Candidate i weighs i, so every weight is distinct and the forest is the
     one a Kruskal scan of the candidates in order accepts. Each round, every
-    component picks its lowest-ranked candidate to another component; a pair
-    that picked the same candidate is rooted at its lower id, every other
-    component hooks onto the one it picked, and pointer jumping relabels.
-    The positions come back in ascending order, which is Kruskal's.
+    component picks its lowest-ranked candidate to another component and
+    joins the component it picked. The positions come back in ascending
+    order, which is Kruskal's.
     """
     n = cand_u.size
     comp = np.arange(m)
@@ -257,49 +316,7 @@ def _boruvka(m: int, cand_u: np.ndarray, cand_v: np.ndarray) -> np.ndarray:
         pick = best[roots]
         chosen[pick] = True
         other = comp[cand_u[pick]] + comp[cand_v[pick]] - roots
-        hook = (best[other] != pick) | (roots > other)
-        parent = np.arange(m)
-        parent[roots[hook]] = other[hook]
-        grand = parent[parent]
-        while not np.array_equal(grand, parent):
-            parent, grand = grand, grand[grand]
-        comp = parent[comp]
-
-
-def _ranked_tree(coords: np.ndarray, cand_u: np.ndarray, cand_v: np.ndarray):
-    diff = coords[cand_u] - coords[cand_v]
-    lengths = np.sqrt((diff * diff).sum(axis=1))
-    order = np.lexsort((cand_v, cand_u, lengths))
-    cand_u, cand_v, lengths = cand_u[order], cand_v[order], lengths[order]
-    picks = _boruvka(len(coords), cand_u, cand_v)
-    return cand_u[picks], cand_v[picks], lengths[picks]
-
-
-def _all_pairs_tree(coords: np.ndarray):
-    from scipy.spatial.distance import pdist
-
-    m = len(coords)
-    check_all_pairs_memory(m)
-    dists = pdist(coords)
-    n_pairs = dists.size
-    row_starts = _condensed_row_starts(m)
-
-    k = min(_PREFIX_FACTOR * m, n_pairs)
-    while True:
-        if k >= n_pairs:
-            # condensed indices are (u, v)-lexicographic, so a stable sort
-            # by length alone breaks ties canonically
-            selected = np.argsort(dists, kind="stable")
-        else:
-            kth_value = np.partition(dists, k - 1)[k - 1]
-            selected = np.flatnonzero(dists <= kth_value)
-            selected = selected[np.argsort(dists[selected], kind="stable")]
-
-        picks = selected[_boruvka(m, *_decode_condensed(selected, row_starts))]
-        # a spanning forest of the prefix with m - 1 edges is the whole tree
-        if picks.size == m - 1 or k >= n_pairs:
-            return (*_decode_condensed(picks, row_starts), dists[picks])
-        k = min(k * 8, n_pairs)
+        comp = _hook(comp, roots, other, best[other] == pick)
 
 
 def build_mst_kruskal(ps: PointSet) -> Tree:
@@ -308,20 +325,16 @@ def build_mst_kruskal(ps: PointSet) -> Tree:
     The tree is the canonical Kruskal tree: edges appear sorted by length
     ascending, ties broken by the canonical (u, v) pair. Each edge carries
     weight(u) * weight(v). A single point yields a tree with zero edges.
-
-    Raises :class:`InputTooLarge` when the point set needs the all-pairs
-    candidate path and that path would not fit in physical memory.
+    Memory is O(m) at every dimension.
     """
-    if len(ps) == 1:
-        return _empty_tree(ps)
-
     coords = ps.coords
-    candidates = _sparse_candidates(coords)
-    if candidates is None:
-        us, vs, lengths = _all_pairs_tree(coords)
-    else:
-        us, vs, lengths = _ranked_tree(coords, *candidates)
-    return Tree(ps, us, vs, lengths, ps.weights[us] * ps.weights[vs])
+    us, vs = _candidates(coords)
+    lengths = _lengths(coords, us, vs)
+    order = np.lexsort((vs, us, lengths))
+    us, vs, lengths = us[order], vs[order], lengths[order]
+    picks = _boruvka(len(coords), us, vs)
+    us, vs = us[picks], vs[picks]
+    return Tree(ps, us, vs, lengths[picks], ps.weights[us] * ps.weights[vs])
 
 
 def tree_total_length(t: Tree) -> float:

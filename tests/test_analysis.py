@@ -14,7 +14,6 @@ from spantree import (
     FitError,
     GeneratorSpec,
     GridBinning,
-    InputTooLarge,
     MstConstraint,
     PointSet,
     RegionWeight,
@@ -25,7 +24,7 @@ from spantree import (
     generate,
     observed_mu,
 )
-from spantree import analysis, mst
+from spantree import analysis
 
 # shared demo components: broad background disc with a denser signal disc inside
 BG_SPEC = GeneratorSpec("disc", 12000, 101, 0.2, {"center": (0.0, 0.0), "radius": 20.0})
@@ -219,17 +218,17 @@ class TestCalibrationPool:
 
     @pytest.fixture
     def two_workers(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_trial_workers", lambda n_trials, count: 2)
+        monkeypatch.setattr(analysis, "_trial_workers", lambda n_trials: 2)
 
     @pytest.mark.parametrize("d, count", [(2, 600), (4, 250)])
     def test_matches_serial_oracle(self, monkeypatch, two_workers, d, count):
-        # d = 2 builds on Delaunay edges, d = 4 on all pairs
+        # d = 2 builds on Delaunay edges, d = 4 by kd-tree Borůvka
         bg, sig = _components(d, 2 * count, seed=70 + d)
         alphas = [0.0, 0.3, 0.6, 1.0]
         pooled = calibrate_mu_vs_alpha(bg, sig, alphas, trials=3, seed=9, count=count)
         oracle = calibration_mu_serial(bg, sig, alphas, 3, 9, count)
         np.testing.assert_array_equal(pooled.mu_samples, oracle)
-        monkeypatch.setattr(analysis, "_trial_workers", lambda n_trials, count: 1)
+        monkeypatch.setattr(analysis, "_trial_workers", lambda n_trials: 1)
         serial = calibrate_mu_vs_alpha(bg, sig, alphas, trials=3, seed=9, count=count)
         np.testing.assert_array_equal(serial.mu_samples, oracle)
         for field in ("slope", "intercept", "slope_stderr", "sigma_l"):
@@ -257,10 +256,12 @@ class TestCalibrationPool:
         assert not caller.is_alive() and len(results) == 1
         assert set(results[0].mu_samples.ravel().tolist()) == {float(os.getpid())}
 
-    def test_worker_error_keeps_its_type(self, monkeypatch, two_workers):
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
-        bg, sig = _components(4, 100, seed=6)
-        with pytest.raises(InputTooLarge, match="physical memory"):
+    def test_worker_error_keeps_its_type(self, two_workers):
+        from spantree import DegenerateStatistic
+
+        # zero weights leave every trial's mean edge length undefined
+        bg, sig = (ps.with_weights(np.zeros(len(ps))) for ps in _components(4, 100, seed=6))
+        with pytest.raises(DegenerateStatistic, match="edge weights are zero"):
             calibrate_mu_vs_alpha(bg, sig, [0.0, 1.0], trials=2, seed=1, count=50)
 
     def test_degenerate_statistic_names_first_fraction(self, two_workers, demo_samples):
@@ -313,7 +314,7 @@ def trial_mu(inputs, j):
     return real_trial_mu(inputs, j)
 
 
-analysis._trial_workers = lambda n_trials, count: 2
+analysis._trial_workers = lambda n_trials: 2
 analysis._trial_mu = trial_mu
 rng = np.random.default_rng(5)
 bg, sig = PointSet(rng.normal(size=(200, 2))), PointSet(rng.normal(size=(200, 2)))
@@ -328,7 +329,7 @@ class TestSerialCalibration:
     def test_stops_at_first_degenerate_trial(self, monkeypatch):
         from spantree import DegenerateStatistic
 
-        monkeypatch.setattr(analysis, "_trial_workers", lambda n_trials, count: 1)
+        monkeypatch.setattr(analysis, "_trial_workers", lambda n_trials: 1)
         calls = []
 
         def observed(ps):
@@ -348,30 +349,11 @@ class TestTrialWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
-    def test_one_worker_per_cpu(self, monkeypatch):
-        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: None)
-        assert analysis._trial_workers(36, 3000) == 8
+    def test_one_worker_per_cpu(self):
+        assert analysis._trial_workers(36) == 8
 
-    def test_capped_by_trial_count(self, monkeypatch):
-        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: None)
-        assert analysis._trial_workers(4, 3000) == 4
-
-    def test_memory_cap(self, monkeypatch):
-        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: mst.all_pairs_bytes(3000))
-        assert analysis._trial_workers(36, 3000) == 1
-        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: 3 * mst.all_pairs_bytes(3000))
-        assert analysis._trial_workers(36, 3000) == 3
-
-    def test_memory_cap_counts_free_not_physical_memory(self, monkeypatch):
-        # two builds fit in physical memory, but only one in what is free
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 2 * mst.all_pairs_bytes(20000))
-        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: mst.all_pairs_bytes(20000) + 1)
-        assert analysis._trial_workers(36, 20000) == 1
-
-    def test_at_least_one_worker(self, monkeypatch):
-        # the build itself then refuses the input
-        monkeypatch.setattr(mst, "_free_memory_bytes", lambda: 1000)
-        assert analysis._trial_workers(36, 3000) == 1
+    def test_capped_by_trial_count(self):
+        assert analysis._trial_workers(4) == 4
 
 
 class TestFit:

@@ -25,7 +25,6 @@ PUBLIC_API = [
     "GeneratorSpec",
     "GridBinning",
     "Histogram",
-    "InputTooLarge",
     "MstConstraint",
     "PointSet",
     "RegionWeight",

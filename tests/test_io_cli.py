@@ -358,10 +358,13 @@ class TestCliBuildStats:
         assert run_cli("stats", events, "-o", tmp_path / "out") == 3
 
     def test_all_pairs_memory_refusal_exit_code(self, tmp_path, monkeypatch):
-        # 4-d input takes the all-pairs path; pretend the machine is tiny
-        from spantree import mst
+        # a package error while building: exit 3 and no tree file
+        from spantree import SpanTreeError, cli
 
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
+        def refuse(ps):
+            raise SpanTreeError("cannot build this tree")
+
+        monkeypatch.setattr(cli, "build_mst_kruskal", refuse)
         events = tmp_path / "e.csv"
         rng = np.random.default_rng(59)
         write_events(PointSet(rng.random((40, 4))), events)

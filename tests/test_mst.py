@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from spantree import (
-    InputTooLarge,
     PointSet,
     build_mst_kruskal,
     generate,
@@ -103,8 +107,8 @@ class TestKruskalDeterminism:
         assert tree.edge_set() == {(0, 1), (0, 2), (1, 3)}
 
     def test_prefix_growth_path(self):
-        # two distant 4-d clusters (d >= 4 takes the all-pairs path) force the
-        # bridge edge deep into the sorted order, past the initial candidate prefix
+        # two distant 4-d clusters: the bridge edge is the longest, and the
+        # last Borůvka round finds it through the kd-tree outside each cluster
         rng = np.random.default_rng(31)
         a = rng.random((150, 4))
         b = rng.random((150, 4)) + 500.0
@@ -208,7 +212,7 @@ _GATE_CASES = {
     "cocircular-2d": np.column_stack(
         [np.cos(np.arange(48) * np.pi / 24), np.sin(np.arange(48) * np.pi / 24)]
     ),
-    # closer than the triangulation can resolve: the all-pairs path
+    # closer than the triangulation can resolve: the kd-tree path
     "near-duplicates-2d": np.vstack([_base2, _base2[:40] + _rng.normal(0.0, 1e-9, (40, 2))]),
     # integer points 1e-9 apart: Qhull's own triangulation misses a tree edge here
     "near-duplicates-3d": _integer_cloud(3, 120, 1e-9, seed=1),
@@ -216,6 +220,19 @@ _GATE_CASES = {
 _GATE_CASES.update(
     {f"small-d{d}-m{m}": _rng.random((m, d)) for d in (1, 2, 3, 4) for m in range(2, d + 3)}
 )
+# ties and duplicated rows: integer points in a 4^d box
+_GATE_CASES.update(
+    {f"integer-ties-d{d}": _rng.integers(0, 4, (200, d)).astype(float) for d in range(1, 6)}
+)
+_GATE_CASES.update(
+    {f"jittered-integers-d{d}": _integer_cloud(d, 200, 1e-9, seed=d) for d in (2, 4, 6)}
+)
+_GATE_CASES.update(
+    {f"collinear-offset-d{d}": np.outer(_rng.random(150), _rng.random(d)) + 1e6 for d in (2, 3, 4, 6)}
+)
+# each cluster holds more than the 64 nearest points a kd query asks for, so
+# the bridge is found by the query against the points outside each cluster
+_GATE_CASES["far-clusters-4d"] = np.vstack([_rng.random((150, 4)), _rng.random((150, 4)) + 50.0])
 
 
 class TestExactnessGate:
@@ -230,6 +247,10 @@ class TestExactnessGate:
     @pytest.mark.parametrize("name", sorted(_GATE_CASES))
     def test_degenerate_and_small_inputs(self, name):
         _assert_canonical(PointSet(_GATE_CASES[name]))
+
+    @pytest.mark.parametrize("dim", range(7, 17))
+    def test_gaussian_high_dimension(self, dim):
+        _assert_canonical(PointSet(np.random.default_rng(dim).normal(size=(300, dim))))
 
     def test_weighted_input(self):
         rng = np.random.default_rng(47)
@@ -252,7 +273,7 @@ class TestExactnessGate:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        dim=st.integers(1, 4),
+        dim=st.integers(1, 10),
         m=st.integers(2, 40),
         seed=st.integers(0, 2**32 - 1),
         integer_valued=st.booleans(),
@@ -305,27 +326,42 @@ class TestBoruvkaMerge:
             assert got.size == m - 1
 
 
-class TestAllPairsMemoryGuard:
-    def test_refuses_before_allocating(self):
-        with pytest.raises(InputTooLarge, match="physical memory"):
-            mst.check_all_pairs_memory(10**9)
+def test_lengths_match_all_pairs_distances():
+    # summing the squares by row instead changes the last bit at d >= 8
+    rng = np.random.default_rng(61)
+    for dim in range(2, 25):
+        coords = rng.normal(size=(150, dim)) * rng.random(dim) * 100
+        us, vs = np.triu_indices(150, 1)
+        assert mst._lengths(coords, us, vs).tobytes() == pdist(coords).tobytes()
 
-    def test_limit_is_physical_memory(self, monkeypatch):
-        # about 8 m^2 bytes: 1000 points need 8 MB
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 8_000_000)
-        mst.check_all_pairs_memory(1000)
-        with pytest.raises(InputTooLarge):
-            mst.check_all_pairs_memory(1001)
 
-    def test_build_refuses_when_memory_short(self, monkeypatch):
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
-        with pytest.raises(InputTooLarge):
-            build_mst_kruskal(PointSet(np.random.default_rng(53).random((50, 4))))
+_LINEAR_MEMORY = """
+import resource
 
-    @pytest.mark.parametrize(
-        "name", ["duplicated-rows-1d", "duplicated-rows-2d", "lattice-2d-offset",
-                 "lattice-3d-offset", "staggered-3d-offset"]
+import numpy as np
+from spantree import PointSet, build_mst_kruskal
+
+tree = build_mst_kruskal(PointSet(np.random.default_rng(67).normal(size=(30_000, 4))))
+assert tree.edge_count == 29_999
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_memory_is_linear_in_points():
+    # all pairs of these 30,000 points would take about 7 GB; the child
+    # reports its own peak, since this process's other children (forked
+    # calibration workers) share the RUSAGE_CHILDREN maximum
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LINEAR_MEMORY],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
-    def test_sparse_inputs_never_reach_guard(self, name, monkeypatch):
-        monkeypatch.setattr(mst, "_physical_memory_bytes", lambda: 1000)
-        validate_tree(build_mst_kruskal(PointSet(_GATE_CASES[name])))
+    assert proc.returncode == 0, proc.stderr
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    scale = 1 if sys.platform == "darwin" else 1024
+    assert int(proc.stdout) * scale < 400 * 2**20

@@ -22,7 +22,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=80, deadline=None)
-@given(dim=st.integers(1, 3), m=st.integers(2, 60), seed=SEEDS, spread=st.sampled_from([3, 50]))
+@given(dim=st.integers(1, 6), m=st.integers(2, 60), seed=SEEDS, spread=st.sampled_from([3, 50]))
 def test_rigid_motion_keeps_edge_set(dim, m, seed, spread):
     rng = np.random.default_rng(seed)
     coords = rng.integers(-spread, spread + 1, (m, dim))
