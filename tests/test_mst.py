@@ -228,7 +228,10 @@ _GATE_CASES.update(
     {f"jittered-integers-d{d}": _integer_cloud(d, 200, 1e-9, seed=d) for d in (2, 4, 6)}
 )
 _GATE_CASES.update(
-    {f"collinear-offset-d{d}": np.outer(_rng.random(150), _rng.random(d)) + 1e6 for d in (2, 3, 4, 6)}
+    {
+        f"collinear-offset-d{d}": np.outer(_rng.random(150), _rng.random(d)) + 1e6
+        for d in (2, 3, 4, 6)
+    }
 )
 # each cluster holds more than the 64 nearest points a kd query asks for, so
 # the bridge is found by the query against the points outside each cluster
