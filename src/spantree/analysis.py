@@ -17,14 +17,18 @@ observed counts. The tree-based augmentation adds a quadratic penalty
 where mu(alpha) is the calibrated line for the mean log normalized edge
 length as a function of the signal fraction, so disagreement between the
 observed tree's mean and the calibration increases Q. The minimum is found
-by a grid scan refined with a bounded scalar minimization, and the quoted
-uncertainty is half the width of the Q_min + 1 interval.
+by a grid scan refined with Brent's bounded minimizer, and the quoted
+uncertainty is half the width of the Q_min + 1 interval, whose ends Brent's
+root finder locates. Both routines are in-package ports of scipy's
+(``minimize_scalar(method="bounded")`` and ``brentq``), step for step, so
+the fit needs no scipy and returns the same bits scipy's routines would.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -127,6 +131,9 @@ class GridBinning:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "GridBinning":
+        keys = ("x_feature", "y_feature", "x_edges", "y_edges")
+        if sorted(d) != sorted(keys):
+            raise ValueError(f"a binning takes exactly the keys {keys}, got {sorted(d)}")
         return cls(d["x_feature"], d["y_feature"], tuple(d["x_edges"]), tuple(d["y_edges"]))
 
 
@@ -223,6 +230,11 @@ class CalibrationResult:
         return self.intercept + self.slope * np.asarray(alpha, dtype=np.float64)
 
     def constraint(self, mu_obs: float) -> MstConstraint:
+        if not self.sigma_l > 0:
+            raise DegenerateStatistic(
+                "the statistic does not vary between calibration trials (sigma_l = 0), "
+                "so the tree constraint is undefined"
+            )
         return MstConstraint(mu_obs, self.slope, self.intercept, self.sigma_l)
 
 
@@ -319,6 +331,24 @@ def _trial_values(inputs: tuple, n_trials: int) -> Iterator[float]:
             yield _trial_mu(inputs, j)
 
 
+def check_calibration(alphas: Sequence[float], trials: int, count: int | None) -> np.ndarray:
+    """The calibration fractions as an array, once every setting that needs
+    no sample is checked; raises ``ValueError`` naming the first bad one."""
+    try:
+        alphas = np.asarray(list(alphas), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"calibration fractions must be numbers: {exc}") from None
+    if alphas.size < 2 or np.unique(alphas).size < 2:
+        raise ValueError("calibration needs at least two distinct fraction values")
+    if not np.all((alphas >= 0) & (alphas <= 1)):
+        raise ValueError(f"calibration fractions must lie in [0, 1], got {alphas.tolist()}")
+    if trials < 2:
+        raise ValueError("calibration needs at least two trials per fraction")
+    if count is not None and not (isinstance(count, (int, np.integer)) and count >= 2):
+        raise ValueError(f"calibration count must be an integer of at least 2, got {count!r}")
+    return alphas
+
+
 def calibrate_mu_vs_alpha(
     background: PointSet,
     signal: PointSet,
@@ -346,13 +376,7 @@ def calibrate_mu_vs_alpha(
     fails decides the error; a worker process that dies raises
     ``concurrent.futures.process.BrokenProcessPool``.
     """
-    alphas = np.asarray(list(alphas), dtype=np.float64)
-    if alphas.size < 2 or np.unique(alphas).size < 2:
-        raise ValueError("calibration needs at least two distinct fraction values")
-    if np.any((alphas < 0) | (alphas > 1)):
-        raise ValueError("fractions must lie in [0, 1]")
-    if trials < 2:
-        raise ValueError("calibration needs at least two trials per fraction")
+    alphas = check_calibration(alphas, trials, count)
     if count is None:
         count = min(len(background), len(signal))
     if count > len(background) or count > len(signal):
@@ -412,7 +436,9 @@ class FitResult:
         object.__setattr__(self, "q_curve", curve)
 
 
-def _resolve_alpha_grid(alpha_grid) -> np.ndarray:
+def resolve_alpha_grid(alpha_grid) -> np.ndarray:
+    """The fit's fraction grid: that many evenly spaced points on [0, 1]
+    for an int, else the given points sorted without repeats."""
     if isinstance(alpha_grid, int):
         if alpha_grid < 3:
             raise ValueError("alpha grid needs at least three samples")
@@ -425,6 +451,142 @@ def _resolve_alpha_grid(alpha_grid) -> np.ndarray:
     return grid
 
 
+def _brent_minimize(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Brent's bounded minimizer: ``(x, f(x))`` at a local minimum in [lo, hi].
+
+    A step-for-step port of scipy's ``minimize_scalar(method="bounded")``
+    (``_minimize_scalar_bounded``, 500 evaluations at most), so it returns
+    the same point bit for bit: parabolic steps where the fit through the
+    last three points is acceptable, golden-section steps otherwise.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
+def _brent_root(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
+    """Brent's root finder: a zero of ``f`` in [a, b], where f(a) and f(b) differ in sign.
+
+    A step-for-step port of scipy's ``brentq`` (its C ``brentq``, with
+    rtol = 4 * eps and ``maxiter`` iterations), so it returns the same root
+    bit for bit: inverse quadratic extrapolation or secant interpolation
+    where the step is short enough, bisection otherwise, and never a step
+    below ``delta = (xtol + rtol * |x|) / 2``. Raises ``FitError`` when the
+    signs agree or the search does not converge.
+    """
+    rtol = 4.0 * sys.float_info.epsilon
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise FitError(f"no sign change between {a!r} and {b!r}")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            # xblk is the contrapoint: [xcur, xblk] keeps the sign change
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise FitError(f"no root in [{a!r}, {b!r}] after {maxiter} iterations")
+
+
 def fit_alpha(
     model: BinnedModel,
     constraint: MstConstraint | None = None,
@@ -434,14 +596,18 @@ def fit_alpha(
 
     Without a constraint the objective is the pure binned likelihood
     (mode "baseline"); with one, the calibrated quadratic penalty is added
-    (mode "augmented"). Returns the sampled Q curve, the refined minimum,
-    and the half-width of the Q_min + 1 interval; a flat objective (signal
-    and background templates identical, no constraint) reports an infinite
-    uncertainty.
-    """
-    from scipy.optimize import minimize_scalar
+    (mode "augmented"). Returns the sampled Q curve, the minimum refined by
+    ``_brent_minimize`` between the grid neighbours of the lowest sample,
+    and the half-width of the Q_min + 1 interval, whose ends
+    ``_brent_root`` finds to 1e-12; a flat objective (signal and background
+    templates identical, no constraint) reports an infinite uncertainty.
 
-    alphas = _resolve_alpha_grid(alpha_grid)
+    Raises ``FitError`` when the mixture probability vanishes in an
+    occupied bin, when Q is not finite at some fraction (a NaN or infinite
+    count or constraint value), or when a Q_min + 1 crossing does not
+    converge in 100 root-finder iterations.
+    """
+    alphas = resolve_alpha_grid(alpha_grid)
     b, s, n = model.background, model.signal, model.observed
     occupied = n > 0
 
@@ -456,6 +622,8 @@ def fit_alpha(
         q = -2.0 * float((n[occupied] * np.log(p[occupied])).sum())
         if constraint is not None:
             q += float(constraint.penalty(alpha))
+        if not math.isfinite(q):
+            raise FitError(f"the objective is not finite at alpha={alpha:g}")
         return q
 
     curve = np.array([q_of(a) for a in alphas])
@@ -473,11 +641,9 @@ def fit_alpha(
     alpha_hat = float(alphas[i_min])
     q_min = float(curve[i_min])
     if hi_b > lo_b:
-        res = minimize_scalar(
-            q_of, bounds=(lo_b, hi_b), method="bounded", options={"xatol": 1e-12}
-        )
-        if res.fun <= q_min:
-            alpha_hat, q_min = float(res.x), float(res.fun)
+        x, q = _brent_minimize(q_of, lo_b, hi_b, xatol=1e-12)
+        if q <= q_min:
+            alpha_hat, q_min = x, q
 
     sigma = _interval_halfwidth(q_of, alphas, curve, alpha_hat, q_min)
     return FitResult(alpha_hat, sigma, q_curve, mode, q_min)
@@ -485,8 +651,6 @@ def fit_alpha(
 
 def _interval_halfwidth(q_of, alphas, curve, alpha_hat, q_min) -> float:
     """Half-width of the interval where Q <= Q_min + 1."""
-    from scipy.optimize import brentq
-
     target = q_min + 1.0
 
     def crossing(side: str) -> float | None:
@@ -500,7 +664,7 @@ def _interval_halfwidth(q_of, alphas, curve, alpha_hat, q_min) -> float:
             if idx.size == 0:
                 return None
             a, bnd = alpha_hat, float(alphas[idx[0]])
-        return float(brentq(lambda x: q_of(x) - target, a, bnd, xtol=1e-12))
+        return _brent_root(lambda x: q_of(x) - target, a, bnd, xtol=1e-12)
 
     left = crossing("left")
     right = crossing("right")

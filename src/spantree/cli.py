@@ -33,7 +33,7 @@ from .analysis import (
     observed_mu,
 )
 from .compare import connection_ratios
-from .errors import ConfigError, EventFileError, SpanTreeError
+from .errors import ConfigError, DegenerateStatistic, EventFileError, SpanTreeError
 from .generators import (
     PRESET_NAMES,
     GeneratorSpec,
@@ -118,17 +118,11 @@ def _log_branch_lengths(branches) -> tuple[np.ndarray, np.ndarray]:
     return np.log(lengths[keep]), weights[keep]
 
 
-def _region_weight_from_config(section: dict) -> tuple[RegionWeight, tuple[str, ...]]:
-    box = {}
-    for feature, bounds in section["box"].items():
-        key: int | str = int(feature) if str(feature).lstrip("-").isdigit() else feature
-        box[key] = (bounds[0], bounds[1])
-    rw = RegionWeight(
-        box=box,
-        inside_weight=float(section.get("inside_weight", 0.0)),
-        outside_weight=float(section.get("outside_weight", 1.0)),
-    )
-    return rw, tuple(section.get("apply_to", ()))
+def _weighted(ps: PointSet, rw: RegionWeight) -> PointSet:
+    try:
+        return apply_region_weights(ps, rw)
+    except ValueError as exc:  # a box feature the events lack
+        raise ConfigError(f"region_weights: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +163,10 @@ def _cmd_gen(args) -> int:
 def _load_events(path: str, rescale: str) -> PointSet:
     ps = read_events(path)
     if rescale != "none":
-        ps, _ = rescale_features(ps, rescale)
+        try:
+            ps, _ = rescale_features(ps, rescale)
+        except ValueError as exc:
+            raise EventFileError(f"{path}: {exc}") from exc
     return ps
 
 
@@ -196,8 +193,8 @@ def _cmd_stats(args) -> int:
         statistics = config.statistics
         region_weights = config.region_weights
     if region_weights:
-        rw, _ = _region_weight_from_config(region_weights)
-        ps = apply_region_weights(ps, rw)
+        rw, _ = config.region_weight()
+        ps = _weighted(ps, rw)
     tree = build_mst_kruskal(ps)
 
     cfg = {
@@ -268,6 +265,8 @@ def _write_comparison(outdir: Path, tag: str, result, hist_specs, prov: str) -> 
 
 
 def _cmd_compare(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
     ps_a = _load_events(args.subject, args.rescale)
     ps_b = _load_events(args.reference, args.rescale)
 
@@ -278,9 +277,9 @@ def _cmd_compare(args) -> int:
         hist_specs = config.histogram_specs
         region_weights = config.region_weights
     if region_weights:
-        rw, _ = _region_weight_from_config(region_weights)
-        ps_a = apply_region_weights(ps_a, rw)
-        ps_b = apply_region_weights(ps_b, rw)
+        rw, _ = config.region_weight()
+        ps_a = _weighted(ps_a, rw)
+        ps_b = _weighted(ps_b, rw)
     tree_a = build_mst_kruskal(ps_a)
     tree_b = build_mst_kruskal(ps_b)
 
@@ -349,8 +348,6 @@ def _cmd_fit(args) -> int:
             entry["file"] = file_fingerprint(entry["file"])
     cfg_hash = config_hash(hashed)
     prov = provenance_line(cfg_hash, config.seed)
-    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
-    write_json({**config.to_dict(), "config": cfg_hash}, outdir / "effective_config.json")
 
     fit = config.fit
     samples: dict[str, PointSet] = {}
@@ -358,18 +355,20 @@ def _cmd_fit(args) -> int:
         samples[role] = _resolve_input(config.inputs[role], config.seed, i)
 
     if config.region_weights:
-        rw, apply_to = _region_weight_from_config(config.region_weights)
-        targets = apply_to or tuple(samples)
-        for role in targets:
+        rw, apply_to = config.region_weight()
+        for role in apply_to or tuple(samples):
             if role in samples:
-                samples[role] = apply_region_weights(samples[role], rw)
+                samples[role] = _weighted(samples[role], rw)
 
     background = samples[fit.background]
     signal = samples[fit.signal]
     observed = samples[fit.observed]
 
-    binning = GridBinning.from_dict(fit.binning)
-    model = BinnedModel.from_samples(background, signal, observed, binning)
+    try:
+        binning = GridBinning.from_dict(fit.binning)
+        model = BinnedModel.from_samples(background, signal, observed, binning)
+    except ValueError as exc:  # a binning feature the samples lack, or bins they miss
+        raise ConfigError(f"fit binning: {exc}") from exc
 
     baseline = augmented = None
     calibration = None
@@ -377,17 +376,27 @@ def _cmd_fit(args) -> int:
     if fit.mode in ("baseline", "both"):
         baseline = fit_alpha(model, None, fit.alpha_grid)
     if fit.mode in ("augmented", "both"):
-        calibration = calibrate_mu_vs_alpha(
-            background,
-            signal,
-            fit.calibration_alphas,
-            fit.calibration_trials,
-            config.seed,
-            fit.calibration_count,
-        )
+        try:
+            calibration = calibrate_mu_vs_alpha(
+                background,
+                signal,
+                fit.calibration_alphas,
+                fit.calibration_trials,
+                config.seed,
+                fit.calibration_count,
+            )
+        except ValueError as exc:  # a calibration count above a component's size
+            raise ConfigError(f"fit calibration: {exc}") from exc
         mu_obs = observed_mu(observed)
+        if not np.isfinite(mu_obs):
+            raise DegenerateStatistic(
+                f"the observed sample's statistic is {mu_obs}; coincident points "
+                "make the log normalized length undefined"
+            )
         augmented = fit_alpha(model, calibration.constraint(mu_obs), fit.alpha_grid)
 
+    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
+    write_json({**config.to_dict(), "config": cfg_hash}, outdir / "effective_config.json")
     curve_lines = [prov]
     header = ["alpha"]
     if baseline is not None:
@@ -462,6 +471,13 @@ def _cmd_plot_tree(args) -> int:
     ax, ay = _parse_axes(args.axes, ps)
     if args.tree:
         us, vs, _, _ = read_tree_csv(args.tree)
+        outside = (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= len(ps))
+        if outside.any():
+            i = int(np.flatnonzero(outside)[0])
+            raise EventFileError(
+                f"{args.tree}: edge {int(us[i])}-{int(vs[i])} names a vertex outside "
+                f"the {len(ps)} events of {args.events}"
+            )
     else:
         tree = build_mst_kruskal(ps)
         us, vs = tree.edge_u, tree.edge_v

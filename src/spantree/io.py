@@ -27,6 +27,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
+from .analysis import GridBinning, RegionWeight, check_calibration, resolve_alpha_grid
 from .errors import ConfigError, EventFileError
 from .generators import GeneratorSpec
 from .geometry import PointSet
@@ -393,9 +394,39 @@ class FitSettings:
     def __post_init__(self) -> None:
         if self.mode not in ("baseline", "augmented", "both"):
             raise ConfigError(f"fit mode must be baseline/augmented/both, got {self.mode!r}")
+        # what can be checked before any sample exists; the binning's features
+        # and the calibration count against the component sizes need the data
+        try:
+            GridBinning.from_dict(self.binning)
+            resolve_alpha_grid(self.alpha_grid)
+            check_calibration(
+                self.calibration_alphas, self.calibration_trials, self.calibration_count
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"fit section: {exc}") from exc
 
 
 ALL_STATISTICS = ("edge_length", "log_norm_length", "degree", "log_branch_length")
+# histograms a run config can set the range of: stats writes the first four,
+# compare the last two
+HISTOGRAM_NAMES = ALL_STATISTICS + ("connection_length", "connection_ratio")
+_REGION_KEYS = ("box", "inside_weight", "outside_weight", "apply_to")
+
+
+def _check_histogram_spec(name: str, spec: Any) -> None:
+    if name not in HISTOGRAM_NAMES:
+        raise ConfigError(f"histogram_specs: unknown histogram {name!r}; known: {HISTOGRAM_NAMES}")
+    try:
+        missing = [key for key in ("lo", "hi", "nbins") if key not in spec]
+        if missing:
+            raise ConfigError(f"histogram_specs[{name!r}] lacks {missing}")
+        lo, hi, nbins = float(spec["lo"]), float(spec["hi"]), int(spec["nbins"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"histogram_specs[{name!r}]: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"histogram_specs[{name!r}]: need finite lo < hi, got [{lo}, {hi})")
+    if nbins < 1:
+        raise ConfigError(f"histogram_specs[{name!r}]: nbins must be positive, got {nbins}")
 
 
 @dataclass(frozen=True)
@@ -424,6 +455,39 @@ class RunConfig:
             for role in (self.fit.background, self.fit.signal, self.fit.observed):
                 if role not in self.inputs:
                     raise ConfigError(f"fit references undeclared input {role!r}")
+        for name, spec in self.histogram_specs.items():
+            _check_histogram_spec(name, spec)
+        if self.region_weights is not None:
+            _, apply_to = self.region_weight()
+            undeclared = sorted(set(apply_to) - set(self.inputs))
+            if undeclared:
+                raise ConfigError(f"region_weights: apply_to names undeclared inputs {undeclared}")
+
+    def region_weight(self) -> tuple[RegionWeight, tuple[str, ...]]:
+        """The ``region_weights`` section as a box and the inputs it applies to.
+
+        An empty ``apply_to`` means every input.
+        """
+        section = self.region_weights
+        try:
+            unknown = sorted(set(section) - set(_REGION_KEYS))
+            if unknown or "box" not in section:
+                raise ConfigError(
+                    f"region_weights takes a box and optionally {_REGION_KEYS[1:]}, "
+                    f"got {sorted(section)}"
+                )
+            box = {}
+            for feature, (lo, hi) in section["box"].items():
+                key: int | str = int(feature) if str(feature).lstrip("-").isdigit() else feature
+                box[key] = tuple(None if b is None else float(b) for b in (lo, hi))
+            rw = RegionWeight(
+                box=box,
+                inside_weight=float(section.get("inside_weight", 0.0)),
+                outside_weight=float(section.get("outside_weight", 1.0)),
+            )
+            return rw, tuple(section.get("apply_to", ()))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"region_weights: {exc}") from exc
 
     def to_dict(self) -> dict[str, Any]:
         inputs = {}

@@ -22,6 +22,12 @@ to the lowest edge index.
 None of these shares an algorithm with the code under test; Prim returns
 its result in the package's `Tree` container.
 
+The fit oracle is the package's signal-fraction fit as it stood before the
+in-package Brent routines: the same objective, refined by
+``scipy.optimize.minimize_scalar(method="bounded")`` and bracketed by
+``scipy.optimize.brentq``. The package ports both routines step for step,
+so its fits must match this one bit for bit.
+
 The calibration oracle is the exception: it calls the package's own
 resampling and tree statistic, because what it checks is the scheduling.
 It runs the trials one after another in this process, from the same
@@ -31,13 +37,15 @@ statistics bit for bit.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from spantree import PointSet, Tree, observed_mu
-from spantree.analysis import _resample_mixture
+from spantree import BinnedModel, FitError, FitResult, MstConstraint, PointSet, Tree, observed_mu
+from spantree.analysis import _FLAT_TOL, _resample_mixture, resolve_alpha_grid
 
 _CHUNK_ROWS = 512
 
@@ -269,3 +277,81 @@ def calibration_mu_serial(
             rng = np.random.Generator(np.random.PCG64(seqs[i * trials + t]))
             mu[i, t] = observed_mu(_resample_mixture(background, signal, count, float(alpha), rng))
     return mu
+
+
+def fit_alpha_scipy(
+    model: BinnedModel,
+    constraint: MstConstraint | None = None,
+    alpha_grid: int | Sequence[float] = 201,
+) -> FitResult:
+    """``fit_alpha`` with scipy's bounded minimizer and ``brentq``."""
+    from scipy.optimize import minimize_scalar
+
+    alphas = resolve_alpha_grid(alpha_grid)
+    b, s, n = model.background, model.signal, model.observed
+    occupied = n > 0
+
+    def q_of(alpha: float) -> float:
+        p = (1.0 - alpha) * b + alpha * s
+        bad = occupied & (p <= 0.0)
+        if np.any(bad):
+            j = int(np.flatnonzero(bad)[0])
+            raise FitError(
+                f"mixture probability vanishes in occupied bin {j} at alpha={alpha:g}"
+            )
+        q = -2.0 * float((n[occupied] * np.log(p[occupied])).sum())
+        if constraint is not None:
+            q += float(constraint.penalty(alpha))
+        return q
+
+    curve = np.array([q_of(a) for a in alphas])
+    mode = "baseline" if constraint is None else "augmented"
+    q_curve = np.column_stack([alphas, curve])
+
+    i_min = int(np.argmin(curve))
+    spread = float(curve.max() - curve.min())
+    if spread <= _FLAT_TOL * max(1.0, abs(float(curve.min()))):
+        # unidentifiable: Q carries no information about the fraction
+        return FitResult(float(alphas[i_min]), math.inf, q_curve, mode, float(curve[i_min]))
+
+    lo_b = float(alphas[max(i_min - 1, 0)])
+    hi_b = float(alphas[min(i_min + 1, alphas.size - 1)])
+    alpha_hat = float(alphas[i_min])
+    q_min = float(curve[i_min])
+    if hi_b > lo_b:
+        res = minimize_scalar(
+            q_of, bounds=(lo_b, hi_b), method="bounded", options={"xatol": 1e-12}
+        )
+        if res.fun <= q_min:
+            alpha_hat, q_min = float(res.x), float(res.fun)
+
+    sigma = interval_halfwidth_scipy(q_of, alphas, curve, alpha_hat, q_min)
+    return FitResult(alpha_hat, sigma, q_curve, mode, q_min)
+
+
+def interval_halfwidth_scipy(q_of, alphas, curve, alpha_hat, q_min) -> float:
+    """Half-width of the interval where Q <= Q_min + 1."""
+    from scipy.optimize import brentq
+
+    target = q_min + 1.0
+
+    def crossing(side: str) -> float | None:
+        if side == "left":
+            idx = np.flatnonzero((alphas < alpha_hat) & (curve > target))
+            if idx.size == 0:
+                return None
+            a, bnd = float(alphas[idx[-1]]), alpha_hat
+        else:
+            idx = np.flatnonzero((alphas > alpha_hat) & (curve > target))
+            if idx.size == 0:
+                return None
+            a, bnd = alpha_hat, float(alphas[idx[0]])
+        return float(brentq(lambda x: q_of(x) - target, a, bnd, xtol=1e-12))
+
+    left = crossing("left")
+    right = crossing("right")
+    if left is None and right is None:
+        return math.inf
+    lo = left if left is not None else float(alphas[0])
+    hi = right if right is not None else float(alphas[-1])
+    return 0.5 * (hi - lo)

@@ -1,16 +1,20 @@
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bruteforce import calibration_mu_serial
+from bruteforce import calibration_mu_serial, fit_alpha_scipy
 from spantree import (
     BinnedModel,
+    DegenerateStatistic,
     FitError,
     GeneratorSpec,
     GridBinning,
@@ -189,6 +193,20 @@ class TestCalibration:
         bg, sig = demo_samples
         with pytest.raises(ValueError):
             calibrate_mu_vs_alpha(bg, sig, [0.0, 1.0], trials=1, seed=1, count=500)
+
+    @pytest.mark.parametrize("count", [0, 1, 2.5, "abc"])
+    def test_count_below_two_rejected(self, demo_samples, count):
+        bg, sig = demo_samples
+        with pytest.raises(ValueError, match="calibration count"):
+            calibrate_mu_vs_alpha(bg, sig, [0.0, 1.0], trials=2, seed=1, count=count)
+
+    def test_constraint_needs_spread(self, demo_samples):
+        bg, sig = demo_samples
+        # every two-point tree has one edge, so every statistic is log 1 = 0
+        cal = calibrate_mu_vs_alpha(bg, sig, [0.2, 0.4], trials=2, seed=1, count=2)
+        assert cal.sigma_l == 0.0
+        with pytest.raises(DegenerateStatistic, match="sigma_l = 0"):
+            cal.constraint(0.0)
 
     def test_count_bounded_by_components(self, demo_samples):
         bg, sig = demo_samples
@@ -440,3 +458,171 @@ class TestFit:
         )
         # the refined minimum is only determined to minimizer precision
         assert original.alpha_hat == pytest.approx(permuted.alpha_hat, abs=1e-6)
+
+    def test_non_finite_objective_is_a_fit_error(self, demo_model):
+        asimov = demo_model.asimov(0.3, 1000.0)
+        with pytest.raises(FitError, match="not finite"):
+            fit_alpha(asimov, MstConstraint(math.nan, -0.3, -0.1, 0.02))
+        observed = asimov.observed.copy()
+        observed[2] = math.inf
+        with pytest.raises(FitError, match="not finite"):
+            fit_alpha(BinnedModel(asimov.background, asimov.signal, observed))
+
+
+# Functions for the Brent ports: a smooth part, a kink and an oscillation,
+# weighted by drawn coefficients, so both the parabolic and the golden or
+# bisection steps are taken.
+def _drawn_function(c):
+    return lambda x: (
+        c[0] * (x - c[1]) ** 2 + c[2] * x**3 + c[3] * abs(x - c[4]) + c[5] * math.cos(5.0 * x)
+    )
+
+
+def _recording(f, calls):
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g
+
+
+COEFFS = st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6)
+
+
+class TestBrentPorts:
+    """The in-package routines against scipy.optimize: the same points
+    evaluated, in the same order, and the same result bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c=COEFFS,
+        lo=st.floats(-2.0, 2.0),
+        width=st.floats(1e-6, 4.0),
+        xatol=st.sampled_from([1e-12, 1e-9, 1e-5]),
+    )
+    def test_minimizer_matches_scipy(self, c, lo, width, xatol):
+        from scipy.optimize import minimize_scalar
+
+        f = _drawn_function(c)
+        ours, theirs = [], []
+        x, fx = analysis._brent_minimize(_recording(f, ours), lo, lo + width, xatol)
+        res = minimize_scalar(
+            _recording(f, theirs), bounds=(lo, lo + width), method="bounded",
+            options={"xatol": xatol},
+        )
+        assert ours == theirs
+        assert (x, fx) == (float(res.x), float(res.fun))
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=COEFFS, a=st.floats(-2.0, 0.0), b=st.floats(0.0, 2.0),
+           xtol=st.sampled_from([1e-12, 1e-9, 1e-4]))
+    def test_root_finder_matches_scipy(self, c, a, b, xtol):
+        from scipy.optimize import brentq
+
+        base = _drawn_function(c)
+        f = lambda x: base(x) - base(0.0) + x  # noqa: E731
+        if not f(a) * f(b) < 0.0:
+            return
+        ours, theirs = [], []
+        root = analysis._brent_root(_recording(f, ours), a, b, xtol)
+        expected = brentq(_recording(f, theirs), a, b, xtol=xtol)
+        assert ours == theirs
+        assert root == expected
+
+    def test_seeded_sweep_matches_scipy(self):
+        # coarse tolerances make the short-step tests near convergence,
+        # where the minimum step delta decides, common enough to be hit
+        from scipy.optimize import brentq, minimize_scalar
+
+        rng = np.random.default_rng(8)
+        roots = 0
+        for _ in range(3000):
+            f = _drawn_function(rng.normal(size=6).tolist())
+            tol = float(10.0 ** rng.uniform(-12.0, 0.0))
+            a, b = -float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0))
+            res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": tol})
+            assert analysis._brent_minimize(f, a, b, tol) == (float(res.x), float(res.fun))
+            g = lambda x, f=f: f(x) - f(0.0) + x  # noqa: E731
+            if g(a) * g(b) < 0.0:
+                assert analysis._brent_root(g, a, b, tol) == brentq(g, a, b, xtol=tol)
+                roots += 1
+        assert roots > 1000
+
+    def test_root_finder_failures_are_fit_errors(self):
+        from scipy.optimize import brentq
+
+        f = lambda x: math.tanh(50.0 * (x - 0.3)) + 1e-3 * x  # noqa: E731
+        with pytest.raises(RuntimeError):
+            brentq(f, -1.0, 1.0, xtol=1e-12, maxiter=3)
+        with pytest.raises(FitError, match="after 3 iterations"):
+            analysis._brent_root(f, -1.0, 1.0, 1e-12, maxiter=3)
+        with pytest.raises(FitError, match="no sign change"):
+            analysis._brent_root(f, 0.5, 1.0, 1e-12)
+
+
+def _assert_same_fit(model, constraint, grid):
+    try:
+        expected = fit_alpha_scipy(model, constraint, grid)
+    except FitError as exc:
+        with pytest.raises(FitError, match=re.escape(str(exc))):
+            fit_alpha(model, constraint, grid)
+        return
+    got = fit_alpha(model, constraint, grid)
+    assert (got.alpha_hat, got.q_min, got.sigma_alpha) == (
+        expected.alpha_hat, expected.q_min, expected.sigma_alpha
+    )
+    assert got.q_curve.tobytes() == expected.q_curve.tobytes()
+    assert got.mode == expected.mode
+
+
+class TestFitMatchesScipyOracle:
+    """fit_alpha on the in-package Brent routines gives the scipy fit's bits."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        n_bins=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        alpha_true=st.floats(0.0, 1.0),
+        total=st.sampled_from([50.0, 1000.0, 6000.0]),
+        poisson=st.booleans(),
+        constrained=st.booleans(),
+        grid=st.one_of(st.integers(3, 401), st.integers(3, 60).map(lambda k: -k)),
+    )
+    def test_drawn_models(self, n_bins, seed, alpha_true, total, poisson, constrained, grid):
+        rng = np.random.default_rng(seed)
+        b = rng.dirichlet(np.ones(n_bins))
+        s = rng.dirichlet(np.full(n_bins, 0.5))
+        model = BinnedModel(b, s, np.zeros(n_bins)).asimov(alpha_true, total)
+        if poisson:
+            model = BinnedModel(b, s, rng.poisson(model.observed).astype(float))
+        constraint = None
+        if constrained:
+            slope = float(rng.normal(0.0, 0.3))
+            constraint = MstConstraint(
+                mu_obs=-0.1 + slope * alpha_true + float(rng.normal(0.0, 0.01)),
+                slope=slope,
+                intercept=-0.1,
+                sigma_l=float(rng.uniform(0.002, 0.05)),
+            )
+        # a negative draw stands for that many random points in [0, 1]
+        alpha_grid = grid if grid > 0 else rng.uniform(0.0, 1.0, -grid)
+        _assert_same_fit(model, constraint, alpha_grid)
+
+    def test_demo_config(self):
+        from spantree.cli import _resolve_input
+        from spantree.io import RunConfig
+
+        demo = Path(__file__).resolve().parents[1] / "configs" / "fit_demo.json"
+        config = RunConfig.load(demo)
+        fit = config.fit
+        bg, sig, obs = (
+            _resolve_input(config.inputs[role], config.seed, i)
+            for i, role in enumerate((fit.background, fit.signal, fit.observed))
+        )
+        model = BinnedModel.from_samples(bg, sig, obs, GridBinning.from_dict(fit.binning))
+        cal = calibrate_mu_vs_alpha(
+            bg, sig, fit.calibration_alphas, fit.calibration_trials, config.seed,
+            fit.calibration_count,
+        )
+        _assert_same_fit(model, None, fit.alpha_grid)
+        _assert_same_fit(model, cal.constraint(observed_mu(obs)), fit.alpha_grid)

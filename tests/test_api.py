@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -120,3 +121,53 @@ def test_stats_loads_no_scipy_optimize(tmp_path):
     loaded = _scipy_loaded_by("stats", events, "-o", tmp_path / "out")
     assert "scipy.spatial" in loaded
     assert not any(m.startswith("scipy.optimize") for m in loaded)
+
+
+def _small_fit_config(path: Path) -> Path:
+    def disc(center, radius, **extra):
+        return {"kind": "disc", "sigma": 0.2, "params": {"center": center, "radius": radius}, **extra}
+
+    cfg = {
+        "seed": 3,
+        "inputs": {
+            "background": {"generator": disc([0.0, 0.0], 20.0, count=400, seed=1)},
+            "signal": {"generator": disc([10.0, 4.0], 8.0, count=400, seed=2)},
+            "observed": {
+                "two_component": {
+                    "count": 300,
+                    "alpha_true": 0.3,
+                    "background": disc([0.0, 0.0], 20.0),
+                    "signal": disc([10.0, 4.0], 8.0),
+                }
+            },
+        },
+        "fit": {
+            "background": "background",
+            "signal": "signal",
+            "observed": "observed",
+            "binning": {
+                "x_feature": "x",
+                "y_feature": "y",
+                "x_edges": [-21.0, 6.0, 12.0, 21.0],
+                "y_edges": [-21.0, 2.0, 21.0],
+            },
+            "calibration_alphas": [0.2, 0.4],
+            "calibration_trials": 2,
+            "calibration_count": 200,
+            "alpha_grid": 51,
+        },
+    }
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_fit_loads_no_scipy_optimize(tmp_path):
+    config = _small_fit_config(tmp_path / "fit.json")
+    loaded = _scipy_loaded_by("fit", config, "--mode", "both", "-o", tmp_path / "both")
+    assert "scipy.spatial" in loaded
+    assert not any(m.startswith("scipy.optimize") for m in loaded)
+
+
+def test_baseline_fit_loads_no_scipy(tmp_path):
+    config = _small_fit_config(tmp_path / "fit.json")
+    assert _scipy_loaded_by("fit", config, "--mode", "baseline", "-o", tmp_path / "base") == set()

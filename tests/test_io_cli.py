@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,21 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="comparisons.*extra|extra.*comparisons"):
             RunConfig.from_dict({"seed": 1, "inputs": {}, "comparisons": [], "extra": 1})
+
+    @pytest.mark.parametrize(
+        "section, match",
+        [
+            ({"histogram_specs": {"volume": {"lo": 0, "hi": 1, "nbins": 2}}}, "unknown histogram"),
+            ({"histogram_specs": {"degree": {"lo": 0, "hi": "x", "nbins": 2}}}, "degree"),
+            ({"region_weights": {}}, "takes a box"),
+            ({"region_weights": {"box": {"x": [0, 1]}, "weight": 0}}, "takes a box"),
+            ({"region_weights": {"box": {"x": [0, 1]}, "apply_to": ["b"]}}, "undeclared inputs"),
+        ],
+        ids=["unknown-histogram", "non-numeric-hi", "no-box", "unknown-region-key", "undeclared-input"],
+    )
+    def test_bad_sections_rejected_on_load(self, section, match):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict({"seed": 1, "inputs": {"a": {"file": "a.csv"}}, **section})
 
     @pytest.mark.parametrize("rescale", ["bogus", "unit-range", "unit-variance"])
     def test_rescale_other_than_none_rejected(self, rescale):
@@ -554,6 +570,19 @@ class TestCliFit:
         bad.write_text("{not json")
         assert run_cli("fit", bad, "-o", tmp_path / "out") == 2
 
+    def test_coincident_observed_events_exit_3(self, small_fit_config, tmp_path, capsys):
+        events = tmp_path / "observed.csv"
+        coords = np.random.default_rng(4).uniform(-15.0, 15.0, (300, 2))
+        write_events(PointSet(np.vstack([coords, coords[:3]]), feature_names=("x", "y")), events)
+        cfg = json.loads(small_fit_config.read_text())
+        cfg["inputs"]["observed"] = {"file": str(events)}
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("fit", path, "-o", out) == 3
+        assert "coincident points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shipped_demo_config(self, tmp_path):
         demo = Path(__file__).resolve().parents[1] / "configs" / "fit_demo.json"
         outdir = tmp_path / "demo"
@@ -561,6 +590,107 @@ class TestCliFit:
         result = json.loads((outdir / "fit_result.json").read_text())
         assert result["augmented"]["sigma_alpha"] <= result["baseline"]["sigma_alpha"]
         assert abs(result["calibration"]["slope"]) > 5 * result["calibration"]["slope_stderr"]
+
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "fit_demo.json"
+_DEMO_EDGES = {"x_edges": [-21.0, 6.0, 12.0, 21.0], "y_edges": [-21.0, 2.0, 21.0]}
+
+# one field of the demo config's fit section changed, and the error it must give
+FIT_CONFIG_ERRORS = {
+    "count-above-components": ({"calibration_count": 20000}, "exceeds a component"),
+    "count-zero": ({"calibration_count": 0}, "calibration count"),
+    "count-string": ({"calibration_count": "abc"}, "calibration count"),
+    "alphas-repeated": ({"calibration_alphas": [0.2, 0.2]}, "two distinct"),
+    "alphas-outside": ({"calibration_alphas": [0.2, 1.5]}, r"\[0, 1\]"),
+    "alphas-string": ({"calibration_alphas": "ab"}, "must be numbers"),
+    "one-trial": ({"calibration_trials": 1}, "two trials"),
+    "grid-two": ({"alpha_grid": 2}, "three samples"),
+    "one-bin": (
+        {"binning": {"x_feature": "x", "y_feature": "y", "x_edges": [-21.0, 21.0],
+                     "y_edges": [-21.0, 21.0]}},
+        "at least two bins",
+    ),
+    "no-x-edges": (
+        {"binning": {"x_feature": "x", "y_feature": "y", "y_edges": [-21.0, 2.0, 21.0]}},
+        "x_edges",
+    ),
+    "unknown-x-feature": (
+        {"binning": {"x_feature": "energy", "y_feature": "y", **_DEMO_EDGES}},
+        "unknown feature 'energy'",
+    ),
+    "edges-outside-events": (
+        {"binning": {"x_feature": "x", "y_feature": "y", "x_edges": [100.0, 101.0, 102.0],
+                     "y_edges": [100.0, 101.0]}},
+        "positive total weight",
+    ),
+}
+
+
+def _assert_config_error(code: int, capsys, out: Path, match: str) -> None:
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert re.search(match, err), err
+    assert not out.exists()
+
+
+class TestCliConfigErrors:
+    """Bad settings exit 2 with a one-line error and write nothing."""
+
+    @pytest.mark.parametrize("case", sorted(FIT_CONFIG_ERRORS))
+    def test_fit_section(self, case, tmp_path, capsys):
+        change, match = FIT_CONFIG_ERRORS[case]
+        cfg = json.loads(DEMO_CONFIG.read_text())
+        cfg["fit"].update(change)
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        _assert_config_error(run_cli("fit", path, "-o", out), capsys, out, match)
+
+    @pytest.fixture
+    def events(self, tmp_path):
+        path = tmp_path / "events.csv"
+        write_events(PointSet(np.random.default_rng(2).random((30, 2)), feature_names=("x", "y")), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "section, match",
+        [
+            ({"histogram_specs": {"degree": {"lo": 5, "hi": 5, "nbins": 5}}}, "lo < hi"),
+            ({"histogram_specs": {"degree": {"hi": 5, "nbins": 5}}}, "lacks \\['lo'\\]"),
+            ({"histogram_specs": {"degree": {"lo": 0, "hi": 5, "nbins": 0}}}, "nbins"),
+            ({"region_weights": {"box": {"x": [0, 1]}, "inside_weight": -1}}, "non-negative"),
+            ({"region_weights": {"box": {"energy": [0, 1]}}}, "unknown feature 'energy'"),
+        ],
+        ids=["hist-empty-range", "hist-no-lo", "hist-no-bins", "negative-weight", "unknown-box-feature"],
+    )
+    def test_stats_config(self, section, match, events, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": 1, "inputs": {"a": {"file": str(events)}}, **section}))
+        out = tmp_path / "out"
+        code = run_cli("stats", events, "--config", config, "-o", out)
+        _assert_config_error(code, capsys, out, match)
+
+    def test_compare_k_zero(self, events, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli("compare", events, events, "--k", 0, "-o", out)
+        _assert_config_error(code, capsys, out, "--k must be at least 1")
+
+    def test_unit_variance_of_one_event(self, tmp_path, capsys):
+        events = tmp_path / "one.csv"
+        events.write_text("x,y\n1.0,2.0\n")
+        out = tmp_path / "tree.csv"
+        code = run_cli("build", events, "--rescale", "unit-variance", "-o", out)
+        _assert_config_error(code, capsys, out, "at least two points")
+
+    def test_plot_tree_vertex_outside_events(self, tmp_path, capsys):
+        events = tmp_path / "three.csv"
+        events.write_text("x,y\n1.0,2.0\n3.0,4.0\n5.0,7.0\n")
+        tree = tmp_path / "tree.csv"
+        tree.write_text("u,v,length,weight\n0,999,1.0,1.0\n")
+        out = tmp_path / "tree.svg"
+        code = run_cli("plot", "tree", "--events", events, "--tree", tree, "-o", out)
+        _assert_config_error(code, capsys, out, "vertex outside the 3 events")
 
 
 class TestCliPlot:
