@@ -13,20 +13,17 @@ collapsed onto their lowest index, and each duplicate gets a zero-length
 edge to that representative. Over the distinct points:
 
 * d = 1: consecutive points in sorted order;
-* d = 2, 3: the edges of the Delaunay triangulation (Qhull). Every tree
-  edge uv is a strict Gabriel edge, because a third point w in its closed
-  diametral ball would have max(|uw|, |vw|) < |uv|, making uv the strict
-  maximum on the cycle u-v-w. Strict Gabriel edges lie in every Delaunay
-  triangulation (Shamos & Hoey 1975);
-* d >= 4, or when Qhull cannot serve (too few, collinear or coplanar
-  points, a closest pair too near for its floating-point predicates, or
-  points it drops as near-coincident): the tree's own edges, found by
-  Borůvka rounds over a kd-tree, in the spirit of dual-tree Borůvka (March,
-  Ram & Gray 2010) and the kNN-filtered EMST (Wang, Yu, Gu & Shun 2021).
-  Each round finds every component's lightest outgoing (length, u, v) edge
-  exactly: each point asks for its k nearest points, k doubling from 8 to
-  64, until no point it has not seen could be lighter, and the few points
-  still unsettled query a kd-tree of the points outside their component.
+* d >= 2: the tree's own edges, found by Borůvka rounds over a kd-tree, in
+  the spirit of dual-tree Borůvka (March, Ram & Gray 2010) and the
+  kNN-filtered EMST (Wang, Yu, Gu & Shun 2021). Each point's 16 nearest
+  points are queried once per build. Each round reads every point's
+  lightest outgoing (length, u, v) edge from its row: the first entry in
+  another component and any entry whose kd distance is within a factor
+  1 + 1e-9 of it, their lengths computed exactly. A row settles when its component's
+  lightest edge so far is lighter than its 16th distance times (1 - 1e-9),
+  since no point beyond the row could then give a lighter or equal edge.
+  The rest ask for their 32, then 64 nearest points, and the few still
+  unsettled query a kd-tree of the points outside their component.
 
 Memory is O(m) on every path.
 
@@ -46,14 +43,6 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import PointSet
-
-# Qhull decides the empty-sphere test in floating point, to within a few tens
-# of eps * R^2 in squared distance, R the extent of the points; near-duplicate
-# inputs showed missed tree edges up to closest-pair / R = 1.1e-7. A tree edge
-# clears every other point by at least delta^2 / 2, delta the closest pair, so
-# the triangulation is used only while delta / R stays above this bound.
-_MIN_SEPARATION = 1e-6
-
 
 class Tree:
     """A minimal spanning tree: m - 1 edges over a source point set.
@@ -138,34 +127,6 @@ def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, rep
 
 
-def _delaunay_candidates(coords: np.ndarray, first: np.ndarray):
-    """Delaunay edges between the distinct rows ``first``, or None.
-
-    None means Qhull cannot serve: too few, collinear or coplanar points, a
-    closest pair too near for its predicates, or points it drops.
-    """
-    # imported here, not at module level: scipy.spatial takes about half a
-    # second to load, and commands that build no tree should not pay it
-    from scipy.spatial import Delaunay, QhullError, cKDTree
-
-    unique = coords[first]
-    # the translation keeps Qhull's precision tied to the extent, not the offset
-    pts = unique - unique.min(axis=0)
-    closest = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
-    if closest < _MIN_SEPARATION * pts.max():
-        return None
-    try:
-        tri = Delaunay(pts)
-    except QhullError:
-        return None
-    if tri.coplanar.size:
-        return None
-    indptr, neighbours = tri.vertex_neighbor_vertices
-    owner = np.repeat(np.arange(len(pts)), np.diff(indptr))
-    keep = owner < neighbours
-    return first[owner[keep]], first[neighbours[keep]]
-
-
 def _lengths(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Euclidean lengths of the pairs (us, vs).
 
@@ -205,19 +166,32 @@ def _lightest(edges: tuple) -> tuple:
     return tuple(col[keep] for col in edges)
 
 
-def _offer(pts, first, comp, best, todo, tree, k, index):
-    """Fold the edges from ``todo`` to its k nearest points in ``tree`` into ``best``.
+def _query(tree, pts: np.ndarray, k: int, index: np.ndarray) -> tuple:
+    """Each row's k nearest points in ``tree``, as rows of ``pts``.
 
-    ``index`` maps the tree's points to rows of ``pts``. Returns the lightest
-    edge found so far out of each component, and the points of ``todo`` whose
-    unseen neighbours could still beat their component's edge.
+    ``index`` maps the tree's points to rows of ``pts``. Returns the kd
+    distances and point ids, nearest first, and whether k covers the tree.
     """
     k = min(k, tree.n)
-    dist, nbr = tree.query(pts[todo], k)
-    a = np.repeat(todo, k)
-    b = index[nbr.ravel()]
-    out = comp[a] != comp[b]
-    a, b = a[out], b[out]
+    dist, nbr = tree.query(pts, k)
+    return dist.reshape(-1, k), index[nbr].reshape(-1, k), k == tree.n
+
+
+def _offer(pts, first, comp, best, todo, nearest):
+    """Fold the lightest edges from ``todo`` to its ``nearest`` points into ``best``.
+
+    A point's lightest edge out of its component is its first neighbour in
+    another component, or one whose kd distance exceeds that neighbour's by
+    a factor of at most 1 + 1e-9, since kd distances are within a few ulps
+    of the exact lengths. Returns the
+    lightest edge found so far out of each component, and the points of
+    ``todo`` whose unseen neighbours could still beat their component's edge.
+    """
+    dist, nbr, complete = nearest
+    out = comp[nbr] != comp[todo][:, None]
+    near = dist[np.arange(todo.size), out.argmax(axis=1)]
+    row, col = np.nonzero(out & (dist <= near[:, None] * (1 + 1e-9)))
+    a, b = todo[row], nbr[row, col]
     fa, fb = first[a], first[b]
     new = (comp[a], _lengths(pts, a, b), np.minimum(fa, fb), np.maximum(fa, fb), b)
     best = _lightest(tuple(np.concatenate(cols) for cols in zip(best, new)))
@@ -225,43 +199,48 @@ def _offer(pts, first, comp, best, todo, tree, k, index):
     bound[best[0]] = best[1]
     # an unseen neighbour lies at least the last kd distance away, and that
     # distance is within a few ulps of the exact length
-    last = dist.reshape(todo.size, k)[:, -1]
-    settled = (last * (1 - 1e-9) > bound[comp[todo]]) | (k == tree.n)
+    settled = (dist[:, -1] * (1 - 1e-9) > bound[comp[todo]]) | complete
     return best, todo[~settled]
 
 
 def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonical tree's edges (u < v) between the distinct rows ``first``.
 
-    Borůvka rounds over one kd-tree of the rows. Each round, every point asks
-    for its k nearest points, k doubling from 8 to 64, until the lightest
-    (length, u, v) edge out of its component can no longer come from a point
-    it has not seen; the few points still unsettled then query a kd-tree of
+    Borůvka rounds over one kd-tree of the rows, whose 16 nearest points per
+    row are queried once. Each round reads every point's lightest (length,
+    u, v) edge out of its component from that table; a point whose 16th
+    distance does not clear its component's lightest edge asks for its 32,
+    then 64 nearest points, and the few still unsettled query a kd-tree of
     the points outside their component. Each component joins the one its
     lightest edge reaches, so the m - 1 edges found are the tree itself.
     """
+    # imported here, not at module level: scipy.spatial takes about half a
+    # second to load, and commands that build no tree should not pay it
     from scipy.spatial import cKDTree
 
     pts = coords[first]
     n = len(pts)
     everyone = np.arange(n)
     tree = cKDTree(pts)
+    table = _query(tree, pts, 16, everyone)
     comp = everyone
     us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # one distinct row: no rounds
     found = 0
     while found < n - 1:
         none = np.empty(0, np.int64)
         best = (none, np.empty(0), none, none, none)
-        todo = everyone
-        for k in (8, 16, 32, 64):
+        best, todo = _offer(pts, first, comp, best, everyone, table)
+        for k in (32, 64):
             if todo.size:
-                best, todo = _offer(pts, first, comp, best, todo, tree, k, everyone)
+                nearest = _query(tree, pts[todo], k, everyone)
+                best, todo = _offer(pts, first, comp, best, todo, nearest)
         for c in np.unique(comp[todo]):
             outside = np.flatnonzero(comp != c)
             local = cKDTree(pts[outside])
             pending, k = todo[comp[todo] == c], 8
             while pending.size:
-                best, pending = _offer(pts, first, comp, best, pending, local, k, outside)
+                nearest = _query(local, pts[pending], k, outside)
+                best, pending = _offer(pts, first, comp, best, pending, nearest)
                 k *= 2
         roots, _, u, v, b = best
         other = comp[b]
@@ -280,11 +259,7 @@ def _candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, d = coords.shape
     first, rep = _distinct_rows(coords)
     dup = np.flatnonzero(rep != np.arange(m))
-    if d == 1:
-        a, b = first[:-1], first[1:]
-    else:
-        found = _delaunay_candidates(coords, first) if d <= 3 else None
-        a, b = _kd_candidates(coords, first) if found is None else found
+    a, b = (first[:-1], first[1:]) if d == 1 else _kd_candidates(coords, first)
     us = np.concatenate([rep[dup], np.minimum(a, b)])
     vs = np.concatenate([dup, np.maximum(a, b)])
     return us, vs
@@ -325,7 +300,9 @@ def build_mst_kruskal(ps: PointSet) -> Tree:
     The tree is the canonical Kruskal tree: edges appear sorted by length
     ascending, ties broken by the canonical (u, v) pair. Each edge carries
     weight(u) * weight(v). A single point yields a tree with zero edges.
-    Memory is O(m) at every dimension.
+    Points on a line (d = 1) join their sorted neighbours; at d >= 2 the
+    edges come from Borůvka rounds over one kd-tree. Memory is O(m) at
+    every dimension.
     """
     coords = ps.coords
     us, vs = _candidates(coords)

@@ -240,7 +240,7 @@ class TestCalibrationPool:
 
     @pytest.mark.parametrize("d, count", [(2, 600), (4, 250)])
     def test_matches_serial_oracle(self, monkeypatch, two_workers, d, count):
-        # d = 2 builds on Delaunay edges, d = 4 by kd-tree Borůvka
+        # trees at d = 2 and d = 4: both dimensions take the kd-tree path
         bg, sig = _components(d, 2 * count, seed=70 + d)
         alphas = [0.0, 0.3, 0.6, 1.0]
         pooled = calibrate_mu_vs_alpha(bg, sig, alphas, trials=3, seed=9, count=count)

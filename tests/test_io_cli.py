@@ -234,6 +234,29 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=match):
             RunConfig.from_dict({"seed": 1, "inputs": {"a": {"file": "a.csv"}}, **section})
 
+    @staticmethod
+    def _demo_with(field, value):
+        cfg = json.loads(DEMO_CONFIG.read_text())
+        if field == "seed":
+            cfg["seed"] = value
+        elif field == "nbins":
+            cfg["histogram_specs"] = {"degree": {"lo": 0, "hi": 5, "nbins": value}}
+        else:
+            cfg["fit"][field] = value
+        return cfg
+
+    @pytest.mark.parametrize("value", [2.9, True], ids=["fraction", "boolean"])
+    @pytest.mark.parametrize("field", ["calibration_trials", "alpha_grid", "seed", "nbins"])
+    def test_integers_are_not_truncated(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            RunConfig.from_dict(self._demo_with(field, value))
+
+    @pytest.mark.parametrize("field", ["calibration_trials", "alpha_grid", "seed"])
+    def test_integral_numbers_load_as_integers(self, field):
+        cfg = RunConfig.from_dict(self._demo_with(field, 7.0))
+        value = cfg.seed if field == "seed" else getattr(cfg.fit, field)
+        assert value == 7 and type(value) is int
+
     @pytest.mark.parametrize("rescale", ["bogus", "unit-range", "unit-variance"])
     def test_rescale_other_than_none_rejected(self, rescale):
         with pytest.raises(ConfigError, match="rescale"):
@@ -604,6 +627,7 @@ FIT_CONFIG_ERRORS = {
     "alphas-outside": ({"calibration_alphas": [0.2, 1.5]}, r"\[0, 1\]"),
     "alphas-string": ({"calibration_alphas": "ab"}, "must be numbers"),
     "one-trial": ({"calibration_trials": 1}, "two trials"),
+    "fractional-trials": ({"calibration_trials": 2.9}, "calibration_trials must be an integer"),
     "grid-two": ({"alpha_grid": 2}, "three samples"),
     "one-bin": (
         {"binning": {"x_feature": "x", "y_feature": "y", "x_edges": [-21.0, 21.0],

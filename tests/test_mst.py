@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -188,6 +189,29 @@ def _integer_cloud(dim: int, m: int, jitter: float, seed: int) -> np.ndarray:
     return rng.integers(0, 4, (m, dim)).astype(float) + rng.normal(0.0, jitter, (m, dim))
 
 
+def _swapped_pairs(dim: int, count: int, seed: int) -> np.ndarray:
+    """Triples c, c + v, c + w, w being v with two nearly equal coordinates
+    swapped. The two lengths from c agree to within an ulp, and at d >= 8 the
+    kd-tree's distances can order them unlike the exact lengths do."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(count, dim))
+    v[:, 1] = v[:, 0] * (1 + 1e-7)
+    w = v[:, [1, 0, *range(2, dim)]]
+    c = rng.random((count, dim)) * 1000.0
+    return np.stack([c, c + v, c + w], axis=1).reshape(-1, dim)
+
+
+def _tied_rings_4d(copies: int, seed: int) -> np.ndarray:
+    """Copies of the 24 points at distance sqrt(2) around a centre listed
+    after them: the centre's 16 nearest points hold only 15 of its equally
+    near neighbours, so its lightest (length, u, v) edge may be unseen."""
+    ring = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=4)
+                     if np.count_nonzero(v) == 2])
+    rng = np.random.default_rng(seed)
+    blocks = [np.vstack([ring[rng.permutation(24)], np.zeros((1, 4))]) for _ in range(copies)]
+    return np.vstack([block + 10.0 * i for i, block in enumerate(blocks)])
+
+
 _rng = np.random.default_rng(43)
 _t = _rng.random(200)
 _uv = _rng.random((200, 2))
@@ -212,9 +236,9 @@ _GATE_CASES = {
     "cocircular-2d": np.column_stack(
         [np.cos(np.arange(48) * np.pi / 24), np.sin(np.arange(48) * np.pi / 24)]
     ),
-    # closer than the triangulation can resolve: the kd-tree path
+    # pairs 1e-9 apart next to the points they copy
     "near-duplicates-2d": np.vstack([_base2, _base2[:40] + _rng.normal(0.0, 1e-9, (40, 2))]),
-    # integer points 1e-9 apart: Qhull's own triangulation misses a tree edge here
+    # integer points jittered by 1e-9: near-ties only the exact lengths order
     "near-duplicates-3d": _integer_cloud(3, 120, 1e-9, seed=1),
 }
 _GATE_CASES.update(
@@ -236,6 +260,22 @@ _GATE_CASES.update(
 # each cluster holds more than the 64 nearest points a kd query asks for, so
 # the bridge is found by the query against the points outside each cluster
 _GATE_CASES["far-clusters-4d"] = np.vstack([_rng.random((150, 4)), _rng.random((150, 4)) + 50.0])
+# a thin strip: in late rounds the 16 nearest points of about half the
+# points lie inside their own chain, so those points ask for 32 or 64
+_GATE_CASES["thin-strip-2d"] = np.column_stack([_rng.random(1000), _rng.random(1000) * 1e-3])
+# a dozen far-apart clusters of 80 points: each is bridged by the query
+# against the points outside it
+_GATE_CASES.update(
+    {
+        f"many-far-clusters-{d}d": (
+            _rng.random((12, 1, d)) * 1000.0 + _rng.random((12, 80, d))
+        ).reshape(-1, d)
+        for d in (2, 4)
+    }
+)
+_GATE_CASES["gaussian-3d"] = _rng.normal(size=(1500, 3))
+_GATE_CASES["swapped-coordinates-8d"] = _swapped_pairs(8, 100, seed=8)
+_GATE_CASES["tied-rings-4d"] = _tied_rings_4d(4, seed=4)
 
 
 class TestExactnessGate:
@@ -296,6 +336,39 @@ class TestExactnessGate:
             assert relabelled == tree.edge_set()
 
 
+class TestOneTreePath:
+    """Every d >= 2 input builds by kd-tree Borůvka over one table of nearest points."""
+
+    def test_no_triangulation(self, monkeypatch):
+        import scipy.spatial
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree build triangulated its points")
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", refuse)
+        rng = np.random.default_rng(71)
+        for dim in (2, 3):
+            _assert_canonical(PointSet(rng.normal(size=(500, dim))))
+        for name in ("disc", "disc3d-exp"):
+            assert build_mst_kruskal(generate(preset_spec(name, 1))).edge_count > 0
+
+    def test_one_query_over_all_points(self, monkeypatch):
+        import scipy.spatial
+
+        rows = []
+
+        class CountingKDTree(scipy.spatial.cKDTree):
+            def query(self, x, *args, **kwargs):
+                rows.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
+        tree = build_mst_kruskal(PointSet(np.random.default_rng(73).normal(size=(4000, 4))))
+        assert tree.edge_count == 3999
+        # every round reads the one table; wider queries serve unsettled points only
+        assert rows.count(4000) == 1
+
+
 class TestBoruvkaMerge:
     """The array merge accepts exactly the candidates a union-find Kruskal scan does."""
 
@@ -346,7 +419,14 @@ from spantree import PointSet, build_mst_kruskal
 
 tree = build_mst_kruskal(PointSet(np.random.default_rng(67).normal(size=(30_000, 4))))
 assert tree.edge_count == 29_999
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+try:
+    # on Linux ru_maxrss keeps the peak of the address space this process
+    # was exec'd from, which under vfork is the test runner's; VmHWM (KiB)
+    # is the peak of this process's own
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
