@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateStatistic, FitError
 from .geometry import PointSet
-from .mst import build_mst_kruskal
+from .mst import _kd_tree_class, build_mst_kruskal
 from .stats import mean_log_norm_length
 
 _FLAT_TOL = 1e-12
@@ -316,8 +316,8 @@ def _trial_values(inputs: tuple, n_trials: int) -> Iterator[float]:
     ):
         from concurrent.futures import ProcessPoolExecutor
 
-        # loaded once here, so the forked workers do not each import it again
-        import scipy.spatial  # noqa: F401
+        # loaded once here, so the forked workers do not each load it again
+        _kd_tree_class()
 
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(

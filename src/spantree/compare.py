@@ -12,7 +12,8 @@ deterministic stand-in for a local density probe. The k-edge pool defaults
 to the reference tree (separation judged against the reference's local
 density) and can be switched to the subject tree.
 
-Both searches run on a kd-tree (``scipy.spatial.cKDTree``) at every input
+Both searches run on a kd-tree (scipy's compiled ``cKDTree``, loaded by
+``mst._kd_tree_class`` without the rest of ``scipy.spatial``) at every input
 size. Among edges at equal distance the lowest edge index wins, so the
 result does not depend on how the kd-tree orders ties. The test suite
 checks both statistics bit for bit against an exhaustive all-pairs scan.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStatistic, DimensionMismatch
-from .mst import Tree
+from .mst import Tree, _kd_tree_class
 
 EDGE_POOLS = ("reference", "subject")
 
@@ -77,9 +78,7 @@ def _check_dimensions(subject: Tree, reference: Tree) -> None:
 
 def _nearest_point_distances(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Distance from each query point to its nearest target point."""
-    from scipy.spatial import cKDTree
-
-    return cKDTree(targets).query(queries, k=1)[0]
+    return _kd_tree_class()(targets).query(queries, k=1)[0]
 
 
 def _nearest_edge_mean_lengths(
@@ -93,11 +92,9 @@ def _nearest_edge_mean_lengths(
     edge tied with the k-th is then among those returned) or once every edge
     was returned. Unsettled rows ask again for twice as many.
     """
-    from scipy.spatial import cKDTree
-
     n_edges = midpoints.shape[0]
     k_eff = min(k, n_edges)
-    index = cKDTree(midpoints)
+    index = _kd_tree_class()(midpoints)
     out = np.empty(queries.shape[0])
     rows = np.arange(queries.shape[0])
     n = k_eff + 4

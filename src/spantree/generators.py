@@ -37,6 +37,14 @@ BACKGROUND_LABEL = "background"
 SIGNAL_LABEL = "signal"
 
 
+def config_int(name: str, value: Any) -> int:
+    """``value`` as an int; booleans and numbers with a fraction are refused
+    with ``ValueError``, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     """The package-wide PRNG: PCG64 seeded through a SeedSequence."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -80,8 +88,8 @@ class GeneratorSpec:
     def from_dict(cls, d: Mapping[str, Any]) -> "GeneratorSpec":
         return cls(
             kind=d["kind"],
-            count=int(d["count"]),
-            seed=int(d["seed"]),
+            count=config_int("count", d["count"]),
+            seed=config_int("seed", d["seed"]),
             sigma=float(d.get("sigma", 0.0)),
             params=dict(d.get("params", {})),
         )

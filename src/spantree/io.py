@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .analysis import GridBinning, RegionWeight, check_calibration, resolve_alpha_grid
 from .errors import ConfigError, EventFileError
-from .generators import GeneratorSpec
+from .generators import GeneratorSpec, config_int
 from .geometry import PointSet
 from .mst import Tree
 from .stats import Histogram
@@ -413,14 +413,6 @@ HISTOGRAM_NAMES = ALL_STATISTICS + ("connection_length", "connection_ratio")
 _REGION_KEYS = ("box", "inside_weight", "outside_weight", "apply_to")
 
 
-def _config_int(name: str, value: Any) -> int:
-    """``value`` as an int; booleans and numbers with a fraction are refused,
-    not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_histogram_spec(name: str, spec: Any) -> None:
     if name not in HISTOGRAM_NAMES:
         raise ConfigError(f"histogram_specs: unknown histogram {name!r}; known: {HISTOGRAM_NAMES}")
@@ -429,7 +421,7 @@ def _check_histogram_spec(name: str, spec: Any) -> None:
         if missing:
             raise ConfigError(f"histogram_specs[{name!r}] lacks {missing}")
         lo, hi = float(spec["lo"]), float(spec["hi"])
-        nbins = _config_int(f"histogram_specs[{name!r}] nbins", spec["nbins"])
+        nbins = config_int(f"histogram_specs[{name!r}] nbins", spec["nbins"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"histogram_specs[{name!r}]: {exc}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -560,6 +552,9 @@ class RunConfig:
                 two = entry.get("two_component")
                 if gen is not None or two is not None:
                     uses_generator = True
+                for key in ("count", "seed"):
+                    if two is not None and key in two:
+                        config_int(f"input {name!r} two_component {key}", two[key])
                 filters = tuple(
                     ColumnFilter(f["feature"], f.get("lo"), f.get("hi"))
                     for f in entry.get("filters", ())
@@ -582,15 +577,15 @@ class RunConfig:
                     observed=f["observed"],
                     binning=f["binning"],
                     calibration_alphas=tuple(f.get("calibration_alphas", (0.0, 0.25, 0.5, 0.75, 1.0))),
-                    calibration_trials=_config_int(
+                    calibration_trials=config_int(
                         "calibration_trials", f.get("calibration_trials", 4)
                     ),
                     calibration_count=f.get("calibration_count"),
-                    alpha_grid=_config_int("alpha_grid", f.get("alpha_grid", 201)),
+                    alpha_grid=config_int("alpha_grid", f.get("alpha_grid", 201)),
                     mode=f.get("mode", "both"),
                 )
             return cls(
-                seed=_config_int("seed", seed) if seed is not None else 0,
+                seed=config_int("seed", seed) if seed is not None else 0,
                 inputs=inputs,
                 output_dir=d.get("output_dir"),
                 rescale=d.get("rescale", "none"),

@@ -1,14 +1,12 @@
 """Euclidean minimal spanning tree construction.
 
-The tree is the canonical Kruskal tree of a sparse candidate graph that
-provably contains it. The candidates are ranked by (length, u, v), each
-rank serving as a distinct weight, and a Borůvka merge over the ranks finds
-the tree in a few array passes: each round every component takes its
-lowest-ranked outgoing candidate (Borůvka 1926). Distinct weights make the
-minimal spanning forest unique, so it is exactly the forest a Kruskal scan
-of the candidates in rank order accepts, edge order included.
+The tree is the canonical Kruskal tree: edges ranked by (length, u, v),
+each rank serving as a distinct weight. Distinct weights make the minimal
+spanning tree unique, so it is exactly the tree a Kruskal scan of all
+pairs in rank order accepts. The builder finds its m - 1 edges directly
+and returns them in rank order, which is the order Kruskal accepts them.
 
-Candidate edges come from the distinct points. Duplicated rows are first
+The edges come from the distinct points. Duplicated rows are first
 collapsed onto their lowest index, and each duplicate gets a zero-length
 edge to that representative. Over the distinct points:
 
@@ -27,7 +25,7 @@ edge to that representative. Over the distinct points:
 
 Memory is O(m) on every path.
 
-Equal-length candidate edges are ordered by their canonical (u, v) index
+Equal-length edges are ordered by their canonical (u, v) index
 pair, so the produced tree is deterministic even on degenerate inputs such
 as unperturbed lattices where the minimal spanning tree is not unique. That
 order makes the collapse exact: the zero-length duplicate edges come first
@@ -39,6 +37,12 @@ of all pairs would, bit for bit.
 """
 
 from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -166,6 +170,41 @@ def _lightest(edges: tuple) -> tuple:
     return tuple(col[keep] for col in edges)
 
 
+_KD_MODULE = "scipy.spatial._ckdtree"
+_KD_LOCK = threading.Lock()
+
+
+def _kd_tree_class() -> type:
+    """scipy's compiled ``cKDTree`` class, loaded without the rest of scipy.spatial.
+
+    ``import scipy.spatial`` also loads Qhull, scipy.linalg and scipy.special,
+    about 0.45 s on top of numpy; the extension alone takes about 0.2 s. It
+    is registered under its own name before it runs, so a later ``import
+    scipy.spatial`` reuses it and ``scipy.spatial.cKDTree`` is this class
+    (the package then lacks the attribute ``_ckdtree``; ``sys.modules`` has
+    it). A scipy that keeps the extension elsewhere gets the public import.
+    """
+    with _KD_LOCK:
+        module = sys.modules.get(_KD_MODULE)
+        if module is None:
+            import scipy
+
+            spatial = [os.path.join(path, "spatial") for path in scipy.__path__]
+            spec = importlib.machinery.PathFinder.find_spec(_KD_MODULE, spatial)
+            if spec is None:
+                from scipy.spatial import cKDTree
+
+                return cKDTree
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_KD_MODULE] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[_KD_MODULE]
+                raise
+    return module.cKDTree
+
+
 def _query(tree, pts: np.ndarray, k: int, index: np.ndarray) -> tuple:
     """Each row's k nearest points in ``tree``, as rows of ``pts``.
 
@@ -214,10 +253,7 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
     the points outside their component. Each component joins the one its
     lightest edge reaches, so the m - 1 edges found are the tree itself.
     """
-    # imported here, not at module level: scipy.spatial takes about half a
-    # second to load, and commands that build no tree should not pay it
-    from scipy.spatial import cKDTree
-
+    cKDTree = _kd_tree_class()
     pts = coords[first]
     n = len(pts)
     everyone = np.arange(n)
@@ -255,7 +291,7 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate edges (u < v) that contain the canonical tree."""
+    """The canonical tree's m - 1 edges (u < v), in no particular order."""
     m, d = coords.shape
     first, rep = _distinct_rows(coords)
     dup = np.flatnonzero(rep != np.arange(m))
@@ -263,35 +299,6 @@ def _candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     us = np.concatenate([rep[dup], np.minimum(a, b)])
     vs = np.concatenate([dup, np.maximum(a, b)])
     return us, vs
-
-
-def _boruvka(m: int, cand_u: np.ndarray, cand_v: np.ndarray) -> np.ndarray:
-    """Positions of the minimum spanning forest's edges among ranked candidates.
-
-    Candidate i weighs i, so every weight is distinct and the forest is the
-    one a Kruskal scan of the candidates in order accepts. Each round, every
-    component picks its lowest-ranked candidate to another component and
-    joins the component it picked. The positions come back in ascending
-    order, which is Kruskal's.
-    """
-    n = cand_u.size
-    comp = np.arange(m)
-    live = np.arange(n)
-    chosen = np.zeros(n, dtype=bool)
-    while True:
-        cu, cv = comp[cand_u[live]], comp[cand_v[live]]
-        outgoing = cu != cv
-        if not outgoing.any():
-            return np.flatnonzero(chosen)
-        live, cu, cv = live[outgoing], cu[outgoing], cv[outgoing]
-        best = np.full(m, n)
-        np.minimum.at(best, cu, live)
-        np.minimum.at(best, cv, live)
-        roots = np.flatnonzero(best < n)
-        pick = best[roots]
-        chosen[pick] = True
-        other = comp[cand_u[pick]] + comp[cand_v[pick]] - roots
-        comp = _hook(comp, roots, other, best[other] == pick)
 
 
 def build_mst_kruskal(ps: PointSet) -> Tree:
@@ -308,10 +315,8 @@ def build_mst_kruskal(ps: PointSet) -> Tree:
     us, vs = _candidates(coords)
     lengths = _lengths(coords, us, vs)
     order = np.lexsort((vs, us, lengths))
-    us, vs, lengths = us[order], vs[order], lengths[order]
-    picks = _boruvka(len(coords), us, vs)
-    us, vs = us[picks], vs[picks]
-    return Tree(ps, us, vs, lengths[picks], ps.weights[us] * ps.weights[vs])
+    us, vs = us[order], vs[order]
+    return Tree(ps, us, vs, lengths[order], ps.weights[us] * ps.weights[vs])
 
 
 def tree_total_length(t: Tree) -> float:

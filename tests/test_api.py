@@ -115,12 +115,25 @@ def test_gen_and_plot_hist_load_no_scipy(tmp_path):
     assert _scipy_loaded_by("plot", "hist", hist, "-o", tmp_path / "hist.svg") == set()
 
 
+def _assert_loads_only_kd_tree(loaded: set[str]) -> None:
+    # the compiled kd-tree alone, not the scipy.spatial package around it
+    assert "scipy.spatial._ckdtree" in loaded
+    assert "scipy.spatial" not in loaded
+    assert not any(m.startswith("scipy.optimize") for m in loaded)
+
+
 def test_stats_loads_no_scipy_optimize(tmp_path):
     events = tmp_path / "events.csv"
     write_events(PointSet(np.random.default_rng(5).random((40, 2))), events)
-    loaded = _scipy_loaded_by("stats", events, "-o", tmp_path / "out")
-    assert "scipy.spatial" in loaded
-    assert not any(m.startswith("scipy.optimize") for m in loaded)
+    _assert_loads_only_kd_tree(_scipy_loaded_by("stats", events, "-o", tmp_path / "out"))
+
+
+def test_compare_loads_only_the_kd_tree(tmp_path):
+    rng = np.random.default_rng(6)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_events(PointSet(rng.random((40, 2))), a)
+    write_events(PointSet(rng.random((30, 2))), b)
+    _assert_loads_only_kd_tree(_scipy_loaded_by("compare", a, b, "--both", "-o", tmp_path / "cmp"))
 
 
 def _small_fit_config(path: Path) -> Path:
@@ -164,8 +177,7 @@ def _small_fit_config(path: Path) -> Path:
 def test_fit_loads_no_scipy_optimize(tmp_path):
     config = _small_fit_config(tmp_path / "fit.json")
     loaded = _scipy_loaded_by("fit", config, "--mode", "both", "-o", tmp_path / "both")
-    assert "scipy.spatial" in loaded
-    assert not any(m.startswith("scipy.optimize") for m in loaded)
+    _assert_loads_only_kd_tree(loaded)
 
 
 def test_baseline_fit_loads_no_scipy(tmp_path):

@@ -241,14 +241,25 @@ class TestRunConfig:
             cfg["seed"] = value
         elif field == "nbins":
             cfg["histogram_specs"] = {"degree": {"lo": 0, "hi": 5, "nbins": value}}
+        elif " " in field:
+            # "generator count" sets the background generator's count, and
+            # "two_component seed" the observed mixture's seed
+            section, key = field.split()
+            role = "background" if section == "generator" else "observed"
+            cfg["inputs"][role][section][key] = value
         else:
             cfg["fit"][field] = value
         return cfg
 
     @pytest.mark.parametrize("value", [2.9, True], ids=["fraction", "boolean"])
-    @pytest.mark.parametrize("field", ["calibration_trials", "alpha_grid", "seed", "nbins"])
+    @pytest.mark.parametrize(
+        "field",
+        ["calibration_trials", "alpha_grid", "seed", "nbins", "generator count",
+         "generator seed", "two_component count", "two_component seed"],
+    )
     def test_integers_are_not_truncated(self, field, value):
-        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+        key = field.split()[-1]
+        with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value!r}"):
             RunConfig.from_dict(self._demo_with(field, value))
 
     @pytest.mark.parametrize("field", ["calibration_trials", "alpha_grid", "seed"])

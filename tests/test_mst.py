@@ -23,7 +23,6 @@ from spantree.generators import PRESET_NAMES
 from bruteforce import (
     build_mst_prim,
     canonical_mst_dense,
-    kruskal_positions,
     min_spanning_total_bruteforce,
     validate_tree,
 )
@@ -353,53 +352,85 @@ class TestOneTreePath:
             assert build_mst_kruskal(generate(preset_spec(name, 1))).edge_count > 0
 
     def test_one_query_over_all_points(self, monkeypatch):
-        import scipy.spatial
-
         rows = []
 
-        class CountingKDTree(scipy.spatial.cKDTree):
+        class CountingKDTree(mst._kd_tree_class()):
             def query(self, x, *args, **kwargs):
                 rows.append(len(x))
                 return super().query(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.spatial, "cKDTree", CountingKDTree)
+        monkeypatch.setattr(mst, "_kd_tree_class", lambda: CountingKDTree)
         tree = build_mst_kruskal(PointSet(np.random.default_rng(73).normal(size=(4000, 4))))
         assert tree.edge_count == 3999
         # every round reads the one table; wider queries serve unsettled points only
         assert rows.count(4000) == 1
 
 
-class TestBoruvkaMerge:
-    """The array merge accepts exactly the candidates a union-find Kruskal scan does."""
+# Loads the kd-tree class and scipy.spatial in the order argv[1] names, in a
+# fresh interpreter, and checks both share one module and one class.
+_KD_LOAD_ORDER = """
+import sys
+from spantree import mst
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        m=st.integers(1, 50),
-        extra=st.integers(0, 150),
-        seed=st.integers(0, 2**32 - 1),
-        connected=st.booleans(),
-        distinct_lengths=st.sampled_from([1, 3, 10**6]),
-    )
-    def test_matches_union_find_kruskal(self, m, extra, seed, connected, distinct_lengths):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, m, extra)
-        b = rng.integers(0, m, extra)
-        if connected:
-            # a random spanning tree among the candidates makes the graph connected
-            perm = rng.permutation(m)
-            attach = (rng.random(m - 1) * np.arange(1, m)).astype(np.int64)
-            a = np.concatenate([a, perm[1:]])
-            b = np.concatenate([b, perm[attach]])
-        keep = a != b
-        us = np.minimum(a, b)[keep].astype(np.int64)
-        vs = np.maximum(a, b)[keep].astype(np.int64)
-        lengths = rng.integers(0, distinct_lengths, us.size).astype(float)
-        order = np.lexsort((vs, us, lengths))
-        us, vs = us[order], vs[order]
-        got = mst._boruvka(m, us, vs)
-        np.testing.assert_array_equal(got, kruskal_positions(m, us, vs))
-        if connected:
-            assert got.size == m - 1
+if sys.argv[1] == "helper-first":
+    loaded = mst._kd_tree_class()
+    assert "scipy.spatial" not in sys.modules
+    module = sys.modules["scipy.spatial._ckdtree"]
+    import scipy.spatial
+else:
+    import scipy.spatial
+    module = sys.modules["scipy.spatial._ckdtree"]
+    loaded = mst._kd_tree_class()
+# one module, executed once, and one class
+assert sys.modules["scipy.spatial._ckdtree"] is module
+assert loaded is module.cKDTree is scipy.spatial.cKDTree
+"""
+
+
+class TestKdTreeLoader:
+    """The compiled kd-tree loads without scipy.spatial and stays scipy's own class."""
+
+    @pytest.mark.parametrize("order", ["helper-first", "scipy-first"])
+    def test_one_class_in_either_order(self, order):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _KD_LOAD_ORDER, order],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_missing_extension_falls_back_to_public_class(self, monkeypatch):
+        import importlib.machinery
+
+        import scipy.spatial
+
+        find_spec = importlib.machinery.PathFinder.find_spec
+
+        def hide_extension(name, *args, **kwargs):
+            return None if name == mst._KD_MODULE else find_spec(name, *args, **kwargs)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", hide_extension)
+        monkeypatch.delitem(sys.modules, mst._KD_MODULE, raising=False)
+        assert mst._kd_tree_class() is scipy.spatial.cKDTree
+        assert mst._KD_MODULE not in sys.modules
+        _assert_canonical(PointSet(np.random.default_rng(79).normal(size=(400, 3))))
+
+
+class TestCandidates:
+    """The candidates are the canonical tree's m - 1 edges, with nothing to merge."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 5), m=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_integer_ties_give_exactly_the_tree(self, dim, m, seed):
+        coords = np.random.default_rng(seed).integers(0, 4, (m, dim)).astype(float)
+        us, vs = mst._candidates(coords)
+        assert us.size == m - 1
+        want_u, want_v, _ = canonical_mst_dense(coords)
+        assert set(zip(us.tolist(), vs.tolist())) == set(zip(want_u.tolist(), want_v.tolist()))
 
 
 def test_lengths_match_all_pairs_distances():
