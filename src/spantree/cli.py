@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,20 +35,15 @@ from .analysis import (
 )
 from .compare import connection_ratios
 from .errors import ConfigError, DegenerateStatistic, EventFileError, SpanTreeError
-from .generators import (
-    PRESET_NAMES,
-    GeneratorSpec,
-    gen_two_component,
-    generate,
-    preset_spec,
-)
+from .generators import PRESET_NAMES, GeneratorSpec, gen_two_component, generate, preset_spec
 from .geometry import PointSet, rescale_features
 from .io import (
-    ALL_STATISTICS,
     InputSpec,
     RunConfig,
     config_hash,
     file_fingerprint,
+    filter_events,
+    histogram_range,
     provenance_line,
     read_events,
     read_histogram_csv,
@@ -94,16 +90,9 @@ def _auto_range(values: np.ndarray) -> tuple[float, float]:
     return lo, hi + 1e-9 * span
 
 
-def _stat_histogram(values, weights, spec: dict | None, integer_valued: bool = False):
-    if spec:
-        return histogram(
-            values,
-            weights,
-            float(spec["lo"]),
-            float(spec["hi"]),
-            int(spec["nbins"]),
-            bool(spec.get("overflow", True)),
-        )
+def _stat_histogram(values, weights, name: str, specs: dict, integer_valued: bool = False):
+    if name in specs:
+        return histogram(values, weights, *histogram_range(name, specs[name]))
     if integer_valued:
         top = int(values.max())
         return histogram(values, weights, 0.5, top + 0.5, top, overflow=False)
@@ -184,17 +173,10 @@ def _cmd_build(args) -> int:
 
 def _cmd_stats(args) -> int:
     ps = _load_events(args.events, args.rescale)
-    hist_specs = {}
-    statistics = ALL_STATISTICS
-    region_weights = None
-    if args.config:
-        config = RunConfig.load(args.config)
-        hist_specs = config.histogram_specs
-        statistics = config.statistics
-        region_weights = config.region_weights
-    if region_weights:
-        rw, _ = config.region_weight()
-        ps = _weighted(ps, rw)
+    config = RunConfig.load(args.config) if args.config else RunConfig(seed=0, inputs={})
+    hist_specs, statistics = config.histogram_specs, config.statistics
+    if config.region_weights:
+        ps = _weighted(ps, config.region_weight()[0])
     tree = build_mst_kruskal(ps)
 
     cfg = {
@@ -203,7 +185,7 @@ def _cmd_stats(args) -> int:
         "rescale": args.rescale,
         "statistics": list(statistics),
         "histogram_specs": hist_specs,
-        "region_weights": region_weights,
+        "region_weights": config.region_weights,
     }
     prov = provenance_line(config_hash(cfg))
     outdir = _ensure_dir(_out_base(args.output))
@@ -217,9 +199,7 @@ def _cmd_stats(args) -> int:
     }
     for name in statistics:
         values, weights = stat_values[name]()
-        h = _stat_histogram(
-            values, weights, hist_specs.get(name), integer_valued=(name == "degree")
-        )
+        h = _stat_histogram(values, weights, name, hist_specs, integer_valued=(name == "degree"))
         write_histogram_csv(h, outdir / f"hist_{name}.csv", prov)
 
     summary = summarize(tree)
@@ -254,13 +234,13 @@ def _write_comparison(outdir: Path, tag: str, result, hist_specs, prov: str) -> 
         )
     write_text_atomic(outdir / f"comparison_{tag}.csv", "\n".join(lines) + "\n")
 
-    h_c = _stat_histogram(*result.length_pairs(), hist_specs.get("connection_length"))
+    h_c = _stat_histogram(*result.length_pairs(), "connection_length", hist_specs)
     write_histogram_csv(h_c, outdir / f"hist_connection_length_{tag}.csv", prov)
     ratios, weights = result.ratio_pairs()
     finite = np.isfinite(ratios)
     # with no finite ratio, one zero-weight entry keeps the automatic range defined
     ratios, weights = (ratios[finite], weights[finite]) if finite.any() else (np.zeros(1),) * 2
-    h_r = _stat_histogram(ratios, weights, hist_specs.get("connection_ratio"))
+    h_r = _stat_histogram(ratios, weights, "connection_ratio", hist_specs)
     write_histogram_csv(h_r, outdir / f"hist_connection_ratio_{tag}.csv", prov)
 
 
@@ -270,13 +250,9 @@ def _cmd_compare(args) -> int:
     ps_a = _load_events(args.subject, args.rescale)
     ps_b = _load_events(args.reference, args.rescale)
 
-    hist_specs = {}
-    region_weights = None
-    if args.config:
-        config = RunConfig.load(args.config)
-        hist_specs = config.histogram_specs
-        region_weights = config.region_weights
-    if region_weights:
+    config = RunConfig.load(args.config) if args.config else RunConfig(seed=0, inputs={})
+    hist_specs = config.histogram_specs
+    if config.region_weights:
         rw, _ = config.region_weight()
         ps_a = _weighted(ps_a, rw)
         ps_b = _weighted(ps_b, rw)
@@ -292,7 +268,7 @@ def _cmd_compare(args) -> int:
         "both": args.both,
         "rescale": args.rescale,
         "histogram_specs": hist_specs,
-        "region_weights": region_weights,
+        "region_weights": config.region_weights,
     }
     prov = provenance_line(config_hash(cfg))
     outdir = _ensure_dir(_out_base(args.output))
@@ -310,36 +286,28 @@ def _cmd_compare(args) -> int:
 # fit
 
 def _resolve_input(spec: InputSpec, master_seed: int, index: int) -> PointSet:
-    if spec.file is not None:
-        return read_events(spec.file, spec.filters)
-    if spec.generator is not None:
-        return generate(spec.generator)
-    two = spec.two_component
-
-    def component(entry: dict) -> GeneratorSpec:
-        # count and seed are supplied by the mixture draw itself
-        return GeneratorSpec.from_dict({"count": 1, "seed": 0, **entry})
-
-    seed = int(two.get("seed", master_seed + 7919 * (index + 1)))
-    return gen_two_component(
-        int(two["count"]),
-        float(two["alpha_true"]),
-        component(two["background"]),
-        component(two["signal"]),
-        seed,
-    )
+    try:
+        if spec.file is not None:
+            ps = read_events(spec.file)
+        elif spec.generator is not None:
+            ps = generate(spec.generator)
+        else:
+            mix = spec.two_component
+            seed = master_seed + 7919 * (index + 1) if mix.seed is None else mix.seed
+            ps = gen_two_component(mix.count, mix.alpha_true, mix.background, mix.signal, seed)
+        return filter_events(ps, spec.filters)
+    except (TypeError, ValueError) as exc:  # a generator param's value, or a filter the events fail
+        raise ConfigError(f"input {spec.name!r}: {exc}") from exc
 
 
 def _cmd_fit(args) -> int:
     config = RunConfig.load(args.config)
-    if args.seed is not None:
-        config = RunConfig.from_dict({**config.to_dict(), "seed": args.seed})
-    if args.mode is not None:
-        payload = config.to_dict()
-        payload["fit"]["mode"] = args.mode
-        config = RunConfig.from_dict(payload)
     if config.fit is None:
         raise ConfigError("run configuration has no fit section")
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    if args.mode is not None:
+        config = replace(config, fit=replace(config.fit, mode=args.mode))
 
     hashed = config.to_dict()
     hashed.pop("output_dir", None)
@@ -351,7 +319,10 @@ def _cmd_fit(args) -> int:
 
     fit = config.fit
     samples: dict[str, PointSet] = {}
-    for i, role in enumerate((fit.background, fit.signal, fit.observed)):
+    roles = list(enumerate((fit.background, fit.signal, fit.observed)))
+    # event files first, so that a filter one fails stops the fit before any draw
+    roles.sort(key=lambda item: config.inputs[item[1]].file is None)
+    for i, role in roles:
         samples[role] = _resolve_input(config.inputs[role], config.seed, i)
 
     if config.region_weights:
@@ -397,36 +368,25 @@ def _cmd_fit(args) -> int:
 
     outdir = _ensure_dir(_out_base(args.output or config.output_dir))
     write_json({**config.to_dict(), "config": cfg_hash}, outdir / "effective_config.json")
-    curve_lines = [prov]
-    header = ["alpha"]
-    if baseline is not None:
-        header.append("q_baseline")
-    if augmented is not None:
-        header.append("q_augmented")
-    curve_lines.append(",".join(header))
-    grid = (baseline or augmented).q_curve[:, 0]
-    for i, a in enumerate(grid):
-        row = [repr(float(a))]
-        if baseline is not None:
-            row.append(repr(float(baseline.q_curve[i, 1])))
-        if augmented is not None:
-            row.append(repr(float(augmented.q_curve[i, 1])))
-        curve_lines.append(",".join(row))
+    fits = {
+        name: res
+        for name, res in (("baseline", baseline), ("augmented", augmented))
+        if res is not None
+    }
+    curve_lines = [prov, ",".join(["alpha"] + [f"q_{name}" for name in fits])]
+    for i, a in enumerate(next(iter(fits.values())).q_curve[:, 0]):
+        q = [repr(float(res.q_curve[i, 1])) for res in fits.values()]
+        curve_lines.append(",".join([repr(float(a))] + q))
     write_text_atomic(outdir / "q_curve.csv", "\n".join(curve_lines) + "\n")
 
     result: dict = {"version": __version__, "config": cfg_hash, "mode": fit.mode}
-    if baseline is not None:
-        result["baseline"] = {
-            "alpha_hat": baseline.alpha_hat,
-            "sigma_alpha": baseline.sigma_alpha,
-            "q_min": baseline.q_min,
+    for name, res in fits.items():
+        result[name] = {
+            "alpha_hat": res.alpha_hat,
+            "sigma_alpha": res.sigma_alpha,
+            "q_min": res.q_min,
         }
     if augmented is not None:
-        result["augmented"] = {
-            "alpha_hat": augmented.alpha_hat,
-            "sigma_alpha": augmented.sigma_alpha,
-            "q_min": augmented.q_min,
-        }
         result["calibration"] = {
             "slope": calibration.slope,
             "intercept": calibration.intercept,
@@ -436,12 +396,8 @@ def _cmd_fit(args) -> int:
         }
     write_json(result, outdir / "fit_result.json")
 
-    for mode_name, res in (("baseline", baseline), ("augmented", augmented)):
-        if res is not None:
-            print(
-                f"{mode_name}: alpha_hat={res.alpha_hat:.6f} "
-                f"sigma_alpha={res.sigma_alpha:.6f}"
-            )
+    for name, res in fits.items():
+        print(f"{name}: alpha_hat={res.alpha_hat:.6f} sigma_alpha={res.sigma_alpha:.6f}")
     return 0
 
 

@@ -12,12 +12,19 @@ normalization constant over the interval is 1/6. Grids, discs, and strips
 cover the two- and three-dimensional examples; every vertex position can
 be perturbed by independent Gaussian noise so that all pairwise distances
 are distinct and the minimal spanning tree is unique.
+
+A :class:`GeneratorSpec` passes its ``params`` to its kind's generator
+function as keyword arguments, so each default lives only in that
+function's signature, and a name the signature does not take is refused
+when the spec is built.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
 import numpy as np
@@ -29,7 +36,8 @@ INTERVAL_1D = (0.0, 12.0)
 SIN2_NORMALIZATION = 1.0 / 6.0
 
 KINDS_1D = ("uniform1d", "exponential1d", "sin2_1d")
-KINDS = KINDS_1D + ("grid", "quadratic_grid", "disc", "strip", "disc3d")
+LATTICE_KINDS = ("grid", "quadratic_grid")
+KINDS = KINDS_1D + LATTICE_KINDS + ("disc", "strip", "disc3d")
 
 _Z_KINDS = ("uniform", "exponential")
 
@@ -54,10 +62,11 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 class GeneratorSpec:
     """Declarative description of one synthetic sample.
 
-    ``params`` holds the per-kind region parameters (grid shape and
-    extents, disc center and radius, ...). ``sigma`` is the standard
-    deviation of the per-coordinate Gaussian perturbation where the kind
-    supports one.
+    ``params`` are keyword arguments of the kind's generator function
+    (grid shape and extents, disc center and radius, ...); one it omits
+    takes that function's default, and one it does not take is refused.
+    ``sigma`` is the standard deviation of the per-coordinate Gaussian
+    perturbation. The 1-d kinds take neither.
     """
 
     kind: str
@@ -67,32 +76,36 @@ class GeneratorSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "count", config_int("count", self.count))
+        object.__setattr__(self, "seed", config_int("seed", self.seed))
+        object.__setattr__(self, "sigma", float(self.sigma))
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}; expected one of {KINDS}")
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # NaN too
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if self.sigma and self.kind in KINDS_1D:
+            raise ValueError(f"{self.kind} takes no sigma, got {self.sigma}")
         object.__setattr__(self, "params", dict(self.params))
+        taken = _PARAMS.get(self.kind, ())
+        unknown = sorted(set(self.params) - set(taken))
+        if unknown:
+            raise ValueError(f"{self.kind} takes no params {unknown}; its params: {list(taken)}")
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        """The features of the points :func:`generate` draws for this spec."""
+        if self.kind in KINDS_1D:
+            return ("x",)
+        return ("x", "y", "z") if self.kind == "disc3d" else ("x", "y")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "seed": self.seed,
-            "sigma": self.sigma,
-            "params": dict(self.params),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "GeneratorSpec":
-        return cls(
-            kind=d["kind"],
-            count=config_int("count", d["count"]),
-            seed=config_int("seed", d["seed"]),
-            sigma=float(d.get("sigma", 0.0)),
-            params=dict(d.get("params", {})),
-        )
+        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +116,21 @@ def _sin2_cdf(x: np.ndarray) -> np.ndarray:
     return (x / 2.0 - (2.0 / math.pi) * np.sin(math.pi * x / 4.0)) / 6.0
 
 
-_SIN2_TABLE: tuple[np.ndarray, np.ndarray] | None = None
-
-
+@functools.cache
 def _sin2_inverse_table() -> tuple[np.ndarray, np.ndarray]:
-    global _SIN2_TABLE
-    if _SIN2_TABLE is None:
-        xs = np.linspace(INTERVAL_1D[0], INTERVAL_1D[1], 8193)
-        _SIN2_TABLE = (_sin2_cdf(xs), xs)
-    return _SIN2_TABLE
+    xs = np.linspace(INTERVAL_1D[0], INTERVAL_1D[1], 8193)
+    return _sin2_cdf(xs), xs
+
+
+def _inverse_cdf(kind: str, u: np.ndarray) -> np.ndarray:
+    """Values of the 1-d density ``kind`` on [0, 12] at uniform draws ``u``."""
+    lo, hi = INTERVAL_1D
+    if kind == "uniform1d":
+        return lo + (hi - lo) * u
+    if kind == "exponential1d":
+        return -np.log1p(-u * (1.0 - math.exp(-(hi - lo)))) + lo
+    cdf, xs = _sin2_inverse_table()
+    return np.interp(u, cdf, xs)
 
 
 def sample_1d(kind: str, count: int, seed: int) -> PointSet:
@@ -126,16 +145,7 @@ def sample_1d(kind: str, count: int, seed: int) -> PointSet:
         raise ValueError(f"unknown 1-d kind {kind!r}; expected one of {KINDS_1D}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    rng = rng_from_seed(seed)
-    u = rng.random(count)
-    lo, hi = INTERVAL_1D
-    if kind == "uniform1d":
-        x = lo + (hi - lo) * u
-    elif kind == "exponential1d":
-        x = -np.log1p(-u * (1.0 - math.exp(-(hi - lo)))) + lo
-    else:
-        cdf, xs = _sin2_inverse_table()
-        x = np.interp(u, cdf, xs)
+    x = _inverse_cdf(kind, rng_from_seed(seed).random(count))
     return PointSet(x.reshape(-1, 1), feature_names=("x",))
 
 
@@ -149,54 +159,54 @@ def _lattice_axis(n: int, extent: float) -> np.ndarray:
 
 
 def gen_grid(
-    cols: int,
-    rows: int,
-    x_extent: float,
-    y_extent: float,
-    sigma: float,
-    seed: int,
+    cols: int = 20,
+    rows: int = 40,
+    x_extent: float = 20.0,
+    y_extent: float = 40.0,
+    sigma: float = 0.0,
+    seed: int = 0,
+    count: int | None = None,
 ) -> PointSet:
     """cols x rows lattice spanning [0, x_extent] x [0, y_extent], perturbed.
 
     Every coordinate receives independent Gaussian noise of standard
-    deviation ``sigma`` (zero noise reproduces the exact lattice).
+    deviation ``sigma`` (zero noise reproduces the exact lattice). A
+    ``count``, where given, must equal cols * rows.
     """
-    if cols < 1 or rows < 1:
-        raise ValueError("grid must have at least one column and one row")
-    xs = _lattice_axis(cols, x_extent)
-    ys = _lattice_axis(rows, y_extent)
-    gx, gy = np.meshgrid(xs, ys)
-    coords = np.column_stack([gx.ravel(), gy.ravel()])
-    rng = rng_from_seed(seed)
-    coords = coords + rng.normal(0.0, sigma, size=coords.shape)
-    return PointSet(coords, feature_names=("x", "y"))
+    return _lattice(cols, rows, x_extent, y_extent, sigma, seed, count, quadratic=False)
 
 
 def gen_quadratic_grid(
-    cols: int,
-    rows: int,
-    x_extent: float,
-    y_extent: float,
-    sigma: float,
-    seed: int,
+    cols: int = 20,
+    rows: int = 40,
+    x_extent: float = 20.0,
+    y_extent: float = 40.0,
+    sigma: float = 0.0,
+    seed: int = 0,
+    count: int | None = None,
 ) -> PointSet:
     """Grid whose column positions grow quadratically across the x extent.
 
     Column j sits at x_extent * (j / (cols - 1))^2, so vertices crowd at
-    low x and thin out toward high x; rows stay uniform.
+    low x and thin out toward high x; rows stay uniform. Otherwise as
+    :func:`gen_grid`.
     """
+    return _lattice(cols, rows, x_extent, y_extent, sigma, seed, count, quadratic=True)
+
+
+def _lattice(cols, rows, x_extent, y_extent, sigma, seed, count, quadratic: bool) -> PointSet:
+    cols, rows = config_int("cols", cols), config_int("rows", rows)
     if cols < 1 or rows < 1:
         raise ValueError("grid must have at least one column and one row")
-    if cols == 1:
-        xs = np.zeros(1)
+    if count is not None and count != cols * rows:
+        raise ValueError(f"grid count must equal cols*rows ({cols * rows}), got {count}")
+    if quadratic and cols > 1:
+        xs = x_extent * (np.arange(cols, dtype=np.float64) / (cols - 1)) ** 2
     else:
-        j = np.arange(cols, dtype=np.float64)
-        xs = x_extent * (j / (cols - 1)) ** 2
-    ys = _lattice_axis(rows, y_extent)
-    gx, gy = np.meshgrid(xs, ys)
+        xs = _lattice_axis(cols, x_extent)
+    gx, gy = np.meshgrid(xs, _lattice_axis(rows, y_extent))
     coords = np.column_stack([gx.ravel(), gy.ravel()])
-    rng = rng_from_seed(seed)
-    coords = coords + rng.normal(0.0, sigma, size=coords.shape)
+    coords = coords + rng_from_seed(seed).normal(0.0, sigma, size=coords.shape)
     return PointSet(coords, feature_names=("x", "y"))
 
 
@@ -274,17 +284,31 @@ def gen_disc3d(
     rng = rng_from_seed(seed)
     xy = _disc_xy(count, center, radius, rng)
     xy = xy + rng.normal(0.0, sigma, size=xy.shape)
-    lo, hi = INTERVAL_1D
-    u = rng.random(count)
-    if z_kind == "uniform":
-        z = lo + (hi - lo) * u
-    else:
-        z = -np.log1p(-u * (1.0 - math.exp(-(hi - lo)))) + lo
+    z = _inverse_cdf(f"{z_kind}1d", rng.random(count))
     return PointSet(np.column_stack([xy, z]), feature_names=("x", "y", "z"))
 
 
 # ---------------------------------------------------------------------------
 # two-component mixtures
+
+def check_mixture(
+    count: int, alpha_true: float, background_spec: GeneratorSpec, signal_spec: GeneratorSpec
+) -> None:
+    """Refuse, before any draw, a mixture :func:`gen_two_component` cannot make."""
+    if not 0.0 <= alpha_true <= 1.0:
+        raise ValueError(f"alpha_true must lie in [0, 1], got {alpha_true}")
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    for spec in (background_spec, signal_spec):
+        if spec.kind in LATTICE_KINDS:
+            raise ValueError(
+                f"a {spec.kind} cannot be a mixture component: cols and rows fix its "
+                "size, which must follow the binomial draw"
+            )
+    dims = len(background_spec.feature_names), len(signal_spec.feature_names)
+    if dims[0] != dims[1]:
+        raise DimensionMismatch(f"background has {dims[0]} features, signal {dims[1]}")
+
 
 def gen_two_component(
     count: int,
@@ -300,11 +324,7 @@ def gen_two_component(
     stored inside the two specs are ignored; the mixture is a deterministic
     function of ``seed`` alone.
     """
-    if not 0.0 <= alpha_true <= 1.0:
-        raise ValueError(f"alpha_true must lie in [0, 1], got {alpha_true}")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-
+    check_mixture(count, alpha_true, background_spec, signal_spec)
     flag_seq, bg_seq, sig_seq = np.random.SeedSequence(seed).spawn(3)
     flags = np.random.Generator(np.random.PCG64(flag_seq)).random(count) < alpha_true
     n_sig = int(flags.sum())
@@ -312,80 +332,41 @@ def gen_two_component(
 
     def component(spec: GeneratorSpec, n: int, seq) -> np.ndarray:
         child_seed = int(seq.generate_state(1)[0])
-        ps = generate(replace(spec, count=n, seed=child_seed))
-        return ps.coords
+        return generate(replace(spec, count=n, seed=child_seed)).coords
 
-    bg_coords = component(background_spec, n_bg, bg_seq) if n_bg else None
-    sig_coords = component(signal_spec, n_sig, sig_seq) if n_sig else None
-    if bg_coords is not None and sig_coords is not None:
-        if bg_coords.shape[1] != sig_coords.shape[1]:
-            raise DimensionMismatch(
-                "background and signal specs produce different dimensions: "
-                f"{bg_coords.shape[1]} vs {sig_coords.shape[1]}"
-            )
-    dim = bg_coords.shape[1] if bg_coords is not None else sig_coords.shape[1]
-
-    coords = np.empty((count, dim))
-    if bg_coords is not None:
-        coords[~flags] = bg_coords
-    if sig_coords is not None:
-        coords[flags] = sig_coords
+    names = background_spec.feature_names
+    coords = np.empty((count, len(names)))
+    if n_bg:
+        coords[~flags] = component(background_spec, n_bg, bg_seq)
+    if n_sig:
+        coords[flags] = component(signal_spec, n_sig, sig_seq)
     labels = [SIGNAL_LABEL if f else BACKGROUND_LABEL for f in flags.tolist()]
-    names = ("x", "y", "z")[:dim] if dim <= 3 else None
     return PointSet(coords, labels=labels, feature_names=names)
 
 
 # ---------------------------------------------------------------------------
 # dispatch and presets
 
+# the generators of the kinds that take params; a spec's params are their
+# keyword arguments other than the spec's own count, sigma and seed
+_GENERATORS = {
+    "grid": gen_grid,
+    "quadratic_grid": gen_quadratic_grid,
+    "disc": gen_disc,
+    "strip": gen_strip,
+    "disc3d": gen_disc3d,
+}
+_PARAMS = {
+    kind: tuple(p for p in inspect.signature(fn).parameters if p not in ("count", "sigma", "seed"))
+    for kind, fn in _GENERATORS.items()
+}
+
+
 def generate(spec: GeneratorSpec) -> PointSet:
-    """Materialize a GeneratorSpec into a PointSet."""
-    p = spec.params
+    """Materialize a GeneratorSpec: its kind's generator, called with its params."""
     if spec.kind in KINDS_1D:
         return sample_1d(spec.kind, spec.count, spec.seed)
-    if spec.kind in ("grid", "quadratic_grid"):
-        cols = int(p.get("cols", 20))
-        rows = int(p.get("rows", 40))
-        if cols * rows != spec.count:
-            raise ValueError(
-                f"grid count must equal cols*rows ({cols * rows}), got {spec.count}"
-            )
-        fn = gen_grid if spec.kind == "grid" else gen_quadratic_grid
-        return fn(
-            cols,
-            rows,
-            float(p.get("x_extent", 20.0)),
-            float(p.get("y_extent", 40.0)),
-            spec.sigma,
-            spec.seed,
-        )
-    if spec.kind == "disc":
-        return gen_disc(
-            spec.count,
-            tuple(p.get("center", (0.0, 0.0))),
-            float(p.get("radius", 20.0)),
-            spec.sigma,
-            spec.seed,
-        )
-    if spec.kind == "strip":
-        return gen_strip(
-            spec.count,
-            tuple(p.get("center", (0.0, 0.0))),
-            float(p.get("width", 100.0)),
-            float(p.get("height", 4.0)),
-            spec.sigma,
-            spec.seed,
-        )
-    if spec.kind == "disc3d":
-        return gen_disc3d(
-            spec.count,
-            tuple(p.get("center", (0.0, 0.0))),
-            float(p.get("radius", 20.0)),
-            spec.sigma,
-            str(p.get("z_kind", "uniform")),
-            spec.seed,
-        )
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    return _GENERATORS[spec.kind](count=spec.count, sigma=spec.sigma, seed=spec.seed, **spec.params)
 
 
 # Named presets for the CLI and the shipped demos. Grid presets put 800
@@ -437,6 +418,6 @@ def preset_spec(name: str, seed: int, count: int | None = None) -> GeneratorSpec
     if name not in table:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     spec = table[name]
-    if count is not None and spec.kind in ("grid", "quadratic_grid"):
+    if count is not None and spec.kind in LATTICE_KINDS:
         raise ValueError(f"preset {name!r} always has {spec.count} events; it takes no count")
     return spec

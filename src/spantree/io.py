@@ -18,8 +18,9 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from io import StringIO
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -28,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import GridBinning, RegionWeight, check_calibration, resolve_alpha_grid
-from .errors import ConfigError, EventFileError
-from .generators import GeneratorSpec, config_int
+from .errors import ConfigError, DimensionMismatch, EventFileError
+from .generators import GeneratorSpec, check_mixture, config_int
 from .geometry import PointSet
 from .mst import Tree
 from .stats import Histogram
@@ -131,6 +132,38 @@ class ColumnFilter:
     lo: float | None = None
     hi: float | None = None
 
+    def __post_init__(self) -> None:
+        for bound in (self.lo, self.hi):
+            if bound is not None and (
+                isinstance(bound, bool) or not isinstance(bound, numbers.Real) or math.isnan(bound)
+            ):
+                raise ValueError(f"filter on {self.feature!r}: bounds are numbers, got {bound!r}")
+
+
+def filter_events(ps: PointSet, filters: Sequence[ColumnFilter]) -> PointSet:
+    """Keep the events that lie within every filter's [lo, hi].
+
+    Raises ``ValueError`` for a filter on a feature ``ps`` lacks, or one
+    that leaves no event.
+    """
+    keep = np.ones(len(ps), dtype=bool)
+    for f in filters:
+        col = ps.coords[:, ps.feature_index(f.feature)]
+        if f.lo is not None:
+            keep &= col >= f.lo
+        if f.hi is not None:
+            keep &= col <= f.hi
+        if not keep.any():
+            raise ValueError(f"filter on {f.feature!r} removed every event")
+    if keep.all():
+        return ps
+    return PointSet(
+        ps.coords[keep],
+        ps.weights[keep],
+        [ps.labels[i] for i in np.flatnonzero(keep)] if ps.labels else None,
+        ps.feature_names,
+    )
+
 
 def _csv_records(lines: Iterable[str]):
     """Yield (first line number, cells) for each csv record in ``lines``.
@@ -154,11 +187,12 @@ def _csv_records(lines: Iterable[str]):
         start = 0
 
 
-def read_events(path: str | Path, filters: Sequence[ColumnFilter] = ()) -> PointSet:
+def read_events(path: str | Path) -> PointSet:
     """Parse an event table into a PointSet.
 
-    Raises :class:`EventFileError` with the offending line number for rows
-    with the wrong column count or non-finite numbers.
+    Raises :class:`EventFileError` for a header that names a column twice,
+    and with the offending line number for rows with the wrong column
+    count, non-finite numbers or a negative weight.
     """
     path = Path(path)
     try:
@@ -173,6 +207,9 @@ def read_events(path: str | Path, filters: Sequence[ColumnFilter] = ()) -> Point
         raise EventFileError(f"{path}: no header row found")
 
     header = [h.strip() for h in records[0][1]]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise EventFileError(f"{path}: header names {repeated} more than once")
     feature_cols = [i for i, h in enumerate(header) if h not in _RESERVED]
     if not feature_cols:
         raise EventFileError(f"{path}: header declares no feature columns")
@@ -201,30 +238,17 @@ def read_events(path: str | Path, filters: Sequence[ColumnFilter] = ()) -> Point
 
     if not coords:
         raise EventFileError(f"{path}: event file contains no rows")
+    w = np.asarray(weights)
+    if (w < 0).any():
+        i = int(np.argmax(w < 0))
+        raise EventFileError(f"{path}: line {records[i + 1][0]}: negative weight {weights[i]!r}")
 
-    ps = PointSet(
+    return PointSet(
         np.asarray(coords),
-        np.asarray(weights),
+        w,
         labels if any(l is not None for l in labels) else None,
         names,
     )
-    for f in filters:
-        col = ps.coords[:, ps.feature_index(f.feature)]
-        keep = np.ones(len(ps), dtype=bool)
-        if f.lo is not None:
-            keep &= col >= f.lo
-        if f.hi is not None:
-            keep &= col <= f.hi
-        if not keep.any():
-            raise EventFileError(f"{path}: filter on {f.feature!r} removed every event")
-        if not keep.all():
-            ps = PointSet(
-                ps.coords[keep],
-                ps.weights[keep],
-                [ps.labels[i] for i in np.flatnonzero(keep)] if ps.labels else None,
-                ps.feature_names,
-            )
-    return ps
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +384,48 @@ def write_json(payload: Mapping[str, Any], path: str | Path) -> None:
 # run configuration
 
 @dataclass(frozen=True)
+class MixtureSpec:
+    """A ``two_component`` input: the arguments of ``gen_two_component``.
+
+    A ``seed`` of None derives from the master seed. ``source`` is the
+    mapping as written, which :meth:`RunConfig.to_dict` returns unchanged.
+    """
+
+    count: int
+    alpha_true: float
+    background: GeneratorSpec
+    signal: GeneratorSpec
+    seed: int | None
+    source: Mapping[str, Any]
+
+    @classmethod
+    def from_dict(cls, d: Mapping[str, Any]) -> "MixtureSpec":
+        unknown = sorted(set(d) - {"count", "alpha_true", "seed", "background", "signal"})
+        if unknown:
+            raise ValueError(f"unknown two_component keys {unknown}")
+        # the mixture draws each component's count and seed: an entry sets neither
+        bg, sig = (GeneratorSpec(count=1, seed=0, **d[role]) for role in ("background", "signal"))
+        seed = None if d.get("seed") is None else config_int("two_component seed", d["seed"])
+        count = config_int("two_component count", d["count"])
+        mix = cls(count, float(d["alpha_true"]), bg, sig, seed, d)
+        check_mixture(mix.count, mix.alpha_true, mix.background, mix.signal)
+        return mix
+
+
+_INPUT_KEYS = ("file", "generator", "two_component", "filters")
+
+
+@dataclass(frozen=True)
 class InputSpec:
-    """One named pipeline input: a file, a generator, or a labeled mixture."""
+    """One named pipeline input: a file, a generator, or a labeled mixture.
+
+    ``filters`` apply to the events of every kind of input.
+    """
 
     name: str
     file: str | None = None
     generator: GeneratorSpec | None = None
-    two_component: dict[str, Any] | None = None
+    two_component: MixtureSpec | None = None
     filters: tuple[ColumnFilter, ...] = ()
 
     def __post_init__(self) -> None:
@@ -375,6 +434,31 @@ class InputSpec:
             raise ConfigError(
                 f"input {self.name!r} must declare exactly one of file/generator/two_component"
             )
+        # a generated sample's features are known before it is drawn
+        spec = self.generator or (self.two_component and self.two_component.background)
+        names = spec.feature_names if spec else None
+        for f in self.filters if names else ():
+            if f.feature not in names and f.feature not in range(len(names)):
+                raise ConfigError(f"input {self.name!r}: unknown filter feature {f.feature!r}")
+
+    @classmethod
+    def from_dict(cls, name: str, d: Mapping[str, Any]) -> "InputSpec":
+        try:
+            gen, two = d.get("generator"), d.get("two_component")
+            unknown = sorted(set(d) - set(_INPUT_KEYS))
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}; known: {list(_INPUT_KEYS)}")
+            return cls(
+                name=name,
+                file=d.get("file"),
+                generator=GeneratorSpec.from_dict(gen) if gen is not None else None,
+                two_component=MixtureSpec.from_dict(two) if two is not None else None,
+                filters=tuple(ColumnFilter(**f) for f in d.get("filters", ())),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"input {name!r} lacks {exc}") from exc
+        except (AttributeError, DimensionMismatch, TypeError, ValueError) as exc:
+            raise ConfigError(f"input {name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -397,6 +481,9 @@ class FitSettings:
         # what can be checked before any sample exists; the binning's features
         # and the calibration count against the component sizes need the data
         try:
+            object.__setattr__(self, "calibration_alphas", tuple(self.calibration_alphas))
+            for name in ("calibration_trials", "alpha_grid"):
+                object.__setattr__(self, name, config_int(name, getattr(self, name)))
             GridBinning.from_dict(self.binning)
             resolve_alpha_grid(self.alpha_grid)
             check_calibration(
@@ -413,13 +500,17 @@ HISTOGRAM_NAMES = ALL_STATISTICS + ("connection_length", "connection_ratio")
 _REGION_KEYS = ("box", "inside_weight", "outside_weight", "apply_to")
 
 
-def _check_histogram_spec(name: str, spec: Any) -> None:
+def histogram_range(name: str, spec: Any) -> tuple[float, float, int, bool]:
+    """``histogram_specs[name]`` as the (lo, hi, nbins, overflow) arguments of ``histogram``."""
     if name not in HISTOGRAM_NAMES:
         raise ConfigError(f"histogram_specs: unknown histogram {name!r}; known: {HISTOGRAM_NAMES}")
     try:
         missing = [key for key in ("lo", "hi", "nbins") if key not in spec]
         if missing:
             raise ConfigError(f"histogram_specs[{name!r}] lacks {missing}")
+        unknown = sorted(set(spec) - {"lo", "hi", "nbins", "overflow"})
+        if unknown:
+            raise ConfigError(f"histogram_specs[{name!r}]: unknown keys {unknown}")
         lo, hi = float(spec["lo"]), float(spec["hi"])
         nbins = config_int(f"histogram_specs[{name!r}] nbins", spec["nbins"])
     except (TypeError, ValueError) as exc:
@@ -428,6 +519,10 @@ def _check_histogram_spec(name: str, spec: Any) -> None:
         raise ConfigError(f"histogram_specs[{name!r}]: need finite lo < hi, got [{lo}, {hi})")
     if nbins < 1:
         raise ConfigError(f"histogram_specs[{name!r}]: nbins must be positive, got {nbins}")
+    overflow = spec.get("overflow", True)
+    if not isinstance(overflow, bool):
+        raise ConfigError(f"histogram_specs[{name!r}]: overflow is true or false, got {overflow!r}")
+    return lo, hi, nbins, overflow
 
 
 @dataclass(frozen=True)
@@ -457,7 +552,7 @@ class RunConfig:
                 if role not in self.inputs:
                     raise ConfigError(f"fit references undeclared input {role!r}")
         for name, spec in self.histogram_specs.items():
-            _check_histogram_spec(name, spec)
+            histogram_range(name, spec)
         if self.region_weights is not None:
             _, apply_to = self.region_weight()
             undeclared = sorted(set(apply_to) - set(self.inputs))
@@ -493,18 +588,13 @@ class RunConfig:
     def to_dict(self) -> dict[str, Any]:
         inputs = {}
         for name, spec in self.inputs.items():
-            entry: dict[str, Any] = {}
-            if spec.file is not None:
-                entry["file"] = spec.file
-            if spec.generator is not None:
-                entry["generator"] = spec.generator.to_dict()
-            if spec.two_component is not None:
-                entry["two_component"] = spec.two_component
-            if spec.filters:
-                entry["filters"] = [
-                    {"feature": f.feature, "lo": f.lo, "hi": f.hi} for f in spec.filters
-                ]
-            inputs[name] = entry
+            entry = {
+                "file": spec.file,
+                "generator": spec.generator and spec.generator.to_dict(),
+                "two_component": spec.two_component and spec.two_component.source,
+                "filters": [asdict(f) for f in spec.filters] or None,
+            }
+            inputs[name] = {key: value for key, value in entry.items() if value is not None}
         out: dict[str, Any] = {
             "seed": self.seed,
             "inputs": inputs,
@@ -517,17 +607,7 @@ class RunConfig:
         if self.region_weights is not None:
             out["region_weights"] = self.region_weights
         if self.fit is not None:
-            out["fit"] = {
-                "background": self.fit.background,
-                "signal": self.fit.signal,
-                "observed": self.fit.observed,
-                "binning": self.fit.binning,
-                "calibration_alphas": list(self.fit.calibration_alphas),
-                "calibration_trials": self.fit.calibration_trials,
-                "calibration_count": self.fit.calibration_count,
-                "alpha_grid": self.fit.alpha_grid,
-                "mode": self.fit.mode,
-            }
+            out["fit"] = {f.name: getattr(self.fit, f.name) for f in fields(self.fit)}
         if self.histogram_specs:
             out["histogram_specs"] = self.histogram_specs
         return out
@@ -543,47 +623,10 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown run configuration keys {unknown}; known: {sorted(known)}")
         try:
-            raw_inputs = d["inputs"]
+            inputs = {name: InputSpec.from_dict(name, entry) for name, entry in d["inputs"].items()}
             seed = d.get("seed")
-            inputs: dict[str, InputSpec] = {}
-            uses_generator = False
-            for name, entry in raw_inputs.items():
-                gen = entry.get("generator")
-                two = entry.get("two_component")
-                if gen is not None or two is not None:
-                    uses_generator = True
-                for key in ("count", "seed"):
-                    if two is not None and key in two:
-                        config_int(f"input {name!r} two_component {key}", two[key])
-                filters = tuple(
-                    ColumnFilter(f["feature"], f.get("lo"), f.get("hi"))
-                    for f in entry.get("filters", ())
-                )
-                inputs[name] = InputSpec(
-                    name=name,
-                    file=entry.get("file"),
-                    generator=GeneratorSpec.from_dict(gen) if gen is not None else None,
-                    two_component=two,
-                    filters=filters,
-                )
-            if uses_generator and seed is None:
+            if seed is None and any(spec.file is None for spec in inputs.values()):
                 raise ConfigError("a seed is required whenever any input is generated")
-            fit = None
-            if "fit" in d:
-                f = d["fit"]
-                fit = FitSettings(
-                    background=f["background"],
-                    signal=f["signal"],
-                    observed=f["observed"],
-                    binning=f["binning"],
-                    calibration_alphas=tuple(f.get("calibration_alphas", (0.0, 0.25, 0.5, 0.75, 1.0))),
-                    calibration_trials=config_int(
-                        "calibration_trials", f.get("calibration_trials", 4)
-                    ),
-                    calibration_count=f.get("calibration_count"),
-                    alpha_grid=config_int("alpha_grid", f.get("alpha_grid", 201)),
-                    mode=f.get("mode", "both"),
-                )
             return cls(
                 seed=config_int("seed", seed) if seed is not None else 0,
                 inputs=inputs,
@@ -591,12 +634,12 @@ class RunConfig:
                 rescale=d.get("rescale", "none"),
                 region_weights=d.get("region_weights"),
                 statistics=tuple(d.get("statistics", ALL_STATISTICS)),
-                fit=fit,
+                fit=FitSettings(**d["fit"]) if "fit" in d else None,
                 histogram_specs=dict(d.get("histogram_specs", {})),
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed run configuration: {exc}") from exc
 
     @classmethod

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,7 +23,13 @@ from spantree import (
     preset_spec,
     sample_1d,
 )
-from spantree.generators import INTERVAL_1D, SIN2_NORMALIZATION
+from spantree.generators import (
+    INTERVAL_1D,
+    KINDS,
+    LATTICE_KINDS,
+    PRESET_NAMES,
+    SIN2_NORMALIZATION,
+)
 
 KS_P = 0.001
 
@@ -185,6 +192,12 @@ class TestTwoComponent:
         with pytest.raises(DimensionMismatch):
             gen_two_component(100, 0.5, self.BG, three_d, 3)
 
+    @pytest.mark.parametrize("kind", LATTICE_KINDS)
+    def test_lattice_component_refused(self, kind):
+        lattice = GeneratorSpec(kind, 4, 0, 0.0, {"cols": 2, "rows": 2})
+        with pytest.raises(ValueError, match="cannot be a mixture component"):
+            gen_two_component(4, 0.5, self.BG, lattice, 3)
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             gen_two_component(10, 1.5, self.BG, self.SIG, 0)
@@ -206,6 +219,50 @@ class TestSpecDispatch:
         with pytest.raises(ValueError):
             generate(GeneratorSpec("grid", 801, 0, 0.2, {"cols": 20, "rows": 40}))
 
+    def test_params_are_generator_keywords(self):
+        # an omitted param takes the default of the generator's signature
+        np.testing.assert_array_equal(
+            generate(GeneratorSpec("grid", 800, 4, 0.2)).coords, gen_grid(sigma=0.2, seed=4).coords
+        )
+        np.testing.assert_array_equal(
+            generate(GeneratorSpec("strip", 100, 2, 0.1, {"height": 2.0})).coords,
+            gen_strip(100, height=2.0, sigma=0.1, seed=2).coords,
+        )
+
+    @pytest.mark.parametrize("name", ["raduis", "sigma", "count", "seed"])
+    def test_unknown_param_refused(self, name):
+        with pytest.raises(ValueError, match=f"disc takes no params \\['{name}'\\]"):
+            GeneratorSpec("disc", 10, 0, 0.2, {name: 5.0})
+
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan")])
+    def test_sigma_must_be_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be non-negative"):
+            GeneratorSpec("disc", 10, 0, sigma)
+
+    def test_one_dimensional_kinds_take_no_sigma_or_params(self):
+        with pytest.raises(ValueError, match="takes no sigma"):
+            GeneratorSpec("uniform1d", 10, 0, 0.2)
+        with pytest.raises(ValueError, match="takes no params"):
+            GeneratorSpec("sin2_1d", 10, 0, 0.0, {"radius": 1.0})
+        # the form to_dict writes, sigma 0.0 and empty params, loads again
+        spec = GeneratorSpec("exponential1d", 10, 0)
+        assert GeneratorSpec.from_dict(spec.to_dict()) == spec
+
+    def test_unknown_spec_key_refused(self):
+        with pytest.raises(TypeError, match="sigam"):
+            GeneratorSpec.from_dict({"kind": "disc", "count": 10, "seed": 0, "sigam": 0.2})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_feature_names_known_before_the_draw(self, kind):
+        spec = GeneratorSpec(kind, 800 if kind in LATTICE_KINDS else 10, 1)
+        assert generate(spec).feature_names == spec.feature_names
+
+    def test_integral_lattice_shape(self):
+        ps = generate(GeneratorSpec("grid", 6, 0, 0.0, {"cols": 2.0, "rows": 3}))
+        assert len(ps) == 6
+        with pytest.raises(ValueError, match="cols must be an integer"):
+            generate(GeneratorSpec("grid", 6, 0, 0.0, {"cols": 2.5, "rows": 3}))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             GeneratorSpec("torus", 10, 0)
@@ -218,3 +275,61 @@ class TestSpecDispatch:
         for name in ("uniform-1d", "dense-grid", "disc", "strip", "demo-signal"):
             ps = generate(preset_spec(name, 3, 50 if "grid" not in name else None))
             assert isinstance(ps, PointSet)
+
+
+# sha256 prefixes of the coordinates rounded to float32, recorded before
+# generate() became a lookup table. A changed draw, draw order or seed
+# derivation moves values far beyond float32 resolution; the rounding keeps
+# the pins independent of the last bit of np.sin or np.log, which can differ
+# between numpy builds.
+PRESET_DIGESTS = {
+    ("demo-background", 0): "514c076ff41c9ddc",
+    ("demo-background", 1): "7b207a1cb17d00d7",
+    ("demo-signal", 0): "c1e8f028289b06dc",
+    ("demo-signal", 1): "936177f59fedaf39",
+    ("dense-grid", 0): "241b412b0716d246",
+    ("dense-grid", 1): "5e4c9684a4f647e5",
+    ("disc", 0): "a8c222753b3d4df2",
+    ("disc", 1): "4b247595794e9834",
+    ("disc3d-exp", 0): "272f13107a16c1dd",
+    ("disc3d-exp", 1): "ca59b29735eb1219",
+    ("disc3d-uniform", 0): "dcea877771398fa1",
+    ("disc3d-uniform", 1): "fa5ca35bb7bb8102",
+    ("exp-1d", 0): "863f0dc83f411c48",
+    ("exp-1d", 1): "8718813f7e9c67fe",
+    ("quadratic-grid", 0): "c4c0ab9446b95b8b",
+    ("quadratic-grid", 1): "1f91f6414679c4ca",
+    ("sin2-1d", 0): "365192f5f1b5d92f",
+    ("sin2-1d", 1): "3570a0175f1ba45d",
+    ("sparse-grid", 0): "e338aef0a8c2a29d",
+    ("sparse-grid", 1): "04429e9f1326f18d",
+    ("strip", 0): "620b5f524e4d31cc",
+    ("strip", 1): "b2861ec4ab9afb34",
+    ("uniform-1d", 0): "aed8c1d46f53255a",
+    ("uniform-1d", 1): "48407e75d77f9df1",
+}
+
+
+def _digest(ps: PointSet) -> str:
+    return hashlib.sha256(ps.coords.astype(np.float32).tobytes()).hexdigest()[:16]
+
+
+class TestSeededStreams:
+    def test_every_preset_is_pinned(self):
+        assert {name for name, _ in PRESET_DIGESTS} == set(PRESET_NAMES)
+
+    @pytest.mark.parametrize("name,seed", sorted(PRESET_DIGESTS))
+    def test_preset_stream(self, name, seed):
+        assert _digest(generate(preset_spec(name, seed))) == PRESET_DIGESTS[name, seed]
+
+    @pytest.mark.parametrize("kind", ["grid", "quadratic_grid"])
+    def test_single_column_lattice(self, kind):
+        # one column sits at x = 0 whatever the spacing rule
+        spec = GeneratorSpec(kind, 7, 3, 0.1, {"cols": 1, "rows": 7})
+        assert _digest(generate(spec)) == "913ded7e47ce83bd"
+
+    def test_mixture_stream(self):
+        ps = gen_two_component(500, 0.3, TestTwoComponent.BG, TestTwoComponent.SIG, 1000)
+        assert _digest(ps) == "f5dd53551ab316aa"
+        labels = hashlib.sha256("\n".join(ps.labels).encode()).hexdigest()[:16]
+        assert labels == "3ada3c0629ade5b0"

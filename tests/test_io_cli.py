@@ -12,6 +12,7 @@ from spantree.io import (
     ColumnFilter,
     RunConfig,
     config_hash,
+    filter_events,
     read_events,
     read_histogram_csv,
     read_tree_csv,
@@ -94,10 +95,31 @@ class TestEventFiles:
         with pytest.raises(EventFileError):
             read_events(tmp_path / "nope.csv")
 
+    def test_negative_weight_names_line(self, tmp_path, capsys):
+        path = tmp_path / "e.csv"
+        path.write_text("x,y,weight\n0,0,1\n\n1,1,-1\n2,2,-3\n")
+        with pytest.raises(EventFileError, match="line 4: negative weight -1.0"):
+            read_events(path)
+        out = tmp_path / "out"
+        assert run_cli("stats", path, "-o", out) == 2
+        assert "line 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", ["x,x", "x,y,weight,weight", "x,label,label"])
+    def test_repeated_header_name(self, header, tmp_path, capsys):
+        path = tmp_path / "e.csv"
+        path.write_text(header + "\n" + ",".join("1" * len(header.split(","))) + "\n")
+        with pytest.raises(EventFileError, match="more than once"):
+            read_events(path)
+        out = tmp_path / "tree.svg"
+        assert run_cli("plot", "tree", "--events", path, "--axes", "x,x", "-o", out) == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ingestion_filter(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("mll,met\n80.0,20.0\n120.0,60.0\n130.0,70.0\n")
-        ps = read_events(path, [ColumnFilter("met", lo=50.0)])
+        ps = filter_events(read_events(path), [ColumnFilter("met", lo=50.0)])
         assert len(ps) == 2
         assert ps.coords[:, 0].tolist() == [120.0, 130.0]
 
@@ -665,6 +687,7 @@ def _assert_config_error(code: int, capsys, out: Path, match: str) -> None:
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1, err
     assert re.search(match, err), err
     assert not out.exists()
 
@@ -696,8 +719,13 @@ class TestCliConfigErrors:
             ({"histogram_specs": {"degree": {"lo": 0, "hi": 5, "nbins": 0}}}, "nbins"),
             ({"region_weights": {"box": {"x": [0, 1]}, "inside_weight": -1}}, "non-negative"),
             ({"region_weights": {"box": {"energy": [0, 1]}}}, "unknown feature 'energy'"),
+            ({"histogram_specs": {"degree": {"lo": 0, "hi": 5, "nbins": 5, "overflow": "no"}}},
+             "overflow is true or false, got 'no'"),
+            ({"histogram_specs": {"degree": {"lo": 0, "hi": 5, "nbins": 5, "overflw": False}}},
+             r"unknown keys \['overflw'\]"),
         ],
-        ids=["hist-empty-range", "hist-no-lo", "hist-no-bins", "negative-weight", "unknown-box-feature"],
+        ids=["hist-empty-range", "hist-no-lo", "hist-no-bins", "negative-weight", "unknown-box-feature",
+             "hist-overflow-string", "hist-unknown-key"],
     )
     def test_stats_config(self, section, match, events, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -726,6 +754,117 @@ class TestCliConfigErrors:
         out = tmp_path / "tree.svg"
         code = run_cli("plot", "tree", "--events", events, "--tree", tree, "-o", out)
         _assert_config_error(code, capsys, out, "vertex outside the 3 events")
+
+
+def _set(path: str, value):
+    """A change to a demo config's inputs: ``value`` at the "/"-separated ``path``."""
+
+    def change(inputs: dict, events: Path) -> None:
+        *keys, last = path.split("/")
+        target = inputs
+        for key in keys:
+            target = target[key]
+        target[last] = value(events) if callable(value) else value
+
+    return change
+
+
+# one change to the demo config's inputs, and the error it must give
+INPUT_CONFIG_ERRORS = {
+    "misspelt-param": (_set("background/generator/params/raduis", 5.0), "raduis"),
+    "sigma-on-1d": (
+        _set("background/generator", {"kind": "uniform1d", "count": 50, "seed": 1, "sigma": 0.2}),
+        "uniform1d takes no sigma",
+    ),
+    "mixture-alpha-1.5": (_set("observed/two_component/alpha_true", 1.5), r"alpha_true must lie in \[0, 1\]"),
+    "mixture-kind-discc": (_set("observed/two_component/background/kind", "discc"), "'discc'"),
+    "mixture-count-0": (_set("observed/two_component/count", 0), "count must be positive"),
+    "mixture-grid-component": (
+        _set("observed/two_component/signal", {"kind": "grid", "params": {"cols": 2, "rows": 2}}),
+        "grid cannot be a mixture component",
+    ),
+    "file-filter-unknown-feature": (
+        _set("observed", lambda events: {"file": str(events), "filters": [{"feature": "met"}]}),
+        "unknown feature 'met'",
+    ),
+    "file-filter-bound": (
+        _set("observed", lambda events: {"file": str(events), "filters": [{"feature": "x", "lo": "low"}]}),
+        "bounds are numbers, got 'low'",
+    ),
+    "generator-filter-unknown-feature": (
+        _set("background/filters", [{"feature": "z", "hi": 1.0}]), "unknown filter feature 'z'"
+    ),
+    "generator-filter-bound": (
+        _set("background/filters", [{"feature": "x", "hi": "high"}]), "bounds are numbers, got 'high'"
+    ),
+    "mixture-filter-unknown-feature": (
+        _set("observed/filters", [{"feature": 2, "lo": 0.0}]), "unknown filter feature 2"
+    ),
+    "mixture-filter-bound": (
+        _set("observed/filters", [{"feature": "y", "lo": [0]}]), r"bounds are numbers, got \[0\]"
+    ),
+}
+
+
+class TestInputsRejectedBeforeAnyDraw:
+    """A bad input exits 2 with a one-line error, draws no sample and writes nothing."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr("spantree.cli.generate", draw)
+        monkeypatch.setattr("spantree.cli.gen_two_component", draw)
+
+    @pytest.mark.parametrize("case", sorted(INPUT_CONFIG_ERRORS))
+    def test_fit_input(self, case, tmp_path, capsys):
+        change, match = INPUT_CONFIG_ERRORS[case]
+        events = tmp_path / "events.csv"
+        write_events(PointSet(np.random.default_rng(3).random((30, 2)), feature_names=("x", "y")), events)
+        cfg = json.loads(DEMO_CONFIG.read_text())
+        change(cfg["inputs"], events)
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        _assert_config_error(run_cli("fit", path, "-o", out), capsys, out, match)
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            ({"kind": "strip", "params": {"widht": 50.0}}, "widht"),
+            ({"kind": "sin2_1d", "sigma": 0.1}, "sin2_1d takes no sigma"),
+            ({"kind": "exponential1d", "params": {"radius": 1.0}}, "exponential1d takes no params"),
+        ],
+        ids=["misspelt-param", "sigma-on-1d", "params-on-1d"],
+    )
+    def test_gen_spec(self, spec, match, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"count": 40, "seed": 1, **spec}))
+        out = tmp_path / "events.csv"
+        _assert_config_error(run_cli("gen", "--spec", path, "-o", out), capsys, out, match)
+
+
+class TestFiltersOnEveryInput:
+    @pytest.mark.parametrize("kind", ["generator", "two_component"])
+    def test_generated_input_filtered(self, kind):
+        from spantree.cli import _resolve_input
+
+        inputs = json.loads(DEMO_CONFIG.read_text())["inputs"]
+        entry = inputs["background" if kind == "generator" else "observed"]
+        entry["filters"] = [{"feature": "x", "lo": 0.0}, {"feature": 1, "hi": 5.0}]
+        config = RunConfig.from_dict({"seed": 5, "inputs": {"a": entry}})
+        ps = _resolve_input(config.inputs["a"], config.seed, 0)
+        assert 0 < len(ps) < 6000
+        assert ps.coords[:, 0].min() >= 0.0 and ps.coords[:, 1].max() <= 5.0
+
+    def test_filter_removing_every_generated_event(self, tmp_path, capsys):
+        cfg = json.loads(DEMO_CONFIG.read_text())
+        cfg["inputs"]["background"]["filters"] = [{"feature": "x", "lo": 100.0}]
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        _assert_config_error(run_cli("fit", path, "-o", out), capsys, out, "removed every event")
 
 
 class TestCliPlot:
