@@ -56,7 +56,6 @@ from .stats import (
     log_normalized_lengths,
     mean_edge_length,
     mean_log_norm_length,
-    normalize_to,
     normalized_lengths,
     summarize,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "log_normalized_lengths",
     "mean_edge_length",
     "mean_log_norm_length",
-    "normalize_to",
     "normalized_lengths",
     "observed_mu",
     "preset_spec",

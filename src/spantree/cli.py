@@ -51,6 +51,7 @@ from .io import (
     write_events,
     write_histogram_csv,
     write_json,
+    write_table,
     write_text_atomic,
     write_tree_csv,
 )
@@ -69,9 +70,7 @@ _DEFAULT_NBINS = 50
 
 
 def _out_base(path_arg: str | None) -> Path:
-    if path_arg:
-        return Path(path_arg)
-    return Path(os.environ.get("SPANTREE_OUTPUT_DIR", "."))
+    return Path(path_arg or os.environ.get("SPANTREE_OUTPUT_DIR", "."))
 
 
 def _ensure_dir(path: Path) -> Path:
@@ -86,8 +85,7 @@ def _auto_range(values: np.ndarray) -> tuple[float, float]:
     lo, hi = float(finite.min()), float(finite.max())
     if hi <= lo:
         hi = lo + 1.0
-    span = hi - lo
-    return lo, hi + 1e-9 * span
+    return lo, hi + 1e-9 * (hi - lo)
 
 
 def _stat_histogram(values, weights, name: str, specs: dict, integer_valued: bool = False):
@@ -225,14 +223,9 @@ def _cmd_stats(args) -> int:
 # compare
 
 def _write_comparison(outdir: Path, tag: str, result, hist_specs, prov: str) -> None:
-    lines = [prov, "vertex,connection_length,connection_ratio,weight"]
-    ratios = result.connection_ratio
-    for i in range(result.vertex_indices.size):
-        lines.append(
-            f"{int(result.vertex_indices[i])},{float(result.connection_length[i])!r},"
-            f"{float(ratios[i])!r},{float(result.weights[i])!r}"
-        )
-    write_text_atomic(outdir / f"comparison_{tag}.csv", "\n".join(lines) + "\n")
+    header = ("vertex", "connection_length", "connection_ratio", "weight")
+    columns = (result.vertex_indices, result.connection_length, result.connection_ratio)
+    write_table(outdir / f"comparison_{tag}.csv", [prov], header, columns + (result.weights,))
 
     h_c = _stat_histogram(*result.length_pairs(), "connection_length", hist_specs)
     write_histogram_csv(h_c, outdir / f"hist_connection_length_{tag}.csv", prov)
@@ -331,9 +324,7 @@ def _cmd_fit(args) -> int:
             if role in samples:
                 samples[role] = _weighted(samples[role], rw)
 
-    background = samples[fit.background]
-    signal = samples[fit.signal]
-    observed = samples[fit.observed]
+    background, signal, observed = (samples[r] for r in (fit.background, fit.signal, fit.observed))
 
     try:
         binning = GridBinning.from_dict(fit.binning)
@@ -341,9 +332,7 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:  # a binning feature the samples lack, or bins they miss
         raise ConfigError(f"fit binning: {exc}") from exc
 
-    baseline = augmented = None
-    calibration = None
-    mu_obs = None
+    baseline = augmented = calibration = mu_obs = None
     if fit.mode in ("baseline", "both"):
         baseline = fit_alpha(model, None, fit.alpha_grid)
     if fit.mode in ("augmented", "both"):
@@ -368,24 +357,14 @@ def _cmd_fit(args) -> int:
 
     outdir = _ensure_dir(_out_base(args.output or config.output_dir))
     write_json({**config.to_dict(), "config": cfg_hash}, outdir / "effective_config.json")
-    fits = {
-        name: res
-        for name, res in (("baseline", baseline), ("augmented", augmented))
-        if res is not None
-    }
-    curve_lines = [prov, ",".join(["alpha"] + [f"q_{name}" for name in fits])]
-    for i, a in enumerate(next(iter(fits.values())).q_curve[:, 0]):
-        q = [repr(float(res.q_curve[i, 1])) for res in fits.values()]
-        curve_lines.append(",".join([repr(float(a))] + q))
-    write_text_atomic(outdir / "q_curve.csv", "\n".join(curve_lines) + "\n")
+    fits = {n: r for n, r in (("baseline", baseline), ("augmented", augmented)) if r is not None}
+    curves = [r.q_curve for r in fits.values()]
+    columns = [curves[0][:, 0]] + [curve[:, 1] for curve in curves]
+    write_table(outdir / "q_curve.csv", [prov], ["alpha"] + [f"q_{n}" for n in fits], columns)
 
     result: dict = {"version": __version__, "config": cfg_hash, "mode": fit.mode}
-    for name, res in fits.items():
-        result[name] = {
-            "alpha_hat": res.alpha_hat,
-            "sigma_alpha": res.sigma_alpha,
-            "q_min": res.q_min,
-        }
+    for name, r in fits.items():
+        result[name] = {"alpha_hat": r.alpha_hat, "sigma_alpha": r.sigma_alpha, "q_min": r.q_min}
     if augmented is not None:
         result["calibration"] = {
             "slope": calibration.slope,

@@ -88,10 +88,13 @@ class GeneratorSpec:
         if self.sigma and self.kind in KINDS_1D:
             raise ValueError(f"{self.kind} takes no sigma, got {self.sigma}")
         object.__setattr__(self, "params", dict(self.params))
-        taken = _PARAMS.get(self.kind, ())
+        taken = _PARAMS.get(self.kind, {})
         unknown = sorted(set(self.params) - set(taken))
         if unknown:
             raise ValueError(f"{self.kind} takes no params {unknown}; its params: {list(taken)}")
+        if self.kind in LATTICE_KINDS:  # cols and rows fix the size before any draw
+            shape = {**taken, **self.params}
+            _lattice_shape(shape["cols"], shape["rows"], self.count)
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -194,12 +197,17 @@ def gen_quadratic_grid(
     return _lattice(cols, rows, x_extent, y_extent, sigma, seed, count, quadratic=True)
 
 
-def _lattice(cols, rows, x_extent, y_extent, sigma, seed, count, quadratic: bool) -> PointSet:
+def _lattice_shape(cols, rows, count) -> tuple[int, int]:
     cols, rows = config_int("cols", cols), config_int("rows", rows)
     if cols < 1 or rows < 1:
         raise ValueError("grid must have at least one column and one row")
     if count is not None and count != cols * rows:
         raise ValueError(f"grid count must equal cols*rows ({cols * rows}), got {count}")
+    return cols, rows
+
+
+def _lattice(cols, rows, x_extent, y_extent, sigma, seed, count, quadratic: bool) -> PointSet:
+    cols, rows = _lattice_shape(cols, rows, count)
     if quadratic and cols > 1:
         xs = x_extent * (np.arange(cols, dtype=np.float64) / (cols - 1)) ** 2
     else:
@@ -291,6 +299,15 @@ def gen_disc3d(
 # ---------------------------------------------------------------------------
 # two-component mixtures
 
+def check_component(kind: str) -> None:
+    """Refuse a kind that cannot be a mixture component."""
+    if kind in LATTICE_KINDS:
+        raise ValueError(
+            f"a {kind} cannot be a mixture component: cols and rows fix its "
+            "size, which must follow the binomial draw"
+        )
+
+
 def check_mixture(
     count: int, alpha_true: float, background_spec: GeneratorSpec, signal_spec: GeneratorSpec
 ) -> None:
@@ -300,11 +317,7 @@ def check_mixture(
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     for spec in (background_spec, signal_spec):
-        if spec.kind in LATTICE_KINDS:
-            raise ValueError(
-                f"a {spec.kind} cannot be a mixture component: cols and rows fix its "
-                "size, which must follow the binomial draw"
-            )
+        check_component(spec.kind)
     dims = len(background_spec.feature_names), len(signal_spec.feature_names)
     if dims[0] != dims[1]:
         raise DimensionMismatch(f"background has {dims[0]} features, signal {dims[1]}")
@@ -348,7 +361,8 @@ def gen_two_component(
 # dispatch and presets
 
 # the generators of the kinds that take params; a spec's params are their
-# keyword arguments other than the spec's own count, sigma and seed
+# keyword arguments other than the spec's own count, sigma and seed, here
+# with their defaults
 _GENERATORS = {
     "grid": gen_grid,
     "quadratic_grid": gen_quadratic_grid,
@@ -357,7 +371,11 @@ _GENERATORS = {
     "disc3d": gen_disc3d,
 }
 _PARAMS = {
-    kind: tuple(p for p in inspect.signature(fn).parameters if p not in ("count", "sigma", "seed"))
+    kind: {
+        name: p.default
+        for name, p in inspect.signature(fn).parameters.items()
+        if name not in ("count", "sigma", "seed")
+    }
     for kind, fn in _GENERATORS.items()
 }
 

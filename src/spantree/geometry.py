@@ -147,9 +147,6 @@ class AffineRescale:
     def apply(self, coords: np.ndarray) -> np.ndarray:
         return (np.asarray(coords, dtype=np.float64) - self.offset) / self.scale
 
-    def invert(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(coords, dtype=np.float64) * self.scale + self.offset
-
 
 def rescale_features(ps: PointSet, mode: str = "none") -> tuple[PointSet, AffineRescale]:
     """Rescale every feature of a point set; weights and labels are unchanged.

@@ -1,9 +1,12 @@
-"""File formats: event tables, tree files, histogram CSVs, run configs.
+"""File formats: CSV tables, JSON outputs and run configs.
 
-Events travel as comma-delimited text with a header row naming the feature
-columns; optional ``weight`` and ``label`` columns carry per-event weights
-and process tags. Floats are printed with shortest-round-trip precision,
-so a write/read cycle preserves every value bit for bit.
+Events, trees, histograms, comparisons and fit curves are CSV tables, all
+written by :func:`write_table` and read by :func:`read_table`: ``#``
+comment lines, a header row, then the rows. Numbers are printed with
+shortest-round-trip precision, so a write/read cycle preserves every value
+bit for bit; text holding a comma, a quote or a line break is quoted. A
+file without its expected header, or a row with the wrong number of
+fields, is refused with its line number.
 
 Every file this package writes starts with a one-line provenance comment
 carrying the tool version, the hash of the effective configuration that
@@ -20,8 +23,8 @@ import json
 import math
 import numbers
 import os
+import re
 from dataclasses import asdict, dataclass, field, fields
-from io import StringIO
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -30,7 +33,7 @@ import numpy as np
 from . import __version__
 from .analysis import GridBinning, RegionWeight, check_calibration, resolve_alpha_grid
 from .errors import ConfigError, DimensionMismatch, EventFileError
-from .generators import GeneratorSpec, check_mixture, config_int
+from .generators import GeneratorSpec, check_component, check_mixture, config_int
 from .geometry import PointSet
 from .mst import Tree
 from .stats import Histogram
@@ -61,12 +64,7 @@ def file_fingerprint(path: str | Path) -> str:
 
 
 def provenance_line(cfg_hash: str, seed: int | None = None) -> str:
-    seed_part = "-" if seed is None else str(seed)
-    return f"# spantree {__version__} config={cfg_hash} seed={seed_part}"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    return f"# spantree {__version__} config={cfg_hash} seed={'-' if seed is None else seed}"
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -91,37 +89,108 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# CSV tables
+
+# csv.writer quotes a field holding the delimiter, the quote or a line feed;
+# a lone carriage return is quoted too, as the csv reader cannot read it bare
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _quote(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
+def _cells(column) -> list[str]:
+    if isinstance(column, np.ndarray):
+        return list(map(repr, column.tolist()))
+    return [_quote(c) if isinstance(c, str) else repr(c) for c in column]
+
+
+def write_table(path: str | Path, comments, header: Sequence[str], columns) -> None:
+    """Write the non-empty ``comments``, the header, then one row per entry of ``columns``.
+
+    A column is a numpy array, or a list of Python numbers and text.
+    """
+    lines = [c for c in comments if c]
+    lines.append(",".join(map(_quote, header)))
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def _csv_records(lines: Iterable[str], comments: list[str] | None = None):
+    """Yield (first line number, cells) for each csv record in ``lines``.
+
+    Blank lines and lines starting with ``#`` are skipped between records,
+    the latter appended to ``comments`` when given; a quoted field keeps
+    every line it spans, blank or not.
+    """
+    start = 0
+
+    def record_lines():
+        nonlocal start
+        for lineno, line in enumerate(lines, start=1):
+            if not start:
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    if stripped and comments is not None:
+                        comments.append(stripped)
+                    continue
+                start = lineno
+            yield line
+
+    for cells in csv.reader(record_lines()):
+        yield start, cells
+        start = 0
+
+
+def read_table(path: str | Path, what: str, header: Sequence[str] | None = None, comments=None):
+    """A table's header and its (line number, cells) rows.
+
+    ``what`` names the file in errors. The header must equal ``header`` when
+    given; comment lines are appended to ``comments`` when given. Raises
+    :class:`EventFileError` for an unreadable file, a missing or unexpected
+    header, and a row whose field count differs from the header's.
+    """
+    try:
+        # newline="" hands line endings inside quoted fields to the csv reader as written
+        with open(path, newline="") as fh:
+            records = list(_csv_records(fh, comments))
+    except OSError as exc:
+        raise EventFileError(f"{path}: cannot read {what}: {exc}") from exc
+    except csv.Error as exc:
+        raise EventFileError(f"{path}: {exc}") from exc
+    if not records:
+        raise EventFileError(f"{path}: no header row found")
+    lineno, found = records[0][0], [h.strip() for h in records[0][1]]
+    if header is not None and found != list(header):
+        raise EventFileError(f"{path}: line {lineno}: {what} header must be {','.join(header)}")
+    rows = records[1:]
+    for lineno, cells in rows:
+        if len(cells) != len(found):
+            raise EventFileError(
+                f"{path}: line {lineno}: expected {len(found)} fields, found {len(cells)}"
+            )
+    return found, rows
+
+
+# ---------------------------------------------------------------------------
 # event files
 
 def write_events(ps: PointSet, path: str | Path, comment: str | None = None) -> None:
-    """Write a point set as a delimited event table.
+    """Write a point set as an event table.
 
     The weight column is emitted only when some weight differs from 1, the
-    label column only when labels are present. A field holding a comma or a
-    quote is quoted, so such a label reads back unchanged.
+    label column only when labels are present.
     """
-    names = ps.feature_names or tuple(f"x{i}" for i in range(ps.dimension))
-    with_weights = bool(np.any(ps.weights != 1.0))
-    with_labels = ps.labels is not None
-    header = list(names)
-    if with_weights:
+    header = list(ps.feature_names or (f"x{i}" for i in range(ps.dimension)))
+    columns = list(ps.coords.T)
+    if np.any(ps.weights != 1.0):
         header.append(WEIGHT_COLUMN)
-    if with_labels:
+        columns.append(ps.weights)
+    if ps.labels is not None:
         header.append(LABEL_COLUMN)
-
-    buf = StringIO()
-    if comment:
-        buf.write(comment + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for i in range(len(ps)):
-        row = [_fmt(v) for v in ps.coords[i]]
-        if with_weights:
-            row.append(_fmt(ps.weights[i]))
-        if with_labels:
-            row.append(ps.labels[i] or "")
-        writer.writerow(row)
-    write_text_atomic(path, buf.getvalue())
+        columns.append([label or "" for label in ps.labels])
+    write_table(path, [comment], header, columns)
 
 
 @dataclass(frozen=True)
@@ -165,28 +234,6 @@ def filter_events(ps: PointSet, filters: Sequence[ColumnFilter]) -> PointSet:
     )
 
 
-def _csv_records(lines: Iterable[str]):
-    """Yield (first line number, cells) for each csv record in ``lines``.
-
-    Blank lines and lines starting with ``#`` are skipped between records; a
-    quoted field keeps every line it spans, blank or not.
-    """
-    start = 0
-
-    def record_lines():
-        nonlocal start
-        for lineno, line in enumerate(lines, start=1):
-            if not start:
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                start = lineno
-            yield line
-
-    for cells in csv.reader(record_lines()):
-        yield start, cells
-        start = 0
-
-
 def read_events(path: str | Path) -> PointSet:
     """Parse an event table into a PointSet.
 
@@ -194,19 +241,7 @@ def read_events(path: str | Path) -> PointSet:
     and with the offending line number for rows with the wrong column
     count, non-finite numbers or a negative weight.
     """
-    path = Path(path)
-    try:
-        # newline="" hands line endings inside quoted labels to the csv reader as written
-        with open(path, newline="") as fh:
-            records = list(_csv_records(fh))
-    except OSError as exc:
-        raise EventFileError(f"{path}: cannot read event file: {exc}") from exc
-    except csv.Error as exc:
-        raise EventFileError(f"{path}: {exc}") from exc
-    if not records:
-        raise EventFileError(f"{path}: no header row found")
-
-    header = [h.strip() for h in records[0][1]]
+    header, rows = read_table(path, "event file")
     repeated = sorted({h for h in header if header.count(h) > 1})
     if repeated:
         raise EventFileError(f"{path}: header names {repeated} more than once")
@@ -220,11 +255,7 @@ def read_events(path: str | Path) -> PointSet:
     coords: list[list[float]] = []
     weights: list[float] = []
     labels: list[str | None] = []
-    for lineno, cells in records[1:]:
-        if len(cells) != len(header):
-            raise EventFileError(
-                f"{path}: line {lineno}: expected {len(header)} fields, found {len(cells)}"
-            )
+    for lineno, cells in rows:
         try:
             values = [float(cells[i]) for i in feature_cols]
             w = float(cells[weight_col]) if weight_col is not None else 1.0
@@ -241,7 +272,7 @@ def read_events(path: str | Path) -> PointSet:
     w = np.asarray(weights)
     if (w < 0).any():
         i = int(np.argmax(w < 0))
-        raise EventFileError(f"{path}: line {records[i + 1][0]}: negative weight {weights[i]!r}")
+        raise EventFileError(f"{path}: line {rows[i][0]}: negative weight {weights[i]!r}")
 
     return PointSet(
         np.asarray(coords),
@@ -254,112 +285,86 @@ def read_events(path: str | Path) -> PointSet:
 # ---------------------------------------------------------------------------
 # tree files
 
+TREE_HEADER = ("u", "v", "length", "weight")
+
+
 def write_tree_csv(tree: Tree, path: str | Path, comment: str | None = None) -> None:
     """Write tree edges as ``u,v,length,weight`` in canonical order."""
-    lines = []
-    if comment:
-        lines.append(comment)
-    lines.append("u,v,length,weight")
-    for u, v, l, w in zip(
-        tree.edge_u.tolist(), tree.edge_v.tolist(), tree.lengths.tolist(), tree.edge_weights.tolist()
-    ):
-        lines.append(f"{u},{v},{_fmt(l)},{_fmt(w)}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    columns = (tree.edge_u, tree.edge_v, tree.lengths, tree.edge_weights)
+    write_table(path, [comment], TREE_HEADER, columns)
 
 
 def read_tree_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read a tree file back as (u, v, length, weight) arrays."""
-    path = Path(path)
-    us, vs, lengths, weights = [], [], [], []
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise EventFileError(f"{path}: cannot read tree file: {exc}") from exc
-    seen_header = False
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if not seen_header:
-            seen_header = True
-            continue
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise EventFileError(f"{path}: line {lineno}: expected 4 fields")
+    _, rows = read_table(path, "tree file", TREE_HEADER)
+    edges = []
+    for lineno, (u, v, length, weight) in rows:
         try:
-            us.append(int(cells[0]))
-            vs.append(int(cells[1]))
-            lengths.append(float(cells[2]))
-            weights.append(float(cells[3]))
+            edges.append((int(u), int(v), float(length), float(weight)))
         except ValueError as exc:
             raise EventFileError(f"{path}: line {lineno}: {exc}") from exc
-    return (
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        np.asarray(lengths),
-        np.asarray(weights),
-    )
+    columns = list(zip(*edges)) or [()] * 4
+    return tuple(np.asarray(c, t) for c, t in zip(columns, (np.int64, np.int64, float, float)))
 
 
 # ---------------------------------------------------------------------------
 # histogram files
 
+HISTOGRAM_HEADER = ("bin_lo", "bin_hi", "content")
+
+
 def write_histogram_csv(h: Histogram, path: str | Path, comment: str | None = None) -> None:
     """Write ``bin_lo,bin_hi,content`` rows plus overflow/underflow trailers."""
-    lines = []
-    if comment:
-        lines.append(comment)
-    lines.append(f"# folds_overflow={'true' if h.folds_overflow else 'false'}")
-    lines.append("bin_lo,bin_hi,content")
-    edges = h.edges
-    for i in range(h.nbins):
-        lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{_fmt(h.contents[i])}")
-    lines.append(f"overflow,,{_fmt(h.overflow)}")
-    lines.append(f"underflow,,{_fmt(h.underflow)}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    folds = f"# folds_overflow={'true' if h.folds_overflow else 'false'}"
+    edges = h.edges.tolist()
+    columns = (
+        edges[:-1] + ["overflow", "underflow"],
+        edges[1:] + ["", ""],
+        np.append(h.contents, (h.overflow, h.underflow)),
+    )
+    write_table(path, [comment, folds], HISTOGRAM_HEADER, columns)
 
 
 def read_histogram_csv(path: str | Path) -> Histogram:
-    path = Path(path)
-    folds = True
-    rows: list[tuple[float, float, float]] = []
-    overflow = underflow = 0.0
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise EventFileError(f"{path}: cannot read histogram file: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            if "folds_overflow=" in stripped:
-                folds = stripped.split("folds_overflow=")[1].strip() == "true"
-            continue
-        if stripped.startswith("bin_lo"):
-            continue
-        cells = stripped.split(",")
-        if cells[0] in ("overflow", "underflow"):
-            try:
-                value = float(cells[-1])
-            except ValueError as exc:
-                raise EventFileError(f"{path}: line {lineno}: {exc}") from exc
-            if cells[0] == "overflow":
-                overflow = value
-            else:
-                underflow = value
-            continue
-        if len(cells) != 3:
-            raise EventFileError(f"{path}: line {lineno}: expected 3 fields")
+    """Read a histogram file back.
+
+    Raises :class:`EventFileError` naming the line for a non-finite number,
+    and for bins that are not the uniform split of [lo, hi): a ``bin_lo``
+    not below its ``bin_hi`` or unequal to the ``bin_hi`` before it, or an
+    edge off the split by more than 1e-9 (hi - lo).
+    """
+    comments: list[str] = []
+    _, rows = read_table(path, "histogram file", HISTOGRAM_HEADER, comments)
+    flags = [c.split("folds_overflow=")[1].strip() for c in comments if "folds_overflow=" in c]
+    bins, trailers = [], {"overflow": 0.0, "underflow": 0.0}
+    for lineno, cells in rows:
         try:
-            rows.append((float(cells[0]), float(cells[1]), float(cells[2])))
+            values = [float(c) for c in (cells[2:] if cells[0] in trailers else cells)]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite value")
+            if cells[0] in trailers:
+                trailers[cells[0]] = values[0]
+            elif not values[0] < values[1]:
+                raise ValueError(f"bin_lo {values[0]!r} is not below bin_hi {values[1]!r}")
+            elif bins and values[0] != bins[-1][2]:
+                raise ValueError(f"bin_lo {values[0]!r} differs from the bin_hi before it")
+            else:
+                bins.append((lineno, *values))
         except ValueError as exc:
             raise EventFileError(f"{path}: line {lineno}: {exc}") from exc
-    if not rows:
+    if not bins:
         raise EventFileError(f"{path}: histogram file contains no bins")
-    lo = rows[0][0]
-    hi = rows[-1][1]
-    contents = np.array([r[2] for r in rows])
-    return Histogram(lo, hi, len(rows), contents, underflow, overflow, folds)
+    lines, los, his, contents = zip(*bins)
+    folds = not flags or flags[-1] == "true"
+    h = Histogram(los[0], his[-1], len(bins), contents, folds_overflow=folds, **trailers)
+    off = np.abs(np.array(los) - h.edges[:-1]) > 1e-9 * (h.hi - h.lo)
+    if off.any():
+        i = int(np.argmax(off))
+        raise EventFileError(
+            f"{path}: line {lines[i]}: bin_lo {los[i]!r} is off the uniform split of "
+            f"[{h.lo!r}, {h.hi!r}) into {h.nbins} bins"
+        )
+    return h
 
 
 def _finite_or_null(obj: Any) -> Any:
@@ -404,6 +409,8 @@ class MixtureSpec:
         if unknown:
             raise ValueError(f"unknown two_component keys {unknown}")
         # the mixture draws each component's count and seed: an entry sets neither
+        for role in ("background", "signal"):
+            check_component(d[role].get("kind"))
         bg, sig = (GeneratorSpec(count=1, seed=0, **d[role]) for role in ("background", "signal"))
         seed = None if d.get("seed") is None else config_int("two_component seed", d["seed"])
         count = config_int("two_component count", d["count"])

@@ -105,9 +105,6 @@ class Tree:
         m = self.vertex_count
         return np.bincount(self._us, minlength=m) + np.bincount(self._vs, minlength=m)
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self._us.tolist(), self._vs.tolist()))
-
     def __repr__(self) -> str:
         return f"Tree(m={self.vertex_count}, edges={self.edge_count})"
 

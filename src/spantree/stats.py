@@ -252,18 +252,3 @@ def histogram(
         over_w = 0.0
     return Histogram(lo, hi, nbins, contents, under_w, over_w, overflow)
 
-
-def normalize_to(h: Histogram, reference: Histogram) -> Histogram:
-    """Scale ``h`` so its total weight matches the reference histogram's.
-
-    The scale factor is reference.total / h.total. When two same-size trees
-    are overlaid, their branch-count histograms should instead be scaled by
-    the factor taken from the log-normalized-length pair, since equally
-    sized trees need not have equally many branches; use
-    :meth:`Histogram.scaled` with that factor for those.
-    """
-    if reference.total <= 0:
-        raise DegenerateStatistic("reference histogram has non-positive total weight")
-    if h.total <= 0:
-        raise DegenerateStatistic("histogram has non-positive total weight; cannot normalize")
-    return h.scaled(reference.total / h.total)

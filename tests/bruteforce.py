@@ -33,6 +33,9 @@ resampling and tree statistic, because what it checks is the scheduling.
 It runs the trials one after another in this process, from the same
 spawned seeds, so a calibration on worker processes must reproduce its
 statistics bit for bit.
+
+``edge_set`` and ``normalize_to`` are plain helpers for the tests: a tree's
+edges as a set, and a histogram scaled to another's total weight.
 """
 
 from __future__ import annotations
@@ -44,10 +47,34 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from spantree import BinnedModel, FitError, FitResult, MstConstraint, PointSet, Tree, observed_mu
+from spantree import (
+    BinnedModel,
+    DegenerateStatistic,
+    FitError,
+    FitResult,
+    Histogram,
+    MstConstraint,
+    PointSet,
+    Tree,
+    observed_mu,
+)
 from spantree.analysis import _FLAT_TOL, _resample_mixture, resolve_alpha_grid
 
 _CHUNK_ROWS = 512
+
+
+def edge_set(tree: Tree) -> set[tuple[int, int]]:
+    """The tree's edges as a set of (u, v) pairs, whatever their order."""
+    return set(zip(tree.edge_u.tolist(), tree.edge_v.tolist()))
+
+
+def normalize_to(h: Histogram, reference: Histogram) -> Histogram:
+    """``h`` scaled by reference.total / h.total, so the two totals match."""
+    if reference.total <= 0:
+        raise DegenerateStatistic("reference histogram has non-positive total weight")
+    if h.total <= 0:
+        raise DegenerateStatistic("histogram has non-positive total weight; cannot normalize")
+    return h.scaled(reference.total / h.total)
 
 
 class _UnionFind:

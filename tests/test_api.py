@@ -52,7 +52,6 @@ PUBLIC_API = [
     "log_normalized_lengths",
     "mean_edge_length",
     "mean_log_norm_length",
-    "normalize_to",
     "normalized_lengths",
     "observed_mu",
     "preset_spec",

@@ -216,8 +216,12 @@ class TestSpecDispatch:
         )
 
     def test_grid_count_must_match(self):
-        with pytest.raises(ValueError):
-            generate(GeneratorSpec("grid", 801, 0, 0.2, {"cols": 20, "rows": 40}))
+        # refused as the spec is built, before any draw; an omitted cols or
+        # rows takes the default of the generator's signature
+        with pytest.raises(ValueError, match=r"cols\*rows \(800\), got 801"):
+            GeneratorSpec("grid", 801, 0, 0.2, {"cols": 20, "rows": 40})
+        with pytest.raises(ValueError, match=r"cols\*rows \(80\), got 800"):
+            GeneratorSpec("quadratic_grid", 800, 0, 0.2, {"rows": 4})
 
     def test_params_are_generator_keywords(self):
         # an omitted param takes the default of the generator's signature

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spantree import ConfigError, EventFileError, Histogram, PointSet, build_mst_kruskal
 from spantree.cli import main
@@ -159,6 +163,84 @@ class TestHistogramFiles:
         with pytest.raises(EventFileError, match=f"line {at + 1}:"):
             read_histogram_csv(path)
         assert run_cli("plot", "hist", path, "-o", tmp_path / "h.svg") == 2
+
+
+# text holding every character the table format must quote; the readers
+# strip a label's and a column name's edges, and a line starting with "#"
+# is a comment, so drawn names and labels avoid both
+_TEXT = st.text(st.sampled_from('ab7 ,"\r\n#é'), min_size=1, max_size=8)
+_LABELS = _TEXT.filter(lambda s: s == s.strip())
+_NAMES = _LABELS.filter(lambda s: not s.startswith("#") and s not in ("weight", "label"))
+_FLOATS = st.floats(-1e6, 1e6)
+
+
+def _csv_writer_text(rows, lineterminator: str) -> str:
+    """``rows`` as ``csv.writer(lineterminator=...)`` quotes them, each ended by a line feed."""
+    text = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=lineterminator).writerow(row)
+        text.append(buf.getvalue()[: -len(lineterminator)] + "\n")
+    return "".join(text)
+
+
+class TestTableRoundTrip:
+    """Every table reader gives back exactly what its writer was given."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), names=st.lists(_NAMES, min_size=1, max_size=3, unique=True))
+    def test_events_trees_and_histograms(self, data, names, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tables") / "table.csv"
+        m = data.draw(st.integers(1, 12))
+        row = st.lists(_FLOATS, min_size=len(names), max_size=len(names))
+        coords = data.draw(st.lists(row, min_size=m, max_size=m))
+        weights = data.draw(st.lists(st.floats(0.0, 1e6), min_size=m, max_size=m))
+        labels = data.draw(st.lists(st.none() | _LABELS, min_size=m, max_size=m))
+        labels = labels if any(label is not None for label in labels) else None
+        ps = PointSet(coords, weights, labels, names)
+        write_events(ps, path, comment="# events")
+        back = read_events(path)
+        assert back.coords.tobytes() == ps.coords.tobytes()
+        assert back.weights.tobytes() == ps.weights.tobytes()
+        assert back.labels == ps.labels and back.feature_names == ps.feature_names
+
+        # the same cells through csv.writer
+        with_weights = any(w != 1.0 for w in weights)
+        rows = [names + ["weight"] * with_weights + ["label"] * (labels is not None)]
+        for i, values in enumerate(coords):
+            label = [labels[i] or ""] if labels else []
+            rows.append(values + weights[i : i + 1] * with_weights + label)
+        text = path.read_bytes().decode()
+        # a field whose only special character is a carriage return is quoted
+        # too: csv.writer leaves it bare, and csv.reader cannot read that back
+        assert text == "# events\n" + _csv_writer_text(rows, "\r\n")
+        if not any("\r" in cell for cell in rows[0] + (labels or []) if cell):
+            assert text == "# events\n" + _csv_writer_text(rows, "\n")
+
+        tree = build_mst_kruskal(ps)
+        write_tree_csv(tree, path)
+        want = (tree.edge_u, tree.edge_v, tree.lengths, tree.edge_weights)
+        for got, expected in zip(read_tree_csv(path), want):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+        nbins = data.draw(st.integers(1, 60))
+        lo = data.draw(st.floats(-1e3, 1e3))
+        h = Histogram(
+            lo,
+            lo + data.draw(st.floats(1e-3, 1e6)),
+            nbins,
+            data.draw(st.lists(_FLOATS, min_size=nbins, max_size=nbins)),
+            data.draw(_FLOATS),
+            data.draw(_FLOATS),
+            data.draw(st.booleans()),
+        )
+        write_histogram_csv(h, path, comment="# histogram")
+        back = read_histogram_csv(path)
+        assert (back.lo, back.hi, back.nbins, back.folds_overflow) == (
+            h.lo, h.hi, h.nbins, h.folds_overflow
+        )
+        assert back.contents.tobytes() == h.contents.tobytes()
+        assert (back.underflow, back.overflow) == (h.underflow, h.overflow)
 
 
 class TestJsonFiles:
@@ -779,6 +861,17 @@ INPUT_CONFIG_ERRORS = {
     "mixture-alpha-1.5": (_set("observed/two_component/alpha_true", 1.5), r"alpha_true must lie in \[0, 1\]"),
     "mixture-kind-discc": (_set("observed/two_component/background/kind", "discc"), "'discc'"),
     "mixture-count-0": (_set("observed/two_component/count", 0), "count must be positive"),
+    "grid-count-off-lattice": (
+        _set(
+            "signal/generator",
+            {"kind": "grid", "count": 801, "seed": 1, "params": {"cols": 20, "rows": 40}},
+        ),
+        r"grid count must equal cols\*rows \(800\), got 801",
+    ),
+    "grid-count-default-shape": (
+        _set("signal/generator", {"kind": "quadratic_grid", "count": 801, "seed": 1}),
+        r"grid count must equal cols\*rows \(800\), got 801",
+    ),
     "mixture-grid-component": (
         _set("observed/two_component/signal", {"kind": "grid", "params": {"cols": 2, "rows": 2}}),
         "grid cannot be a mixture component",
@@ -926,6 +1019,40 @@ class TestCliPlot:
         assert run_cli("plot", "tree", "--events", events, "-o", out) == 0
         svg = out.read_text()
         assert ">background</text>" in svg and ">signal</text>" in svg
+
+
+# a tree or histogram file the plot commands must refuse: (plot kind, file
+# text, the error); each once plotted and exited 0
+BAD_TABLES = {
+    "headerless-tree": ("tree", "0,1,1.0,1.0\n1,2,1.0,1.0\n", "line 1: tree file header must be"),
+    "events-as-tree": ("tree", "x,y,a,b\n0,1,1,1\n1,2,1,1\n", "line 1: tree file header must be"),
+    "headerless-histogram": ("hist", "0.0,1.0,2.0\n1.0,2.0,3.0\n", "histogram file header must be"),
+    "gapped-bins": (
+        "hist", "bin_lo,bin_hi,content\n0,1,2.0\n5,6,1.0\n", "line 3: bin_lo 5.0 differs from"
+    ),
+    "reversed-bins": ("hist", "bin_lo,bin_hi,content\n6,0,2.0\n", "line 2: bin_lo 6.0 is not"),
+    "nan-content": ("hist", "bin_lo,bin_hi,content\n0,1,2.0\n1,2,nan\n", "line 3: non-finite"),
+    "nan-trailer": ("hist", "bin_lo,bin_hi,content\n0,1,2.0\noverflow,,nan\n", "line 3: non-fin"),
+    "uneven-bins": (
+        "hist", "bin_lo,bin_hi,content\n0,1,1.0\n1,3,1.0\n", "line 3: bin_lo 1.0 is off the uniform"
+    ),
+}
+
+
+class TestPlotRefusesBadTables:
+    @pytest.mark.parametrize("case", sorted(BAD_TABLES))
+    def test_exit_2_without_svg(self, case, tmp_path, capsys):
+        kind, text, match = BAD_TABLES[case]
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        out = tmp_path / "plot.svg"
+        if kind == "tree":
+            events = tmp_path / "events.csv"
+            events.write_text("x,y\n0.0,0.0\n1.0,0.0\n0.0,1.0\n")
+            code = run_cli("plot", "tree", "--events", events, "--tree", table, "-o", out)
+        else:
+            code = run_cli("plot", "hist", table, "-o", out)
+        _assert_config_error(code, capsys, out, match)
 
 
 class TestPipelineDeterminism:

@@ -23,6 +23,7 @@ from spantree.generators import PRESET_NAMES
 from bruteforce import (
     build_mst_prim,
     canonical_mst_dense,
+    edge_set,
     min_spanning_total_bruteforce,
     validate_tree,
 )
@@ -86,7 +87,7 @@ class TestBothBuilders:
         x = np.sort(rng.random(200) * 12)
         tree = build(PointSet(x))
         expected = {(i, i + 1) for i in range(199)}
-        assert tree.edge_set() == expected
+        assert edge_set(tree) == expected
         assert tree_total_length(tree) == pytest.approx(x[-1] - x[0], rel=1e-12)
 
 
@@ -97,14 +98,14 @@ class TestKruskalDeterminism:
         ps = PointSet(np.column_stack([xs.ravel(), ys.ravel()]))
         t1 = build_mst_kruskal(ps)
         t2 = build_mst_kruskal(ps)
-        assert t1.edge_set() == t2.edge_set()
+        assert edge_set(t1) == edge_set(t2)
         validate_tree(t1)
         np.testing.assert_array_equal(t1.lengths, np.ones(15))
 
     def test_square_picks_canonical_unit_edges(self):
         ps = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         tree = build_mst_kruskal(ps)
-        assert tree.edge_set() == {(0, 1), (0, 2), (1, 3)}
+        assert edge_set(tree) == {(0, 1), (0, 2), (1, 3)}
 
     def test_prefix_growth_path(self):
         # two distant 4-d clusters: the bridge edge is the longest, and the
@@ -115,7 +116,7 @@ class TestKruskalDeterminism:
         ps = PointSet(np.vstack([a, b]))
         tree = build_mst_kruskal(ps)
         validate_tree(tree)
-        assert tree.edge_set() == build_mst_prim(ps).edge_set()
+        assert edge_set(tree) == edge_set(build_mst_prim(ps))
 
     def test_uniform_1d_preset_is_sorted_chain(self):
         # 100 000 points: far beyond what an all-pairs build could hold
@@ -127,7 +128,7 @@ class TestKruskalDeterminism:
                            np.maximum(order[:-1], order[1:]).tolist()))
         assert m == 100_000
         assert tree.edge_count == m - 1
-        assert tree.edge_set() == expected
+        assert edge_set(tree) == expected
 
 
 class TestAlgorithmAgreement:
@@ -135,7 +136,7 @@ class TestAlgorithmAgreement:
         rng = np.random.default_rng(37)
         for dim in (1, 2, 3):
             ps = PointSet(rng.random((500, dim)) * 10)
-            assert build_mst_kruskal(ps).edge_set() == build_mst_prim(ps).edge_set()
+            assert edge_set(build_mst_kruskal(ps)) == edge_set(build_mst_prim(ps))
 
     def test_totals_match_bruteforce_for_seven_points(self):
         rng = np.random.default_rng(41)
@@ -331,8 +332,8 @@ class TestExactnessGate:
         if np.unique(d).size == d.size:
             # the tree is unique, so it cannot depend on the labelling
             relabelled = {tuple(sorted((int(perm[u]), int(perm[v]))))
-                          for u, v in permuted.edge_set()}
-            assert relabelled == tree.edge_set()
+                          for u, v in edge_set(permuted)}
+            assert relabelled == edge_set(tree)
 
 
 class TestOneTreePath:

@@ -13,12 +13,13 @@ from spantree import (
     histogram,
     log_normalized_lengths,
     mean_log_norm_length,
-    normalize_to,
     normalized_lengths,
     preset_spec,
     sample_1d,
     summarize,
 )
+
+from bruteforce import normalize_to
 
 
 def chain_tree():
