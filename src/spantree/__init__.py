@@ -43,10 +43,9 @@ from .generators import (
     preset_spec,
     sample_1d,
 )
-from .geometry import AffineRescale, PointSet, rescale_features
+from .geometry import PointSet, rescale_features
 from .mst import Tree, build_mst_kruskal, tree_total_length
 from .stats import (
-    Branch,
     Histogram,
     TreeStatsSummary,
     degrees,
@@ -62,9 +61,7 @@ from .stats import (
 
 __all__ = [
     "__version__",
-    "AffineRescale",
     "BinnedModel",
-    "Branch",
     "CalibrationResult",
     "ComparisonResult",
     "ConfigError",

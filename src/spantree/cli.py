@@ -8,8 +8,8 @@ fit driven by a run config), and ``plot`` (SVG renderings).
 Every output embeds a hash of the effective configuration, and reruns
 with identical configuration produce byte-identical outputs. Exit codes:
 0 success, 2 parse/config error, 3 numeric/domain error, 4 I/O error.
-The default output location is the current directory, or
-``SPANTREE_OUTPUT_DIR`` when set.
+Outputs go to ``-o``, else a run config's ``output_dir``, else
+``SPANTREE_OUTPUT_DIR`` when set, else the current directory.
 """
 
 from __future__ import annotations
@@ -98,9 +98,7 @@ def _stat_histogram(values, weights, name: str, specs: dict, integer_valued: boo
     return histogram(values, weights, lo, hi, _DEFAULT_NBINS, overflow=True)
 
 
-def _log_branch_lengths(branches) -> tuple[np.ndarray, np.ndarray]:
-    lengths = np.fromiter((b.length for b in branches), np.float64, len(branches))
-    weights = np.fromiter((b.weight for b in branches), np.float64, len(branches))
+def _log_branch_lengths(lengths, weights) -> tuple[np.ndarray, np.ndarray]:
     keep = lengths > 0
     return np.log(lengths[keep]), weights[keep]
 
@@ -151,7 +149,7 @@ def _load_events(path: str, rescale: str) -> PointSet:
     ps = read_events(path)
     if rescale != "none":
         try:
-            ps, _ = rescale_features(ps, rescale)
+            ps = rescale_features(ps, rescale)
         except ValueError as exc:
             raise EventFileError(f"{path}: {exc}") from exc
     return ps
@@ -186,14 +184,14 @@ def _cmd_stats(args) -> int:
         "region_weights": config.region_weights,
     }
     prov = provenance_line(config_hash(cfg))
-    outdir = _ensure_dir(_out_base(args.output))
+    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
 
     write_tree_csv(tree, outdir / "tree.csv", prov)
     stat_values = {
         "edge_length": lambda: edge_lengths(tree),
         "log_norm_length": lambda: log_normalized_lengths(tree),
         "degree": lambda: degrees(tree),
-        "log_branch_length": lambda: _log_branch_lengths(extract_branches(tree)),
+        "log_branch_length": lambda: _log_branch_lengths(*extract_branches(tree)),
     }
     for name in statistics:
         values, weights = stat_values[name]()
@@ -224,12 +222,12 @@ def _cmd_stats(args) -> int:
 
 def _write_comparison(outdir: Path, tag: str, result, hist_specs, prov: str) -> None:
     header = ("vertex", "connection_length", "connection_ratio", "weight")
-    columns = (result.vertex_indices, result.connection_length, result.connection_ratio)
-    write_table(outdir / f"comparison_{tag}.csv", [prov], header, columns + (result.weights,))
+    ratios, weights = result.connection_ratio, result.weights
+    columns = (np.arange(len(ratios)), result.connection_length, ratios, weights)
+    write_table(outdir / f"comparison_{tag}.csv", [prov], header, columns)
 
-    h_c = _stat_histogram(*result.length_pairs(), "connection_length", hist_specs)
+    h_c = _stat_histogram(result.connection_length, weights, "connection_length", hist_specs)
     write_histogram_csv(h_c, outdir / f"hist_connection_length_{tag}.csv", prov)
-    ratios, weights = result.ratio_pairs()
     finite = np.isfinite(ratios)
     # with no finite ratio, one zero-weight entry keeps the automatic range defined
     ratios, weights = (ratios[finite], weights[finite]) if finite.any() else (np.zeros(1),) * 2
@@ -264,7 +262,7 @@ def _cmd_compare(args) -> int:
         "region_weights": config.region_weights,
     }
     prov = provenance_line(config_hash(cfg))
-    outdir = _ensure_dir(_out_base(args.output))
+    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
 
     forward = connection_ratios(tree_a, tree_b, k=args.k, edge_pool=args.pool)
     _write_comparison(outdir, "subject_vs_reference", forward, hist_specs, prov)

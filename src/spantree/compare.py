@@ -36,44 +36,11 @@ EDGE_POOLS = ("reference", "subject")
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Per-vertex comparison of a subject tree against a reference tree."""
+    """Per-subject-vertex connection lengths and ratios, in vertex order."""
 
-    vertex_indices: np.ndarray
     connection_length: np.ndarray
+    connection_ratio: np.ndarray
     weights: np.ndarray
-    direction: str = "subject->reference"
-    connection_ratio: np.ndarray | None = None
-    k: int | None = None
-    edge_pool: str | None = None
-    infinite_ratio_count: int = 0
-
-    def __post_init__(self) -> None:
-        for name in ("vertex_indices", "connection_length", "weights"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.connection_ratio is not None:
-            r = np.asarray(self.connection_ratio)
-            r.setflags(write=False)
-            object.__setattr__(self, "connection_ratio", r)
-
-    def length_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (connection lengths, weights) arrays."""
-        return self.connection_length, self.weights
-
-    def ratio_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (connection ratios, weights) arrays."""
-        if self.connection_ratio is None:
-            raise ValueError("this result carries no connection ratios")
-        return self.connection_ratio, self.weights
-
-
-def _check_dimensions(subject: Tree, reference: Tree) -> None:
-    if subject.source.dimension != reference.source.dimension:
-        raise DimensionMismatch(
-            "trees live in different feature spaces: "
-            f"{subject.source.dimension} vs {reference.source.dimension}"
-        )
 
 
 def _nearest_point_distances(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -112,20 +79,18 @@ def _nearest_edge_mean_lengths(
     return out
 
 
-def connection_lengths(subject: Tree, reference: Tree) -> ComparisonResult:
-    """Nearest-reference-vertex distance for each subject vertex.
+def connection_lengths(subject: Tree, reference: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Per-subject-vertex (nearest-reference-vertex distances, weights) arrays.
 
     Directional: swapping subject and reference generally changes the
     distribution. Identical trees give zero everywhere.
     """
-    _check_dimensions(subject, reference)
-    sub = subject.source
-    c = _nearest_point_distances(sub.coords, reference.source.coords)
-    return ComparisonResult(
-        vertex_indices=np.arange(len(sub), dtype=np.int64),
-        connection_length=c,
-        weights=sub.weights.copy(),
-    )
+    sub, ref = subject.source, reference.source
+    if sub.dimension != ref.dimension:
+        raise DimensionMismatch(
+            f"trees live in different feature spaces: {sub.dimension} vs {ref.dimension}"
+        )
+    return _nearest_point_distances(sub.coords, ref.coords), sub.weights
 
 
 def connection_ratios(
@@ -139,36 +104,21 @@ def connection_ratios(
     For each subject vertex the connection length is divided by the mean
     length of the k pool edges nearest the vertex (all of them if the pool
     has fewer than k). A zero local mean (coincident points) yields an
-    infinite ratio, counted in ``infinite_ratio_count``.
+    infinite ratio.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if edge_pool not in EDGE_POOLS:
         raise ValueError(f"edge_pool must be one of {EDGE_POOLS}, got {edge_pool!r}")
-    _check_dimensions(subject, reference)
-
+    c, weights = connection_lengths(subject, reference)
     pool = reference if edge_pool == "reference" else subject
     if pool.edge_count == 0:
         raise DegenerateStatistic(f"{edge_pool} tree has no edges to pool")
 
-    sub = subject.source
-    c = _nearest_point_distances(sub.coords, reference.source.coords)
-
     coords = pool.source.coords
     midpoints = 0.5 * (coords[pool.edge_u] + coords[pool.edge_v])
-    local_mean = _nearest_edge_mean_lengths(sub.coords, midpoints, pool.lengths, k)
+    local_mean = _nearest_edge_mean_lengths(subject.source.coords, midpoints, pool.lengths, k)
 
-    zero_mean = local_mean == 0
     ratio = np.full(c.shape, np.inf)
-    np.divide(c, local_mean, out=ratio, where=~zero_mean)
-    infinite = int(np.isinf(ratio).sum())
-
-    return ComparisonResult(
-        vertex_indices=np.arange(len(sub), dtype=np.int64),
-        connection_length=c,
-        weights=sub.weights.copy(),
-        connection_ratio=ratio,
-        k=k,
-        edge_pool=edge_pool,
-        infinite_ratio_count=infinite,
-    )
+    np.divide(c, local_mean, out=ratio, where=local_mean != 0)
+    return ComparisonResult(c, ratio, weights)

@@ -12,7 +12,6 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -118,50 +117,21 @@ class PointSet:
         """Same coordinates and labels, new per-point weights."""
         return PointSet(self._coords, weights, self._labels, self._feature_names)
 
-    def with_coords(self, coords) -> "PointSet":
-        """Same weights and labels, new coordinates (same point count)."""
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.ndim == 1:
-            coords = coords.reshape(-1, 1)
-        if coords.shape[0] != len(self):
-            raise ValueError("point count must be preserved")
-        return PointSet(coords, self._weights, self._labels, self._feature_names)
-
     def __repr__(self) -> str:
         return f"PointSet(m={len(self)}, dimension={self.dimension})"
 
 
-@dataclass(frozen=True)
-class AffineRescale:
-    """Per-feature affine map ``x -> (x - offset) / scale`` used by a rescale.
-
-    Kept alongside the rescaled data so downstream reports can state the
-    original units. ``scale`` is strictly positive; degenerate constant
-    features get scale 1 (and therefore map to 0 under unit-range).
-    """
-
-    mode: str
-    offset: np.ndarray
-    scale: np.ndarray
-
-    def apply(self, coords: np.ndarray) -> np.ndarray:
-        return (np.asarray(coords, dtype=np.float64) - self.offset) / self.scale
-
-
-def rescale_features(ps: PointSet, mode: str = "none") -> tuple[PointSet, AffineRescale]:
+def rescale_features(ps: PointSet, mode: str = "none") -> PointSet:
     """Rescale every feature of a point set; weights and labels are unchanged.
 
     ``unit-range`` maps each feature to [0, 1] via (x - min) / (max - min);
     ``unit-variance`` maps to (x - mean) / stddev. Constant features map
-    to 0 in either mode. Returns the rescaled set together with the affine
-    parameters that were applied.
+    to 0 in either mode.
     """
     if mode not in RESCALE_MODES:
         raise ValueError(f"unknown rescale mode {mode!r}; expected one of {RESCALE_MODES}")
-    n = ps.dimension
     if mode == "none":
-        params = AffineRescale(mode, np.zeros(n), np.ones(n))
-        return ps, params
+        return ps
 
     coords = ps.coords
     if mode == "unit-range":
@@ -173,5 +143,4 @@ def rescale_features(ps: PointSet, mode: str = "none") -> tuple[PointSet, Affine
         offset = coords.mean(axis=0)
         scale = coords.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
-    params = AffineRescale(mode, offset, scale)
-    return ps.with_coords(params.apply(coords)), params
+    return PointSet((coords - offset) / scale, ps.weights, ps.labels, ps.feature_names)

@@ -4,9 +4,10 @@ Events, trees, histograms, comparisons and fit curves are CSV tables, all
 written by :func:`write_table` and read by :func:`read_table`: ``#``
 comment lines, a header row, then the rows. Numbers are printed with
 shortest-round-trip precision, so a write/read cycle preserves every value
-bit for bit; text holding a comma, a quote or a line break is quoted. A
-file without its expected header, or a row with the wrong number of
-fields, is refused with its line number.
+bit for bit; text holding a comma, a quote or a line break, or starting
+with ``#`` after any blanks, is quoted. A file without its expected
+header, or a row with the wrong number of fields, is refused with its
+line number.
 
 Every file this package writes starts with a one-line provenance comment
 carrying the tool version, the hash of the effective configuration that
@@ -92,8 +93,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 # CSV tables
 
 # csv.writer quotes a field holding the delimiter, the quote or a line feed;
-# a lone carriage return is quoted too, as the csv reader cannot read it bare
-_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+# a lone carriage return is quoted too, as the csv reader cannot read it bare,
+# and so is a leading "#", which would turn the line into a comment
+_NEEDS_QUOTES = re.compile('[,"\r\n]|^\\s*#').search
 
 
 def _quote(text: str) -> str:
@@ -237,9 +239,11 @@ def filter_events(ps: PointSet, filters: Sequence[ColumnFilter]) -> PointSet:
 def read_events(path: str | Path) -> PointSet:
     """Parse an event table into a PointSet.
 
-    Raises :class:`EventFileError` for a header that names a column twice,
-    and with the offending line number for rows with the wrong column
-    count, non-finite numbers or a negative weight.
+    Header names lose their surrounding blanks; label cells are kept as
+    written, and an empty one is no label. Raises :class:`EventFileError`
+    for a header that names a column twice, and with the offending line
+    number for rows with the wrong column count, non-finite numbers or a
+    negative weight.
     """
     header, rows = read_table(path, "event file")
     repeated = sorted({h for h in header if header.count(h) > 1})
@@ -265,7 +269,7 @@ def read_events(path: str | Path) -> PointSet:
             raise EventFileError(f"{path}: line {lineno}: non-finite value")
         coords.append(values)
         weights.append(w)
-        labels.append(cells[label_col].strip() or None if label_col is not None else None)
+        labels.append(cells[label_col] or None if label_col is not None else None)
 
     if not coords:
         raise EventFileError(f"{path}: event file contains no rows")
@@ -330,8 +334,9 @@ def read_histogram_csv(path: str | Path) -> Histogram:
 
     Raises :class:`EventFileError` naming the line for a non-finite number,
     and for bins that are not the uniform split of [lo, hi): a ``bin_lo``
-    not below its ``bin_hi`` or unequal to the ``bin_hi`` before it, or an
-    edge off the split by more than 1e-9 (hi - lo).
+    above its ``bin_hi`` or unequal to the ``bin_hi`` before it, or an edge
+    off the split by more than 1e-9 (hi - lo). A bin may be empty, as bins
+    narrower than the float spacing at [lo, hi) are, but not the range.
     """
     comments: list[str] = []
     _, rows = read_table(path, "histogram file", HISTOGRAM_HEADER, comments)
@@ -344,8 +349,8 @@ def read_histogram_csv(path: str | Path) -> Histogram:
                 raise ValueError("non-finite value")
             if cells[0] in trailers:
                 trailers[cells[0]] = values[0]
-            elif not values[0] < values[1]:
-                raise ValueError(f"bin_lo {values[0]!r} is not below bin_hi {values[1]!r}")
+            elif values[0] > values[1]:
+                raise ValueError(f"bin_lo {values[0]!r} is above bin_hi {values[1]!r}")
             elif bins and values[0] != bins[-1][2]:
                 raise ValueError(f"bin_lo {values[0]!r} differs from the bin_hi before it")
             else:
@@ -355,6 +360,8 @@ def read_histogram_csv(path: str | Path) -> Histogram:
     if not bins:
         raise EventFileError(f"{path}: histogram file contains no bins")
     lines, los, his, contents = zip(*bins)
+    if not los[0] < his[-1]:
+        raise EventFileError(f"{path}: histogram range [{los[0]!r}, {his[-1]!r}) is empty")
     folds = not flags or flags[-1] == "true"
     h = Histogram(los[0], his[-1], len(bins), contents, folds_overflow=folds, **trailers)
     off = np.abs(np.array(los) - h.edges[:-1]) > 1e-9 * (h.hi - h.lo)

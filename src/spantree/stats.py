@@ -26,16 +26,6 @@ from .mst import Tree
 
 
 @dataclass(frozen=True)
-class Branch:
-    """A leaf-rooted chain of edges through degree-2 vertices."""
-
-    vertex_path: tuple[int, ...]
-    edge_indices: tuple[int, ...]
-    length: float
-    weight: float
-
-
-@dataclass(frozen=True)
 class TreeStatsSummary:
     """Headline numbers for one tree."""
 
@@ -98,11 +88,12 @@ def _branch_count(deg: np.ndarray) -> int:
     return 1 if deg.max() <= 2 else int((deg == 1).sum())
 
 
-def extract_branches(t: Tree) -> list[Branch]:
-    """Decompose a tree into its branches.
+def extract_branches(t: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Per-branch (total lengths, weights) arrays, one branch per leaf.
 
-    A tree that is a pure path (both ends leaves, interior all degree 2)
-    yields exactly one branch containing every vertex. Otherwise each leaf
+    Branches are in ascending order of their starting leaf. A tree that is
+    a pure path (both ends leaves, interior all degree 2) yields exactly one
+    branch, from its lowest-index leaf to the other. Otherwise each leaf
     starts one branch ending at the first junction reached.
     """
     if t.edge_count == 0:
@@ -119,12 +110,10 @@ def extract_branches(t: Tree) -> list[Branch]:
 
     leaves = np.flatnonzero(deg == 1).tolist()
     if _branch_count(deg) == 1:
-        # pure path: one branch from the lowest-index leaf to the other
         leaves = leaves[:1]
-    paths = []
     edges: list[int] = []  # every branch's edges, one branch after another
+    ends = []
     for cur in leaves:
-        path = [cur]
         prev_edge = -1
         while True:
             s = start[cur]
@@ -133,27 +122,23 @@ def extract_branches(t: Tree) -> list[Branch]:
             prev_edge = slot_edge[s]
             cur = slot_next[s]
             edges.append(prev_edge)
-            path.append(cur)
             if not is_chain[cur]:
                 break
-        paths.append(path)
+        ends.append(len(edges))
 
     # branches of one size reduce as the rows of a matrix: each row along the
     # contiguous axis, so exactly as its own 1-d .sum() and np.prod() would
-    sizes = np.array([len(p) - 1 for p in paths])
-    offsets = np.cumsum(sizes) - sizes
+    offsets = np.array([0] + ends[:-1])
+    sizes = np.array(ends) - offsets
     flat = np.array(edges)
-    totals = np.empty(len(paths))
-    weights = np.empty(len(paths))
+    totals = np.empty(len(ends))
+    weights = np.empty(len(ends))
     for size in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == size)
         members = flat[offsets[rows, None] + np.arange(size)]
         totals[rows] = np.add.reduce(t.lengths[members], axis=1)
         weights[rows] = np.multiply.reduce(t.edge_weights[members], axis=1)
-    return [
-        Branch(tuple(p), tuple(edges[o : o + len(p) - 1]), total, weight)
-        for p, o, total, weight in zip(paths, offsets.tolist(), totals.tolist(), weights.tolist())
-    ]
+    return totals, weights
 
 
 def summarize(t: Tree) -> TreeStatsSummary:

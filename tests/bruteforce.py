@@ -34,6 +34,10 @@ It runs the trials one after another in this process, from the same
 spawned seeds, so a calibration on worker processes must reproduce its
 statistics bit for bit.
 
+The branch oracle walks each branch from its leaf over a plain adjacency
+list and returns the vertices and edges that the package's branch arrays
+only total.
+
 ``edge_set`` and ``normalize_to`` are plain helpers for the tests: a tree's
 edges as a set, and a histogram scaled to another's total weight.
 """
@@ -66,6 +70,33 @@ _CHUNK_ROWS = 512
 def edge_set(tree: Tree) -> set[tuple[int, int]]:
     """The tree's edges as a set of (u, v) pairs, whatever their order."""
     return set(zip(tree.edge_u.tolist(), tree.edge_v.tolist()))
+
+
+def branch_walks(tree: Tree) -> list[tuple[list[int], list[int]]]:
+    """Each branch's (vertex path, edge indices), in ascending order of its leaf.
+
+    A branch starts at a leaf and runs through degree-2 vertices to the first
+    vertex of another degree. A tree that is a single path is one branch,
+    walked from its lowest-index leaf.
+    """
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(len(tree.source))]
+    for e, (u, v) in enumerate(zip(tree.edge_u.tolist(), tree.edge_v.tolist())):
+        incident[u].append((e, v))
+        incident[v].append((e, u))
+    leaves = [x for x, inc in enumerate(incident) if len(inc) == 1]
+    if all(len(inc) <= 2 for inc in incident):
+        leaves = leaves[:1]
+    walks = []
+    for leaf in leaves:
+        path, edges = [leaf], []
+        while True:
+            e, nxt = next((e, w) for e, w in incident[path[-1]] if not edges or e != edges[-1])
+            path.append(nxt)
+            edges.append(e)
+            if len(incident[nxt]) != 2:
+                break
+        walks.append((path, edges))
+    return walks
 
 
 def normalize_to(h: Histogram, reference: Histogram) -> Histogram:

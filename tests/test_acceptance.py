@@ -141,7 +141,7 @@ def test_04_statistic_identities():
 
     for n in (2, 50, 300):
         path = build_mst_kruskal(PointSet(np.sort(rng.random(n))))
-        assert len(extract_branches(path)) == 1
+        assert len(extract_branches(path)[0]) == 1
 
     coords = rng.random((300, 3))
     reference = histogram(
@@ -162,8 +162,8 @@ def test_05_comparison_direction_and_tails():
     for seed in range(10):
         dense = build_mst_kruskal(generate(preset_spec("dense-grid", 2 * seed)))
         sparse = build_mst_kruskal(generate(preset_spec("sparse-grid", 2 * seed + 1)))
-        c_dense = connection_lengths(dense, sparse).connection_length
-        c_sparse = connection_lengths(sparse, dense).connection_length
+        c_dense = connection_lengths(dense, sparse)[0]
+        c_sparse = connection_lengths(sparse, dense)[0]
         assert c_dense.mean() < c_sparse.mean(), f"seed {seed}"
         r_dense = connection_ratios(dense, sparse, k=5).connection_ratio
         r_sparse = connection_ratios(sparse, dense, k=5).connection_ratio
@@ -177,8 +177,8 @@ def test_06_hidden_variable_discrimination():
 
     t2a = build_mst_kruskal(generate(preset_spec("disc", 501)))
     t2b = build_mst_kruskal(generate(preset_spec("disc", 502)))
-    c_ab = connection_lengths(t2a, t2b).connection_length
-    c_ba = connection_lengths(t2b, t2a).connection_length
+    c_ab = connection_lengths(t2a, t2b)[0]
+    c_ba = connection_lengths(t2b, t2a)[0]
     p_2d = scipy_stats.ks_2samp(c_ab, c_ba).pvalue
     assert p_2d > 0.01, f"2-d discs distinguishable (p={p_2d:.3g})"
 
@@ -189,8 +189,8 @@ def test_06_hidden_variable_discrimination():
     lnl_u = log_normalized_lengths(t3u)[0]
     lnl_e = log_normalized_lengths(t3e)[0]
     p_lnl = scipy_stats.ks_2samp(lnl_u, lnl_e).pvalue
-    c_ue = connection_lengths(t3u, t3e).connection_length
-    c_eu = connection_lengths(t3e, t3u).connection_length
+    c_ue = connection_lengths(t3u, t3e)[0]
+    c_eu = connection_lengths(t3e, t3u)[0]
     p_c = scipy_stats.ks_2samp(c_ue, c_eu).pvalue
     assert p_lnl < 1e-6, f"log norm lengths not separated (p={p_lnl:.3g})"
     assert p_c < 1e-6, f"connection lengths not separated (p={p_c:.3g})"
@@ -261,10 +261,9 @@ def test_09_performance_6000_points():
     summary = summarize(tree)
     histogram(*log_normalized_lengths(tree), -4.0, 2.0, 50)
     histogram(*degrees(tree), 0.5, 8.5, 8)
-    branches = [b for b in extract_branches(tree) if b.length > 0]
-    histogram(
-        [np.log(b.length) for b in branches], [b.weight for b in branches], -4.0, 4.0, 50
-    )
+    lengths, weights = extract_branches(tree)
+    keep = lengths > 0
+    histogram(np.log(lengths[keep]), weights[keep], -4.0, 4.0, 50)
     elapsed = time.perf_counter() - start
     assert summary.edge_count == 5999
     assert elapsed <= 30.0, f"6000-point build and statistics took {elapsed:.1f}s"

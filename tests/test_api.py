@@ -12,9 +12,7 @@ from spantree.io import write_events, write_histogram_csv
 
 PUBLIC_API = [
     "__version__",
-    "AffineRescale",
     "BinnedModel",
-    "Branch",
     "CalibrationResult",
     "ComparisonResult",
     "ConfigError",

@@ -30,20 +30,20 @@ class TestConnectionLengths:
     def test_identical_trees_zero(self):
         rng = np.random.default_rng(1)
         t = tree_of(rng.random((50, 2)))
-        res = connection_lengths(t, t)
-        np.testing.assert_array_equal(res.connection_length, np.zeros(50))
+        lengths, _ = connection_lengths(t, t)
+        np.testing.assert_array_equal(lengths, np.zeros(50))
 
     def test_single_point_trees(self):
         a = tree_of([[0.0, 0.0]])
         b = tree_of([[3.0, 4.0]])
-        assert connection_lengths(a, b).connection_length[0] == 5.0
-        assert connection_lengths(b, a).connection_length[0] == 5.0
+        assert connection_lengths(a, b)[0][0] == 5.0
+        assert connection_lengths(b, a)[0][0] == 5.0
 
     def test_directional_asymmetry_dense_sparse(self):
         dense = build_mst_kruskal(generate(preset_spec("dense-grid", 3)))
         sparse = build_mst_kruskal(generate(preset_spec("sparse-grid", 4)))
-        c_dense = connection_lengths(dense, sparse).connection_length
-        c_sparse = connection_lengths(sparse, dense).connection_length
+        c_dense = connection_lengths(dense, sparse)[0]
+        c_sparse = connection_lengths(sparse, dense)[0]
         # the dense grid sits inside the sparse one, so its vertices are
         # always near a sparse vertex; the converse has a long tail
         assert c_dense.mean() < c_sparse.mean()
@@ -51,7 +51,9 @@ class TestConnectionLengths:
 
     def test_weights_carried_from_subject(self):
         subject = tree_of([[0.0, 0.0], [1.0, 0.0]], weights=[0.5, 2.0])
-        res = connection_lengths(subject, tree_of([[5.0, 5.0]]))
+        _, weights = connection_lengths(subject, tree_of([[5.0, 5.0]]))
+        np.testing.assert_array_equal(weights, [0.5, 2.0])
+        res = connection_ratios(subject, tree_of([[5.0, 5.0], [6.0, 5.0]]), k=1)
         np.testing.assert_array_equal(res.weights, [0.5, 2.0])
 
     def test_dimension_mismatch(self):
@@ -62,13 +64,13 @@ class TestConnectionLengths:
         rng = np.random.default_rng(2)
         a_pts = rng.random((30, 2))
         b_pts = rng.random((40, 2)) + 0.5
-        base = connection_lengths(tree_of(a_pts), tree_of(b_pts)).connection_length
+        base = connection_lengths(tree_of(a_pts), tree_of(b_pts))[0]
         theta = 0.7
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         shift = np.array([3.0, -2.0])
         moved = connection_lengths(
             tree_of(a_pts @ rot.T + shift), tree_of(b_pts @ rot.T + shift)
-        ).connection_length
+        )[0]
         np.testing.assert_allclose(moved, base, rtol=1e-9)
 
     def test_matches_exhaustive_when_accelerated(self):
@@ -76,7 +78,7 @@ class TestConnectionLengths:
         subject = tree_of(rng.random((1000, 2)))
         reference = tree_of(rng.random((1000, 2)))
         exhaustive = connection_lengths_exhaustive(subject, reference)
-        accelerated = connection_lengths(subject, reference).connection_length
+        accelerated = connection_lengths(subject, reference)[0]
         np.testing.assert_array_equal(exhaustive, accelerated)
 
     def test_ratio_matches_exhaustive_when_accelerated(self):
@@ -193,7 +195,13 @@ class TestConnectionRatios:
         reference = tree_of(rng.random((20, 2)) * 10)
         ref_pool = connection_ratios(subject, reference, k=3, edge_pool="reference")
         sub_pool = connection_ratios(subject, reference, k=3, edge_pool="subject")
-        assert ref_pool.edge_pool == "reference" and sub_pool.edge_pool == "subject"
+        np.testing.assert_array_equal(
+            ref_pool.connection_ratio,
+            connection_ratios_exhaustive(subject, reference, 3, "reference"),
+        )
+        np.testing.assert_array_equal(
+            sub_pool.connection_ratio, connection_ratios_exhaustive(subject, reference, 3, "subject")
+        )
         assert not np.array_equal(ref_pool.connection_ratio, sub_pool.connection_ratio)
 
     def test_empty_pool_raises(self):
@@ -209,7 +217,7 @@ class TestConnectionRatios:
         subject = tree_of([[4.0, 5.0]])
         res = connection_ratios(subject, reference, k=2)
         assert np.isinf(res.connection_ratio[0])
-        assert res.infinite_ratio_count == 1
+        assert np.isinf(res.connection_ratio).sum() == 1
 
     def test_invalid_arguments(self):
         t = tree_of([[0.0, 0.0], [1.0, 0.0]])

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spantree import ConfigError, EventFileError, Histogram, PointSet, build_mst_kruskal
+from spantree import (
+    ConfigError,
+    EventFileError,
+    Histogram,
+    PointSet,
+    build_mst_kruskal,
+    histogram,
+)
 from spantree.cli import main
 from spantree.io import (
     ColumnFilter,
@@ -62,6 +69,26 @@ class TestEventFiles:
         path = tmp_path / "events.csv"
         write_events(ps, path, comment="# test file")
         assert read_events(path).labels == ps.labels
+
+    def test_leading_hash_text_round_trip(self, tmp_path):
+        # a bare "#a" as the first header cell would make the header a comment
+        ps = PointSet([[1.0, 2.0], [3.0, 4.0]], labels=["#x", " #y"], feature_names=("#a", "b"))
+        path = tmp_path / "events.csv"
+        write_events(ps, path)
+        assert path.read_text() == '"#a",b,label\n1.0,2.0,"#x"\n3.0,4.0," #y"\n'
+        back = read_events(path)
+        assert back.feature_names == ps.feature_names and back.labels == ps.labels
+        assert back.coords.tolist() == ps.coords.tolist()
+
+    def test_labels_keep_their_blanks(self, tmp_path):
+        ps = PointSet([[0.0], [1.0], [2.0], [3.0]], labels=[" a", "b ", " ", None])
+        path = tmp_path / "events.csv"
+        write_events(ps, path)
+        assert read_events(path).labels == ps.labels
+        # header names lose their blanks, so a hand-written "x, y" header works
+        path.write_text("x, y ,label\n0.0,1.0, c\n2.0,3.0,\n")
+        back = read_events(path)
+        assert back.feature_names == ("x", "y") and back.labels == (" c", None)
 
     def test_comments_and_blank_lines_keep_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -152,6 +179,19 @@ class TestHistogramFiles:
         assert back.underflow == h.underflow and back.overflow == h.overflow
         assert back.folds_overflow is False
 
+    def test_bins_narrower_than_the_float_spacing(self, tmp_path):
+        # linspace repeats an edge here, so some bins are empty
+        h = histogram([1e15, 1e15 + 0.5], [1.0, 2.0], 1e15, 1e15 + 1.0, 50)
+        assert (np.diff(h.edges) == 0).any()
+        path = tmp_path / "h.csv"
+        write_histogram_csv(h, path)
+        back = read_histogram_csv(path)
+        assert (back.lo, back.hi, back.nbins) == (h.lo, h.hi, h.nbins)
+        assert back.contents.tobytes() == h.contents.tobytes()
+        out = tmp_path / "h.svg"
+        assert run_cli("plot", "hist", path, "-o", out) == 0
+        assert out.read_text().rstrip().endswith("</svg>")
+
     @pytest.mark.parametrize("row", ["overflow", "underflow"])
     def test_non_numeric_trailer_rejected(self, tmp_path, row):
         path = tmp_path / "h.csv"
@@ -165,23 +205,27 @@ class TestHistogramFiles:
         assert run_cli("plot", "hist", path, "-o", tmp_path / "h.svg") == 2
 
 
-# text holding every character the table format must quote; the readers
-# strip a label's and a column name's edges, and a line starting with "#"
-# is a comment, so drawn names and labels avoid both
-_TEXT = st.text(st.sampled_from('ab7 ,"\r\n#é'), min_size=1, max_size=8)
-_LABELS = _TEXT.filter(lambda s: s == s.strip())
-_NAMES = _LABELS.filter(lambda s: not s.startswith("#") and s not in ("weight", "label"))
+# text holding every character the table format must quote; the event
+# reader strips a column name's edges, so drawn names avoid edge blanks
+_LABELS = st.text(st.sampled_from('ab7 ,"\r\n#é'), min_size=1, max_size=8)
+_NAMES = _LABELS.filter(lambda s: s == s.strip() and s not in ("weight", "label"))
 _FLOATS = st.floats(-1e6, 1e6)
 
 
 def _csv_writer_text(rows, lineterminator: str) -> str:
-    """``rows`` as ``csv.writer(lineterminator=...)`` quotes them, each ended by a line feed."""
-    text = []
-    for row in rows:
+    """``rows`` as ``csv.writer(lineterminator=...)`` quotes them, each ended by a line feed.
+
+    Text whose first non-blank character is ``#`` is quoted too.
+    """
+    def cell(c) -> str:
+        if isinstance(c, str) and c.lstrip().startswith("#"):
+            return '"' + c.replace('"', '""') + '"'
         buf = io.StringIO()
-        csv.writer(buf, lineterminator=lineterminator).writerow(row)
-        text.append(buf.getvalue()[: -len(lineterminator)] + "\n")
-    return "".join(text)
+        # a trailing empty field keeps csv.writer from quoting a lone empty one
+        csv.writer(buf, lineterminator=lineterminator).writerow([c, ""])
+        return buf.getvalue()[: -len(lineterminator) - 1]
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
 
 
 class TestTableRoundTrip:
@@ -549,6 +593,19 @@ class TestCliBuildStats:
         assert run_cli("stats", events) == 0
         assert (workdir / "summary.json").exists()
 
+    def test_config_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        events = tmp_path / "e.csv"
+        events.write_text("x\n0.0\n1.0\n3.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": {}, "output_dir": "wanted"}))
+        assert run_cli("stats", events, "--config", cfg) == 0
+        assert (tmp_path / "wanted" / "summary.json").exists()
+        assert not (tmp_path / "summary.json").exists()
+        # -o still wins
+        assert run_cli("stats", events, "--config", cfg, "-o", tmp_path / "flag") == 0
+        assert (tmp_path / "flag" / "summary.json").exists()
+
     def test_statistics_selection_via_config(self, tmp_path):
         events = tmp_path / "e.csv"
         run_cli("gen", "--preset", "disc", "--seed", 4, "-n", 120, "-o", events)
@@ -608,6 +665,18 @@ class TestCliCompare:
         c5, r5 = columns(d5)
         assert c1 == c5
         assert r1 != r5
+
+    def test_config_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        events = tmp_path / "e.csv"
+        events.write_text("x,y\n0.0,0.0\n1.0,0.0\n0.0,2.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": {}, "output_dir": "wanted"}))
+        assert run_cli("compare", events, events, "--config", cfg) == 0
+        assert (tmp_path / "wanted" / "comparison_subject_vs_reference.csv").exists()
+        assert not (tmp_path / "comparison_subject_vs_reference.csv").exists()
+        assert run_cli("compare", events, events, "--config", cfg, "-o", tmp_path / "flag") == 0
+        assert (tmp_path / "flag" / "comparison_subject_vs_reference.csv").exists()
 
     def test_both_directions(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1030,7 +1099,8 @@ BAD_TABLES = {
     "gapped-bins": (
         "hist", "bin_lo,bin_hi,content\n0,1,2.0\n5,6,1.0\n", "line 3: bin_lo 5.0 differs from"
     ),
-    "reversed-bins": ("hist", "bin_lo,bin_hi,content\n6,0,2.0\n", "line 2: bin_lo 6.0 is not"),
+    "reversed-bins": ("hist", "bin_lo,bin_hi,content\n6,0,2.0\n", "line 2: bin_lo 6.0 is above"),
+    "empty-range": ("hist", "bin_lo,bin_hi,content\n1,1,2.0\n", r"range \[1.0, 1.0\) is empty"),
     "nan-content": ("hist", "bin_lo,bin_hi,content\n0,1,2.0\n1,2,nan\n", "line 3: non-finite"),
     "nan-trailer": ("hist", "bin_lo,bin_hi,content\n0,1,2.0\noverflow,,nan\n", "line 3: non-fin"),
     "uneven-bins": (

@@ -19,7 +19,7 @@ from spantree import (
     summarize,
 )
 
-from bruteforce import normalize_to
+from bruteforce import branch_walks, normalize_to
 
 
 def chain_tree():
@@ -135,39 +135,38 @@ class TestDegrees:
 
 class TestBranches:
     def test_pure_path_is_single_branch(self):
-        branches = extract_branches(path_tree(100))
-        assert len(branches) == 1
-        assert sorted(branches[0].vertex_path) == list(range(100))
-        assert branches[0].length == pytest.approx(99.0)
+        tree = path_tree(100)
+        lengths, _ = extract_branches(tree)
+        assert len(lengths) == 1
+        assert lengths[0] == pytest.approx(99.0)
+        ((path, _),) = branch_walks(tree)
+        assert sorted(path) == list(range(100))
 
     def test_star_has_three_unit_branches(self):
-        branches = extract_branches(star_tree())
-        assert len(branches) == 3
-        assert all(b.length == 1.0 for b in branches)
-        assert all(b.vertex_path[-1] == 0 for b in branches)  # all end at the hub
+        lengths, _ = extract_branches(star_tree())
+        assert lengths.tolist() == [1.0, 1.0, 1.0]
+        assert all(path[-1] == 0 for path, _ in branch_walks(star_tree()))  # all end at the hub
 
     def test_h_tree_branches(self):
         tree = h_tree()
-        branches = extract_branches(tree)
-        assert len(branches) == 4
-        assert all(len(b.edge_indices) == 1 for b in branches)
-        used = {e for b in branches for e in b.edge_indices}
+        assert len(extract_branches(tree)[0]) == 4
+        walks = branch_walks(tree)
+        assert all(len(edges) == 1 for _, edges in walks)
+        used = {e for _, edges in walks for e in edges}
         unused = set(range(tree.edge_count)) - used
         # the junction-to-junction chain belongs to no branch
         unused_pairs = {(int(tree.edge_u[e]), int(tree.edge_v[e])) for e in unused}
         assert unused_pairs == {(1, 3), (3, 5)}
 
     def test_single_edge_tree(self):
-        branches = extract_branches(build_mst_kruskal(PointSet([0.0, 2.0])))
-        assert len(branches) == 1
-        assert branches[0].length == 2.0
+        lengths, _ = extract_branches(build_mst_kruskal(PointSet([0.0, 2.0])))
+        assert lengths.tolist() == [2.0]
 
     def test_each_edge_in_at_most_one_branch(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             tree = build_mst_kruskal(PointSet(rng.random((40, 2))))
-            branches = extract_branches(tree)
-            all_edges = [e for b in branches for e in b.edge_indices]
+            all_edges = [e for _, edges in branch_walks(tree) for e in edges]
             assert len(all_edges) == len(set(all_edges))
 
     def test_branch_count_equals_leaf_count_unless_path(self):
@@ -181,19 +180,18 @@ class TestBranches:
         ]
         for tree in trees:
             deg = degrees(tree)[0]
-            branches = extract_branches(tree)
-            if deg.max() <= 2:
-                assert len(branches) == 1
-            else:
-                assert len(branches) == (deg == 1).sum()
+            lengths, weights = extract_branches(tree)
+            expected = 1 if deg.max() <= 2 else (deg == 1).sum()
+            assert len(lengths) == len(weights) == len(branch_walks(tree)) == expected
             # the summary counts the branches without walking them
-            assert summarize(tree).branch_count == len(branches)
+            assert summarize(tree).branch_count == len(lengths)
 
     def test_branch_length_is_member_sum(self):
         rng = np.random.default_rng(8)
         tree = build_mst_kruskal(PointSet(rng.random((50, 2))))
-        for b in extract_branches(tree):
-            assert b.length == pytest.approx(float(tree.lengths[list(b.edge_indices)].sum()), rel=1e-12)
+        lengths, _ = extract_branches(tree)
+        for total, (_, edges) in zip(lengths, branch_walks(tree), strict=True):
+            assert total == pytest.approx(float(tree.lengths[edges].sum()), rel=1e-12)
 
     def test_branch_totals_equal_per_branch_reductions(self):
         # short branches of a random tree and the one long branch of a path
@@ -203,16 +201,18 @@ class TestBranches:
             build_mst_kruskal(PointSet(rng.random(40), weights=rng.random(40) + 0.5)),
         ]
         for tree in trees:
-            for b in extract_branches(tree):
-                members = list(b.edge_indices)
-                assert b.length == float(tree.lengths[members].sum())
-                assert b.weight == float(np.prod(tree.edge_weights[members]))
+            lengths, weights = extract_branches(tree)
+            walks = branch_walks(tree)
+            assert len(lengths) == len(weights) == len(walks)
+            for total, weight, (_, edges) in zip(lengths, weights, walks):
+                assert total == tree.lengths[edges].sum()
+                assert weight == np.prod(tree.edge_weights[edges])
 
     def test_branch_weight_is_member_product(self):
         ps = PointSet([0.0, 1.0, 3.0], weights=[1.0, 0.5, 0.5])
         tree = build_mst_kruskal(ps)
-        (branch,) = extract_branches(tree)
-        assert branch.weight == pytest.approx(0.5 * 0.25, rel=1e-12)
+        _, (weight,) = extract_branches(tree)
+        assert weight == pytest.approx(0.5 * 0.25, rel=1e-12)
 
     def test_zero_edge_tree_raises(self):
         with pytest.raises(DegenerateStatistic):
@@ -298,10 +298,8 @@ class TestNormalization:
         lnl_a = histogram(*log_normalized_lengths(tree_a), -3.0, 2.0, 20)
         lnl_b = histogram(*log_normalized_lengths(tree_b), -3.0, 2.0, 20)
         factor = lnl_a.total / lnl_b.total
-        branches = extract_branches(tree_b)
-        lnb_b = histogram(
-            [np.log(b.length) for b in branches], [b.weight for b in branches], -4.0, 2.0, 20
-        )
+        lengths, weights = extract_branches(tree_b)
+        lnb_b = histogram(np.log(lengths), weights, -4.0, 2.0, 20)
         scaled = lnb_b.scaled(factor)
         assert scaled.total == pytest.approx(lnb_b.total * factor, rel=1e-12)
         assert factor != pytest.approx(lnl_a.total / lnb_b.total)
@@ -331,5 +329,5 @@ class TestSummary:
         assert s.edge_count == 29
         assert sum(s.degree_counts.values()) == pytest.approx(30.0)
         assert s.mean_log_norm_length == pytest.approx(mean_log_norm_length(tree))
-        assert s.branch_count == len(extract_branches(tree))
+        assert s.branch_count == len(extract_branches(tree)[0])
         assert s.mean_edge_length > 0
