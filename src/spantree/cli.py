@@ -184,21 +184,20 @@ def _cmd_stats(args) -> int:
         "region_weights": config.region_weights,
     }
     prov = provenance_line(config_hash(cfg))
-    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
-
-    write_tree_csv(tree, outdir / "tree.csv", prov)
     stat_values = {
         "edge_length": lambda: edge_lengths(tree),
         "log_norm_length": lambda: log_normalized_lengths(tree),
         "degree": lambda: degrees(tree),
         "log_branch_length": lambda: _log_branch_lengths(*extract_branches(tree)),
     }
-    for name in statistics:
-        values, weights = stat_values[name]()
-        h = _stat_histogram(values, weights, name, hist_specs, integer_valued=(name == "degree"))
-        write_histogram_csv(h, outdir / f"hist_{name}.csv", prov)
-
+    hists = {name: _stat_histogram(*stat_values[name](), name, hist_specs, name == "degree")
+             for name in statistics}
     summary = summarize(tree)
+    # every output is computed before the first is written, so a failed run writes none
+    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
+    write_tree_csv(tree, outdir / "tree.csv", prov)
+    for name, h in hists.items():
+        write_histogram_csv(h, outdir / f"hist_{name}.csv", prov)
     write_json(
         {
             "version": __version__,
@@ -220,19 +219,18 @@ def _cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-def _write_comparison(outdir: Path, tag: str, result, hist_specs, prov: str) -> None:
+def _comparison_tables(tag, subject, reference, args, hist_specs) -> tuple:
+    """A comparison's tag, table and two histograms, computed but not written."""
+    result = connection_ratios(subject, reference, k=args.k, edge_pool=args.pool)
     header = ("vertex", "connection_length", "connection_ratio", "weight")
     ratios, weights = result.connection_ratio, result.weights
     columns = (np.arange(len(ratios)), result.connection_length, ratios, weights)
-    write_table(outdir / f"comparison_{tag}.csv", [prov], header, columns)
-
     h_c = _stat_histogram(result.connection_length, weights, "connection_length", hist_specs)
-    write_histogram_csv(h_c, outdir / f"hist_connection_length_{tag}.csv", prov)
     finite = np.isfinite(ratios)
     # with no finite ratio, one zero-weight entry keeps the automatic range defined
     ratios, weights = (ratios[finite], weights[finite]) if finite.any() else (np.zeros(1),) * 2
     h_r = _stat_histogram(ratios, weights, "connection_ratio", hist_specs)
-    write_histogram_csv(h_r, outdir / f"hist_connection_ratio_{tag}.csv", prov)
+    return tag, header, columns, h_c, h_r
 
 
 def _cmd_compare(args) -> int:
@@ -262,13 +260,15 @@ def _cmd_compare(args) -> int:
         "region_weights": config.region_weights,
     }
     prov = provenance_line(config_hash(cfg))
-    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
-
-    forward = connection_ratios(tree_a, tree_b, k=args.k, edge_pool=args.pool)
-    _write_comparison(outdir, "subject_vs_reference", forward, hist_specs, prov)
+    tables = [_comparison_tables("subject_vs_reference", tree_a, tree_b, args, hist_specs)]
     if args.both:
-        backward = connection_ratios(tree_b, tree_a, k=args.k, edge_pool=args.pool)
-        _write_comparison(outdir, "reference_vs_subject", backward, hist_specs, prov)
+        tables.append(_comparison_tables("reference_vs_subject", tree_b, tree_a, args, hist_specs))
+    # both directions are computed before the first file is written, so a failed run writes none
+    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
+    for tag, header, columns, h_c, h_r in tables:
+        write_table(outdir / f"comparison_{tag}.csv", [prov], header, columns)
+        write_histogram_csv(h_c, outdir / f"hist_connection_length_{tag}.csv", prov)
+        write_histogram_csv(h_r, outdir / f"hist_connection_ratio_{tag}.csv", prov)
     print(f"wrote comparison tables to {outdir}")
     return 0
 

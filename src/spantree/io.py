@@ -304,9 +304,12 @@ def read_tree_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     edges = []
     for lineno, (u, v, length, weight) in rows:
         try:
-            edges.append((int(u), int(v), float(length), float(weight)))
+            edge = (int(u), int(v), float(length), float(weight))
         except ValueError as exc:
             raise EventFileError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(-(2**63) <= i < 2**63 for i in edge[:2]):
+            raise EventFileError(f"{path}: line {lineno}: vertex index beyond 64 bits")
+        edges.append(edge)
     columns = list(zip(*edges)) or [()] * 4
     return tuple(np.asarray(c, t) for c, t in zip(columns, (np.int64, np.int64, float, float)))
 
@@ -512,6 +515,8 @@ ALL_STATISTICS = ("edge_length", "log_norm_length", "degree", "log_branch_length
 # compare the last two
 HISTOGRAM_NAMES = ALL_STATISTICS + ("connection_length", "connection_ratio")
 _REGION_KEYS = ("box", "inside_weight", "outside_weight", "apply_to")
+# one row per bin: a million bins already make a 28 MB file and a 0.44 GB peak
+MAX_NBINS = 10**6
 
 
 def histogram_range(name: str, spec: Any) -> tuple[float, float, int, bool]:
@@ -531,8 +536,8 @@ def histogram_range(name: str, spec: Any) -> tuple[float, float, int, bool]:
         raise ConfigError(f"histogram_specs[{name!r}]: {exc}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError(f"histogram_specs[{name!r}]: need finite lo < hi, got [{lo}, {hi})")
-    if nbins < 1:
-        raise ConfigError(f"histogram_specs[{name!r}]: nbins must be positive, got {nbins}")
+    if not 1 <= nbins <= MAX_NBINS:
+        raise ConfigError(f"histogram_specs[{name!r}]: nbins must be 1 to {MAX_NBINS}, got {nbins}")
     overflow = spec.get("overflow", True)
     if not isinstance(overflow, bool):
         raise ConfigError(f"histogram_specs[{name!r}]: overflow is true or false, got {overflow!r}")

@@ -14,14 +14,14 @@ edge to that representative. Over the distinct points:
 * d >= 2: the tree's own edges, found by Borůvka rounds over a kd-tree, in
   the spirit of dual-tree Borůvka (March, Ram & Gray 2010) and the
   kNN-filtered EMST (Wang, Yu, Gu & Shun 2021). Each point's 16 nearest
-  points are queried once per build. Each round reads every point's
-  lightest outgoing (length, u, v) edge from its row: the first entry in
-  another component and any entry whose kd distance is within a factor
-  1 + 1e-9 of it, their lengths computed exactly. A row settles when its component's
-  lightest edge so far is lighter than its 16th distance times (1 - 1e-9),
-  since no point beyond the row could then give a lighter or equal edge.
-  The rest ask for their 32, then 64 nearest points, and the few still
-  unsettled query a kd-tree of the points outside their component.
+  points are queried once per build, and a pointer per row skips the
+  entries already inside its component, so each entry is read about once.
+  Each round a point offers the entry at its pointer, and any entry whose
+  kd distance is within a factor 1 + 1e-9 of it, their lengths computed
+  exactly. A row settles when its component's lightest edge is lighter
+  than its 16th distance times (1 - 1e-9). Unsettled points of components
+  below 64 points ask for their 32, then 64 nearest points; the rest, and
+  the few still unsettled, query a kd-tree of the points outside.
 
 Memory is O(m) on every path.
 
@@ -158,13 +158,19 @@ def _hook(comp: np.ndarray, roots: np.ndarray, other: np.ndarray, mutual: np.nda
     return parent[comp]
 
 
-def _lightest(edges: tuple) -> tuple:
-    """The rows of (component, length, u, v, outside point) lowest per component."""
-    comp, length, u, v, _ = edges
-    order = np.lexsort((v, u, length, comp))
-    comp = comp[order]
-    keep = order[np.diff(comp, prepend=-1) != 0]
-    return tuple(col[keep] for col in edges)
+def _lightest(best: tuple, comp: np.ndarray, first: np.ndarray, m: int) -> tuple:
+    """Each component's lightest offer, as its key u * m + v (m * m if none) and
+    outside point, indexed by component: the lowest key among its shortest."""
+    bound, offers = best
+    a, b, length = (np.concatenate(col) for col in zip(*offers))
+    a, b = (col[length == bound[comp[a]]] for col in (a, b))
+    key = np.minimum(first[a], first[b]) * m + np.maximum(first[a], first[b])
+    lowest = np.full(comp.size, m * m)
+    np.minimum.at(lowest, comp[a], key)
+    won = key == lowest[comp[a]]
+    reach = np.empty(comp.size, np.int64)
+    reach[comp[a[won]]] = b[won]  # a component's winning offers are one edge
+    return lowest, reach
 
 
 _KD_MODULE = "scipy.spatial._ckdtree"
@@ -213,78 +219,96 @@ def _query(tree, pts: np.ndarray, k: int, index: np.ndarray) -> tuple:
     return dist.reshape(-1, k), index[nbr].reshape(-1, k), k == tree.n
 
 
-def _offer(pts, first, comp, best, todo, nearest):
-    """Fold the lightest edges from ``todo`` to its ``nearest`` points into ``best``.
+def _offer(pts, comp, best, a, b) -> None:
+    """Add the edges from points ``a`` to points ``b`` outside their components to
+    ``best``: each component's lightest length so far and its offers."""
+    length = _lengths(pts, a, b)
+    best[1].append((a, b, length))
+    np.minimum.at(best[0], comp[a], length)
+
+
+def _offer_rows(pts, comp, best, todo, dist, nbr, complete=False):
+    """Offer each point of ``todo`` its lightest edges to its nearest points ``nbr``.
 
     A point's lightest edge out of its component is its first neighbour in
     another component, or one whose kd distance exceeds that neighbour's by
     a factor of at most 1 + 1e-9, since kd distances are within a few ulps
-    of the exact lengths. Returns the
-    lightest edge found so far out of each component, and the points of
-    ``todo`` whose unseen neighbours could still beat their component's edge.
+    of the exact lengths. Returns the points of ``todo`` whose unseen
+    neighbours could still beat their component's edge.
     """
-    dist, nbr, complete = nearest
     out = comp[nbr] != comp[todo][:, None]
     near = dist[np.arange(todo.size), out.argmax(axis=1)]
     row, col = np.nonzero(out & (dist <= near[:, None] * (1 + 1e-9)))
-    a, b = todo[row], nbr[row, col]
-    fa, fb = first[a], first[b]
-    new = (comp[a], _lengths(pts, a, b), np.minimum(fa, fb), np.maximum(fa, fb), b)
-    best = _lightest(tuple(np.concatenate(cols) for cols in zip(best, new)))
-    bound = np.full(comp.size, np.inf)
-    bound[best[0]] = best[1]
+    _offer(pts, comp, best, todo[row], nbr[row, col])
     # an unseen neighbour lies at least the last kd distance away, and that
     # distance is within a few ulps of the exact length
-    settled = (dist[:, -1] * (1 - 1e-9) > bound[comp[todo]]) | complete
-    return best, todo[~settled]
+    settled = (dist[:, -1] * (1 - 1e-9) > best[0][comp[todo]]) | complete
+    return todo[~settled]
 
 
 def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonical tree's edges (u < v) between the distinct rows ``first``.
 
     Borůvka rounds over one kd-tree of the rows, whose 16 nearest points per
-    row are queried once. Each round reads every point's lightest (length,
-    u, v) edge out of its component from that table; a point whose 16th
-    distance does not clear its component's lightest edge asks for its 32,
-    then 64 nearest points, and the few still unsettled query a kd-tree of
-    the points outside their component. Each component joins the one its
-    lightest edge reaches, so the m - 1 edges found are the tree itself.
+    row are queried once; each row's pointer only advances, as components
+    only merge. A point whose 16th distance does not clear its component's
+    lightest edge asks for its 32, then 64 nearest points if its component
+    has fewer than 64 points; otherwise, or if still unsettled, it queries a
+    kd-tree of the points outside its component. Each component joins the
+    one its lightest edge reaches, so the m - 1 edges found are the tree.
     """
     cKDTree = _kd_tree_class()
     pts = coords[first]
-    n = len(pts)
+    n, m = len(pts), len(coords)
     everyone = np.arange(n)
     tree = cKDTree(pts)
-    table = _query(tree, pts, 16, everyone)
-    comp = everyone
-    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # one distinct row: no rounds
+    dist, nbr, _ = _query(tree, pts, 16, everyone)
+    pos = everyone * dist.shape[1]  # each row's pointer into the flattened table
+    stop = pos + dist.shape[1]
+    comp = active = everyone
+    keys = [np.empty(0, np.int64)]  # one distinct row: no rounds
     found = 0
     while found < n - 1:
-        none = np.empty(0, np.int64)
-        best = (none, np.empty(0), none, none, none)
-        best, todo = _offer(pts, first, comp, best, everyone, table)
+        rows = active
+        while rows.size:  # an entry once inside a component stays inside it
+            rows = rows[comp[np.take(nbr, pos[rows])] == comp[rows]]
+            pos[rows] += 1
+            rows = rows[pos[rows] < stop[rows]]
+        active = active[pos[active] < stop[active]]
+        best = (np.full(n, np.inf), [])
+        at = pos[active]
+        nxt = np.minimum(at + 1, stop[active] - 1)
+        # the next entry within the factor 1 + 1e-9: offer the whole row
+        wide = (nxt > at) & (np.take(dist, nxt) <= np.take(dist, at) * (1 + 1e-9))
+        _offer(pts, comp, best, active[~wide], np.take(nbr, at[~wide]))
+        if wide.any():
+            _offer_rows(pts, comp, best, active[wide], dist[active[wide]], nbr[active[wide]])
+        # a table that holds every point settles at the first wider query
+        todo = np.flatnonzero(dist[:, -1] * (1 - 1e-9) <= best[0][comp])
+        small = np.bincount(comp, minlength=n)[comp[todo]] < 64
+        large, todo = todo[~small], todo[small]
         for k in (32, 64):
             if todo.size:
-                nearest = _query(tree, pts[todo], k, everyone)
-                best, todo = _offer(pts, first, comp, best, todo, nearest)
+                todo = _offer_rows(pts, comp, best, todo, *_query(tree, pts[todo], k, everyone))
+        todo = np.concatenate([todo, large])
         for c in np.unique(comp[todo]):
             outside = np.flatnonzero(comp != c)
-            local = cKDTree(pts[outside])
+            # built anew per component and round: the unbalanced build is cheaper
+            local = cKDTree(pts[outside], balanced_tree=False, compact_nodes=False)
             pending, k = todo[comp[todo] == c], 8
             while pending.size:
                 nearest = _query(local, pts[pending], k, outside)
-                best, pending = _offer(pts, first, comp, best, pending, nearest)
+                pending = _offer_rows(pts, comp, best, pending, *nearest)
                 k *= 2
-        roots, _, u, v, b = best
-        other = comp[b]
-        partner = np.searchsorted(roots, other)
-        mutual = (u[partner] == u) & (v[partner] == v)
+        lowest, reach = _lightest(best, comp, first, m)
+        roots = np.flatnonzero(lowest < m * m)
+        other = comp[reach[roots]]
+        mutual = lowest[other] == lowest[roots]
         new = ~mutual | (roots < other)
-        us.append(u[new])
-        vs.append(v[new])
+        keys.append(lowest[roots[new]])
         found += int(new.sum())
         comp = _hook(comp, roots, other, mutual)
-    return np.concatenate(us), np.concatenate(vs)
+    return np.divmod(np.concatenate(keys), m)
 
 
 def _candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

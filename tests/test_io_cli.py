@@ -24,6 +24,7 @@ from spantree.io import (
     RunConfig,
     config_hash,
     filter_events,
+    histogram_range,
     read_events,
     read_histogram_csv,
     read_tree_csv,
@@ -37,6 +38,11 @@ from spantree.io import (
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def _snapshot(directory: Path) -> dict:
+    """Each file's name and bytes."""
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
 class TestEventFiles:
@@ -555,6 +561,20 @@ class TestCliBuildStats:
         events.write_text("x,y\n1.0,1.0\n1.0,1.0\n")
         assert run_cli("stats", events, "-o", tmp_path / "out") == 3
 
+    def test_failed_stats_writes_nothing(self, tmp_path):
+        # a good run's outputs stay as they were: the coincident run fails
+        # on its second statistic, after the tree and a first histogram
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        run_cli("gen", "--preset", "disc", "--seed", 5, "-n", 100, "-o", good)
+        bad.write_text("x,y\n1.0,1.0\n1.0,1.0\n1.0,1.0\n")
+        outdir = tmp_path / "out"
+        assert run_cli("stats", good, "-o", outdir) == 0
+        before = _snapshot(outdir)
+        assert run_cli("stats", bad, "-o", outdir) == 3
+        assert _snapshot(outdir) == before
+        assert run_cli("stats", bad, "-o", tmp_path / "fresh") == 3
+        assert not (tmp_path / "fresh").exists()
+
     def test_all_pairs_memory_refusal_exit_code(self, tmp_path, monkeypatch):
         # a package error while building: exit 3 and no tree file
         from spantree import SpanTreeError, cli
@@ -677,6 +697,20 @@ class TestCliCompare:
         assert not (tmp_path / "comparison_subject_vs_reference.csv").exists()
         assert run_cli("compare", events, events, "--config", cfg, "-o", tmp_path / "flag") == 0
         assert (tmp_path / "flag" / "comparison_subject_vs_reference.csv").exists()
+
+    def test_failed_backward_comparison_writes_nothing(self, tmp_path):
+        # one subject event: the forward direction pools the reference's
+        # edges and works, the backward one has no subject edges to pool
+        a, b, one = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "one.csv"
+        run_cli("gen", "--preset", "disc", "--seed", 7, "-n", 80, "-o", a)
+        run_cli("gen", "--preset", "disc", "--seed", 8, "-n", 80, "-o", b)
+        one.write_text("x,y\n1.0,2.0\n")
+        outdir = tmp_path / "cmp"
+        assert run_cli("compare", a, b, "--both", "-o", outdir) == 0
+        before = _snapshot(outdir)
+        assert run_cli("compare", one, b, "-o", tmp_path / "forward") == 0
+        assert run_cli("compare", one, b, "--both", "-o", outdir) == 3
+        assert _snapshot(outdir) == before
 
     def test_both_directions(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -874,9 +908,14 @@ class TestCliConfigErrors:
              "overflow is true or false, got 'no'"),
             ({"histogram_specs": {"degree": {"lo": 0, "hi": 5, "nbins": 5, "overflw": False}}},
              r"unknown keys \['overflw'\]"),
+            # refused at load, before any bin is allocated
+            ({"histogram_specs": {"edge_length": {"lo": 0, "hi": 5, "nbins": 1e12}}},
+             "nbins must be 1 to 1000000, got 1000000000000"),
+            ({"histogram_specs": {"degree": {"lo": 0, "hi": 5, "nbins": 10**6 + 1}}},
+             "nbins must be 1 to 1000000, got 1000001"),
         ],
         ids=["hist-empty-range", "hist-no-lo", "hist-no-bins", "negative-weight", "unknown-box-feature",
-             "hist-overflow-string", "hist-unknown-key"],
+             "hist-overflow-string", "hist-unknown-key", "hist-huge-nbins", "hist-nbins-over-limit"],
     )
     def test_stats_config(self, section, match, events, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -884,6 +923,9 @@ class TestCliConfigErrors:
         out = tmp_path / "out"
         code = run_cli("stats", events, "--config", config, "-o", out)
         _assert_config_error(code, capsys, out, match)
+
+    def test_nbins_limit_itself_loads(self):
+        assert histogram_range("degree", {"lo": 0, "hi": 5, "nbins": 10**6})[2] == 10**6
 
     def test_compare_k_zero(self, events, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1105,6 +1147,11 @@ BAD_TABLES = {
     "nan-trailer": ("hist", "bin_lo,bin_hi,content\n0,1,2.0\noverflow,,nan\n", "line 3: non-fin"),
     "uneven-bins": (
         "hist", "bin_lo,bin_hi,content\n0,1,1.0\n1,3,1.0\n", "line 3: bin_lo 1.0 is off the uniform"
+    ),
+    # once an OverflowError traceback (exit 1)
+    "index-beyond-64-bits": (
+        "tree", "u,v,length,weight\n0,1,1.0,1.0\n0,9223372036854775808,1.0,1.0\n",
+        "line 3: vertex index beyond 64 bits",
     ),
 }
 

@@ -278,6 +278,24 @@ _GATE_CASES["swapped-coordinates-8d"] = _swapped_pairs(8, 100, seed=8)
 _GATE_CASES["tied-rings-4d"] = _tied_rings_4d(4, seed=4)
 
 
+def _far_clusters(count: int, size: int, dim: int, seed: int) -> np.ndarray:
+    """``count`` unit cubes of ``size`` points each, placed at random in a cube 1000 wide."""
+    rng = np.random.default_rng(seed)
+    return (rng.random((count, 1, dim)) * 1000.0 + rng.random((count, size, dim))).reshape(-1, dim)
+
+
+# isolated clusters below and above the 64 nearest points a wide query asks
+# for: the smaller take the 32- and 64-nearest queries, the larger go
+# straight to the query against the points outside their component
+_GATE_CASES.update(
+    {
+        f"far-clusters-{count}x{size}-{d}d": _far_clusters(count, size, d, seed=d)
+        for count, size in ((40, 30), (12, 100))
+        for d in (2, 4)
+    }
+)
+
+
 class TestExactnessGate:
     """The tree equals the canonical all-pairs Kruskal tree, bit for bit."""
 
@@ -365,6 +383,27 @@ class TestOneTreePath:
         assert tree.edge_count == 3999
         # every round reads the one table; wider queries serve unsettled points only
         assert rows.count(4000) == 1
+
+    @pytest.mark.parametrize("size, requeried", [(30, True), (100, False)])
+    def test_wide_queries_only_for_components_below_64(self, monkeypatch, size, requeried):
+        points = _far_clusters(12, size, 4, seed=83)
+        wide, outside = [], []
+
+        class CountingKDTree(mst._kd_tree_class()):
+            def query(self, x, k, *args, **kwargs):
+                if self.n < len(points):
+                    outside.append(len(x))
+                elif k in (32, 64):
+                    wide.append(len(x))
+                return super().query(x, k, *args, **kwargs)
+
+        monkeypatch.setattr(mst, "_kd_tree_class", lambda: CountingKDTree)
+        _assert_canonical(PointSet(points))
+        # every point of a whole isolated cluster is unsettled: 30 points ask
+        # for their 32 nearest, which reach past the cluster, while 100 points
+        # query the points outside their component at once
+        assert bool(wide) == requeried
+        assert outside
 
 
 # Loads the kd-tree class and scipy.spatial in the order argv[1] names, in a
