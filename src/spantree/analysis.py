@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -80,7 +80,7 @@ def apply_region_weights(ps: PointSet, rw: RegionWeight) -> PointSet:
     """
     inside = rw.inside_mask(ps)
     factors = np.where(inside, rw.inside_weight, rw.outside_weight)
-    return ps.with_weights(ps.weights * factors)
+    return replace(ps, weights=ps.weights * factors)
 
 
 @dataclass(frozen=True)

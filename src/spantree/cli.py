@@ -7,9 +7,11 @@ fit driven by a run config), and ``plot`` (SVG renderings).
 
 Every output embeds a hash of the effective configuration, and reruns
 with identical configuration produce byte-identical outputs. Exit codes:
-0 success, 2 parse/config error, 3 numeric/domain error, 4 I/O error.
-Outputs go to ``-o``, else a run config's ``output_dir``, else
-``SPANTREE_OUTPUT_DIR`` when set, else the current directory.
+0 success, 2 parse/config error, 3 numeric/domain error or lack of memory
+(a dead calibration worker included), 4 I/O error. Outputs go to ``-o``,
+else a run config's ``output_dir``, else ``SPANTREE_OUTPUT_DIR`` when set,
+else the current directory; the last three are directories, created when
+missing, while ``-o`` of a single-file command may name the file.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ def _ensure_dir(path: Path) -> Path:
     return path
 
 
+def _out_file(path_arg: str | None, name: str) -> Path:
+    """``-o`` as a file, or ``name`` inside it when it is a directory; without
+    ``-o``, ``name`` inside the default output directory, created if missing."""
+    if path_arg is None:
+        return _ensure_dir(_out_base(None)) / name
+    out = Path(path_arg)
+    return out / name if out.is_dir() else out
+
+
 def _auto_range(values: np.ndarray) -> tuple[float, float]:
     finite = values[np.isfinite(values)]
     if not finite.size:
@@ -134,9 +145,7 @@ def _cmd_gen(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid generator spec: {exc}") from exc
     cfg = {"command": "gen", "spec": spec.to_dict()}
-    out = _out_base(args.output)
-    if out.is_dir():
-        out = out / f"{args.preset or spec.kind}.csv"
+    out = _out_file(args.output, f"{args.preset or spec.kind}.csv")
     write_events(ps, out, provenance_line(config_hash(cfg), spec.seed))
     print(f"wrote {len(ps)} events ({ps.dimension} features) to {out}")
     return 0
@@ -159,9 +168,7 @@ def _cmd_build(args) -> int:
     ps = _load_events(args.events, args.rescale)
     tree = build_mst_kruskal(ps)
     cfg = {"command": "build", "events": file_fingerprint(args.events), "rescale": args.rescale}
-    out = _out_base(args.output)
-    if out.is_dir():
-        out = out / "tree.csv"
+    out = _out_file(args.output, "tree.csv")
     write_tree_csv(tree, out, provenance_line(config_hash(cfg)))
     print(f"wrote tree with {tree.edge_count} edges, total length {tree_total_length(tree):.6g}")
     return 0
@@ -429,9 +436,7 @@ def _cmd_plot_tree(args) -> int:
         title=f"{names[ax]} vs {names[ay]}",
         comment=provenance_line(config_hash(cfg)),
     )
-    out = _out_base(args.output)
-    if out.is_dir():
-        out = out / "tree.svg"
+    out = _out_file(args.output, "tree.svg")
     write_text_atomic(out, svg)
     print(f"wrote {out}")
     return 0
@@ -441,9 +446,7 @@ def _cmd_plot_hist(args) -> int:
     named = [(Path(p).stem, read_histogram_csv(p)) for p in args.histograms]
     cfg = {"command": "plot-hist", "histograms": [file_fingerprint(p) for p in args.histograms]}
     svg = render_histograms_svg(named, comment=provenance_line(config_hash(cfg)))
-    out = _out_base(args.output)
-    if out.is_dir():
-        out = out / "histogram.svg"
+    out = _out_file(args.output, "histogram.svg")
     write_text_atomic(out, svg)
     print(f"wrote {out}")
     return 0
@@ -516,19 +519,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (EventFileError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc), 2)
     except SpanTreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(str(exc), 3)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}" if str(exc) else "out of memory", 3)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _fail(str(exc), 4)
+    except RuntimeError as exc:
+        # a calibration worker that died; the pool's module loads only with the pool
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is None or not isinstance(exc, pool.BrokenProcessPool):
+            raise
+        return _fail(f"a calibration worker process died: {exc}", 3)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,14 @@ are double precision. Distances are plain Euclidean, so features with very
 different units or ranges should be rescaled before building trees; both
 standard rescalings are provided and the default is to leave data untouched.
 
-All types are immutable after construction and safe to share across threads.
+Like every value type in the package, a point set is a frozen dataclass:
+its arrays are read-only copies, so it is safe to share across threads,
+and ``dataclasses.replace`` makes a checked copy with some fields changed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -19,21 +22,23 @@ import numpy as np
 RESCALE_MODES = ("none", "unit-range", "unit-variance")
 
 
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """An immutable set of m points sharing one dimension.
 
     Coordinates are held as a read-only (m, n) float64 array. A 1-d input
-    array is interpreted as m points in one dimension.
+    array is interpreted as m points in one dimension. Weights default to 1;
+    labels and feature names are kept as tuples. Equality is identity, as
+    arrays have no single truth value.
     """
 
-    def __init__(
-        self,
-        coords,
-        weights=None,
-        labels: Sequence[str | None] | None = None,
-        feature_names: Sequence[str] | None = None,
-    ) -> None:
-        arr = np.array(coords, dtype=np.float64, copy=True)
+    coords: np.ndarray
+    weights: np.ndarray | None = None
+    labels: Sequence[str | None] | None = None
+    feature_names: Sequence[str] | None = None
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.coords, dtype=np.float64, copy=True)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
@@ -46,10 +51,10 @@ class PointSet:
         if not np.all(np.isfinite(arr)):
             raise ValueError("coordinates must be finite")
 
-        if weights is None:
+        if self.weights is None:
             w = np.ones(m, dtype=np.float64)
         else:
-            w = np.array(weights, dtype=np.float64, copy=True)
+            w = np.array(self.weights, dtype=np.float64, copy=True)
             if w.shape != (m,):
                 raise ValueError(f"weights must have shape ({m},), got {w.shape}")
             if not np.all(np.isfinite(w)):
@@ -57,46 +62,25 @@ class PointSet:
             if np.any(w < 0):
                 raise ValueError("weights must be non-negative")
 
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != m:
-                raise ValueError(f"labels must have length {m}, got {len(labels)}")
-        if feature_names is not None:
-            feature_names = tuple(str(f) for f in feature_names)
-            if len(feature_names) != n:
-                raise ValueError(
-                    f"feature_names must have length {n}, got {len(feature_names)}"
-                )
+        labels = None if self.labels is None else tuple(self.labels)
+        if labels is not None and len(labels) != m:
+            raise ValueError(f"labels must have length {m}, got {len(labels)}")
+        names = None if self.feature_names is None else tuple(map(str, self.feature_names))
+        if names is not None and len(names) != n:
+            raise ValueError(f"feature_names must have length {n}, got {len(names)}")
 
         arr.setflags(write=False)
         w.setflags(write=False)
-        self._coords = arr
-        self._weights = w
-        self._labels = labels
-        self._feature_names = feature_names
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def labels(self) -> tuple[str | None, ...] | None:
-        return self._labels
-
-    @property
-    def feature_names(self) -> tuple[str, ...] | None:
-        return self._feature_names
+        for name, value in (("coords", arr), ("weights", w), ("labels", labels),
+                            ("feature_names", names)):
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
-        return self._coords.shape[1]
+        return self.coords.shape[1]
 
     def __len__(self) -> int:
-        return self._coords.shape[0]
+        return self.coords.shape[0]
 
     def feature_index(self, feature: int | str) -> int:
         """Resolve a feature given by position or by name to a column index."""
@@ -104,18 +88,14 @@ class PointSet:
             if not 0 <= feature < self.dimension:
                 raise ValueError(f"feature index {feature} out of range")
             return feature
-        if self._feature_names is None:
+        if self.feature_names is None:
             raise ValueError(f"point set has no feature names, cannot resolve {feature!r}")
         try:
-            return self._feature_names.index(feature)
+            return self.feature_names.index(feature)
         except ValueError:
             raise ValueError(
-                f"unknown feature {feature!r}; available: {self._feature_names}"
+                f"unknown feature {feature!r}; available: {self.feature_names}"
             ) from None
-
-    def with_weights(self, weights) -> "PointSet":
-        """Same coordinates and labels, new per-point weights."""
-        return PointSet(self._coords, weights, self._labels, self._feature_names)
 
     def __repr__(self) -> str:
         return f"PointSet(m={len(self)}, dimension={self.dimension})"
@@ -143,4 +123,4 @@ def rescale_features(ps: PointSet, mode: str = "none") -> PointSet:
         offset = coords.mean(axis=0)
         scale = coords.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
-    return PointSet((coords - offset) / scale, ps.weights, ps.labels, ps.feature_names)
+    return replace(ps, coords=(coords - offset) / scale)

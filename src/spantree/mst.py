@@ -20,10 +20,13 @@ edge to that representative. Over the distinct points:
   kd distance is within a factor 1 + 1e-9 of it, their lengths computed
   exactly. A row settles when its component's lightest edge is lighter
   than its 16th distance times (1 - 1e-9). Unsettled points of components
-  below 64 points ask for their 32, then 64 nearest points; the rest, and
-  the few still unsettled, query a kd-tree of the points outside.
+  below 64 points, or of components that already hold an offer, ask for
+  their 32, then 64 nearest points; the rest (large components with no
+  offer, such as isolated clusters), and the few still unsettled, query a
+  kd-tree of the points outside.
 
-Memory is O(m) on every path.
+Memory is O(m) on every path. The result is a :class:`Tree`, a frozen
+dataclass of read-only edge arrays.
 
 Equal-length edges are ordered by their canonical (u, v) index
 pair, so the produced tree is deterministic even on degenerate inputs such
@@ -43,67 +46,53 @@ import importlib.util
 import os
 import sys
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PointSet
 
+
+@dataclass(frozen=True, eq=False)
 class Tree:
     """A minimal spanning tree: m - 1 edges over a source point set.
 
-    Edge data is stored as parallel arrays: endpoint indices, lengths and
-    weights. Instances are immutable once built.
+    Edge data is stored as parallel read-only arrays: endpoint indices
+    (u < v), lengths and weights. Equality is identity, as for PointSet.
     """
 
-    def __init__(self, source: PointSet, us, vs, lengths, weights) -> None:
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
+    source: PointSet
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    lengths: np.ndarray
+    edge_weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        us = np.asarray(self.edge_u, dtype=np.int64)
+        vs = np.asarray(self.edge_v, dtype=np.int64)
+        lengths = np.asarray(self.lengths, dtype=np.float64)
+        weights = np.asarray(self.edge_weights, dtype=np.float64)
         if not (us.shape == vs.shape == lengths.shape == weights.shape):
             raise ValueError("edge arrays must have equal shapes")
         if np.any(us >= vs):
             raise ValueError("edges must be stored canonically with u < v")
-        for arr in (us, vs, lengths, weights):
+        for name, arr in (("edge_u", us), ("edge_v", vs), ("lengths", lengths),
+                          ("edge_weights", weights)):
             arr.setflags(write=False)
-        self._source = source
-        self._us = us
-        self._vs = vs
-        self._lengths = lengths
-        self._weights = weights
-
-    @property
-    def source(self) -> PointSet:
-        return self._source
+            object.__setattr__(self, name, arr)
 
     @property
     def vertex_count(self) -> int:
-        return len(self._source)
+        return len(self.source)
 
     @property
     def edge_count(self) -> int:
-        return int(self._us.size)
-
-    @property
-    def edge_u(self) -> np.ndarray:
-        return self._us
-
-    @property
-    def edge_v(self) -> np.ndarray:
-        return self._vs
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self._lengths
-
-    @property
-    def edge_weights(self) -> np.ndarray:
-        return self._weights
+        return int(self.edge_u.size)
 
     def vertex_degrees(self) -> np.ndarray:
         """Number of tree edges at each vertex."""
         m = self.vertex_count
-        return np.bincount(self._us, minlength=m) + np.bincount(self._vs, minlength=m)
+        return np.bincount(self.edge_u, minlength=m) + np.bincount(self.edge_v, minlength=m)
 
     def __repr__(self) -> str:
         return f"Tree(m={self.vertex_count}, edges={self.edge_count})"
@@ -253,9 +242,10 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
     row are queried once; each row's pointer only advances, as components
     only merge. A point whose 16th distance does not clear its component's
     lightest edge asks for its 32, then 64 nearest points if its component
-    has fewer than 64 points; otherwise, or if still unsettled, it queries a
-    kd-tree of the points outside its component. Each component joins the
-    one its lightest edge reaches, so the m - 1 edges found are the tree.
+    has fewer than 64 points or already holds an offer; otherwise, or if
+    still unsettled, it queries a kd-tree of the points outside its
+    component. Each component joins the one its lightest edge reaches, so
+    the m - 1 edges found are the tree.
     """
     cKDTree = _kd_tree_class()
     pts = coords[first]
@@ -285,7 +275,7 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
             _offer_rows(pts, comp, best, active[wide], dist[active[wide]], nbr[active[wide]])
         # a table that holds every point settles at the first wider query
         todo = np.flatnonzero(dist[:, -1] * (1 - 1e-9) <= best[0][comp])
-        small = np.bincount(comp, minlength=n)[comp[todo]] < 64
+        small = (np.bincount(comp, minlength=n)[comp[todo]] < 64) | np.isfinite(best[0][comp[todo]])
         large, todo = todo[~small], todo[small]
         for k in (32, 64):
             if todo.size:

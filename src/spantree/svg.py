@@ -52,6 +52,7 @@ class _Canvas:
         self.parts.append(element)
 
     def text(self, x: float, y: float, s: str, size: int = 12, anchor: str = "start") -> None:
+        s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         self.add(
             f'<text x="{_f(x)}" y="{_f(y)}" font-family="monospace" font-size="{size}" '
             f'text-anchor="{anchor}" fill="#222222">{s}</text>'

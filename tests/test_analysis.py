@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -278,7 +279,7 @@ class TestCalibrationPool:
         from spantree import DegenerateStatistic
 
         # zero weights leave every trial's mean edge length undefined
-        bg, sig = (ps.with_weights(np.zeros(len(ps))) for ps in _components(4, 100, seed=6))
+        bg, sig = (replace(ps, weights=np.zeros(len(ps))) for ps in _components(4, 100, seed=6))
         with pytest.raises(DegenerateStatistic, match="edge weights are zero"):
             calibrate_mu_vs_alpha(bg, sig, [0.0, 1.0], trials=2, seed=1, count=50)
 

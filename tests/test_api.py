@@ -112,6 +112,16 @@ def test_gen_and_plot_hist_load_no_scipy(tmp_path):
     assert _scipy_loaded_by("plot", "hist", hist, "-o", tmp_path / "hist.svg") == set()
 
 
+def test_cli_import_loads_no_process_pool():
+    # the CLI maps a dead calibration worker to exit 3 without importing the pool
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, spantree.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def _assert_loads_only_kd_tree(loaded: set[str]) -> None:
     # the compiled kd-tree alone, not the scipy.spatial package around it
     assert "scipy.spatial._ckdtree" in loaded

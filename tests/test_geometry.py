@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ class TestPointSet:
         with pytest.raises(ValueError, match="finite"):
             PointSet([[0.0], [1.0]], weights=[1.0, bad])
         with pytest.raises(ValueError, match="finite"):
-            PointSet([[0.0], [1.0]]).with_weights([bad, 1.0])
+            replace(PointSet([[0.0], [1.0]]), weights=[bad, 1.0])
 
     def test_immutable_arrays(self):
         ps = PointSet([[0.0, 1.0]])

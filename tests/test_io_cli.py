@@ -590,6 +590,21 @@ class TestCliBuildStats:
         assert run_cli("build", events, "-o", out) == 3
         assert not out.exists()
 
+    def test_memory_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        from spantree import cli
+
+        def exhaust(ps):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "build_mst_kruskal", exhaust)
+        events = tmp_path / "e.csv"
+        events.write_text("x,y\n0.0,0.0\n1.0,0.0\n")
+        out = tmp_path / "out"
+        assert run_cli("stats", events, "-o", out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: out of memory: Unable to allocate 8.00 TiB for an array"]
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path):
         events = tmp_path / "e.csv"
         events.write_text("x\n0.0\n1.0\n")
@@ -612,6 +627,22 @@ class TestCliBuildStats:
         events.write_text("x\n0.0\n1.0\n3.0\n")
         assert run_cli("stats", events) == 0
         assert (workdir / "summary.json").exists()
+
+    @pytest.mark.parametrize("command, written", [
+        (("gen", "--preset", "disc", "-n", 50), "disc.csv"),
+        (("build", "{events}"), "tree.csv"),
+        (("plot", "tree", "--events", "{events}"), "tree.svg"),
+        (("plot", "hist", "{hist}"), "histogram.svg"),
+    ], ids=["gen", "build", "plot-tree", "plot-hist"])
+    def test_env_var_output_dir_is_created(self, command, written, tmp_path, monkeypatch):
+        # once a file named after the variable when the directory was missing
+        events, hist = tmp_path / "e.csv", tmp_path / "h.csv"
+        events.write_text("x,y\n0.0,0.0\n1.0,0.0\n0.0,2.0\n")
+        write_histogram_csv(Histogram(0.0, 1.0, 2, np.array([1.0, 2.0])), hist)
+        outdir = tmp_path / "envout" / "nested"
+        monkeypatch.setenv("SPANTREE_OUTPUT_DIR", str(outdir))
+        assert run_cli(*(str(a).format(events=events, hist=hist) for a in command)) == 0
+        assert [p.name for p in outdir.iterdir()] == [written]
 
     def test_config_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -822,6 +853,21 @@ class TestCliFit:
         out = tmp_path / "out"
         assert run_cli("fit", path, "-o", out) == 3
         assert "coincident points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dead_calibration_worker_exit_3(self, small_fit_config, tmp_path, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from spantree import cli
+
+        def die(*args, **kwargs):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr(cli, "calibrate_mu_vs_alpha", die)
+        out = tmp_path / "out"
+        assert run_cli("fit", small_fit_config, "-o", out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a calibration worker process died")
         assert not out.exists()
 
     def test_shipped_demo_config(self, tmp_path):
@@ -1130,6 +1176,24 @@ class TestCliPlot:
         assert run_cli("plot", "tree", "--events", events, "-o", out) == 0
         svg = out.read_text()
         assert ">background</text>" in svg and ">signal</text>" in svg
+
+    def test_markup_characters_are_escaped(self, tmp_path):
+        from xml.etree import ElementTree
+
+        def texts(path: Path) -> list[str]:
+            root = ElementTree.parse(path).getroot()
+            return [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+
+        events = tmp_path / "amp.csv"
+        events.write_text("x<1,y&2,label\n0.0,0.0,a&b\n1.0,0.0,<c>\n0.0,1.0,a&b\n")
+        tree_svg = tmp_path / "amp.svg"
+        assert run_cli("plot", "tree", "--events", events, "-o", tree_svg) == 0
+        assert {"x<1 vs y&2", "a&b", "<c>"} <= set(texts(tree_svg))
+        hist = tmp_path / "q&a.csv"
+        write_histogram_csv(Histogram(0.0, 1.0, 2, np.array([1.0, 2.0])), hist)
+        hist_svg = tmp_path / "hist.svg"
+        assert run_cli("plot", "hist", hist, "-o", hist_svg) == 0
+        assert "q&a" in texts(hist_svg)
 
 
 # a tree or histogram file the plot commands must refuse: (plot kind, file

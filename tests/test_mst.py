@@ -405,6 +405,24 @@ class TestOneTreePath:
         assert bool(wide) == requeried
         assert outside
 
+    def test_uniform_disc_builds_no_outside_tree(self, monkeypatch):
+        u = np.random.default_rng(7).random((20000, 2))
+        r, t = np.sqrt(u[:, 0]), 2 * np.pi * u[:, 1]
+        points = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        outside = []
+
+        class CountingKDTree(mst._kd_tree_class()):
+            def __init__(self, data, *args, **kwargs):
+                if len(data) < len(points):
+                    outside.append(len(data))
+                super().__init__(data, *args, **kwargs)
+
+        monkeypatch.setattr(mst, "_kd_tree_class", lambda: CountingKDTree)
+        assert build_mst_kruskal(PointSet(points)).edge_count == 19999
+        # a large component that already holds an offer settles its inner
+        # points with the 32/64 re-queries, not with a tree of all outside points
+        assert outside == []
+
 
 # Loads the kd-tree class and scipy.spatial in the order argv[1] names, in a
 # fresh interpreter, and checks both share one module and one class.
