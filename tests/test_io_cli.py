@@ -11,12 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantree import (
+    BinnedModel,
     ConfigError,
     EventFileError,
+    GridBinning,
     Histogram,
     PointSet,
+    RegionWeight,
+    apply_region_weights,
     build_mst_kruskal,
+    calibrate_mu_vs_alpha,
+    degrees,
+    edge_lengths,
+    fit_alpha,
     histogram,
+    observed_mu,
 )
 from spantree.cli import main
 from spantree.io import (
@@ -27,6 +36,7 @@ from spantree.io import (
     histogram_range,
     read_events,
     read_histogram_csv,
+    read_table,
     read_tree_csv,
     write_events,
     write_histogram_csv,
@@ -483,6 +493,16 @@ class TestCliGen:
         run_cli("gen", "--spec", spec_path, "--seed", 4, "-o", overridden)
         assert from_spec.read_bytes() != overridden.read_bytes()
 
+    def test_spec_file_seed_and_count_overridden(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "uniform1d", "count": 50, "seed": 3}))
+        out = tmp_path / "u.csv"
+        assert run_cli("gen", "--spec", spec_path, "--seed", 4, "-n", 30, "-o", out) == 0
+        from spantree import sample_1d
+
+        np.testing.assert_array_equal(read_events(out).coords, sample_1d("uniform1d", 30, 4).coords)
+        assert out.read_text().splitlines()[0].endswith(" seed=4")
+
     def test_invalid_spec_exit_code(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"kind": "nope", "count": 3, "seed": 1}))
@@ -657,6 +677,29 @@ class TestCliBuildStats:
         assert run_cli("stats", events, "--config", cfg, "-o", tmp_path / "flag") == 0
         assert (tmp_path / "flag" / "summary.json").exists()
 
+    def test_configured_histogram_bins(self, tmp_path):
+        events = tmp_path / "e.csv"
+        run_cli("gen", "--preset", "disc", "--seed", 4, "-n", 150, "-o", events)
+        specs = {
+            "degree": {"lo": 0, "hi": 6, "nbins": 6},
+            "edge_length": {"lo": 0, "hi": 3, "nbins": 7, "overflow": False},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": {}, "histogram_specs": specs}))
+        outdir = tmp_path / "out"
+        assert run_cli("stats", events, "--config", cfg, "-o", outdir) == 0
+        tree = build_mst_kruskal(read_events(events))
+        for name, values in (("degree", degrees(tree)), ("edge_length", edge_lengths(tree))):
+            spec = specs[name]
+            folds = spec.get("overflow", True)
+            h = read_histogram_csv(outdir / f"hist_{name}.csv")
+            assert (h.lo, h.hi, h.nbins, h.folds_overflow) == (spec["lo"], spec["hi"], spec["nbins"], folds)
+            expected = histogram(*values, spec["lo"], spec["hi"], spec["nbins"], folds)
+            np.testing.assert_array_equal(h.contents, expected.contents)
+            assert (h.overflow, h.underflow) == (expected.overflow, expected.underflow)
+        # a histogram the config leaves out keeps the automatic 50 bins
+        assert read_histogram_csv(outdir / "hist_log_norm_length.csv").nbins == 50
+
     def test_statistics_selection_via_config(self, tmp_path):
         events = tmp_path / "e.csv"
         run_cli("gen", "--preset", "disc", "--seed", 4, "-n", 120, "-o", events)
@@ -728,6 +771,23 @@ class TestCliCompare:
         assert not (tmp_path / "comparison_subject_vs_reference.csv").exists()
         assert run_cli("compare", events, events, "--config", cfg, "-o", tmp_path / "flag") == 0
         assert (tmp_path / "flag" / "comparison_subject_vs_reference.csv").exists()
+
+    def test_region_weights_via_config(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run_cli("gen", "--preset", "disc", "--seed", 7, "-n", 80, "-o", a)
+        run_cli("gen", "--preset", "strip", "--seed", 8, "-n", 80, "-o", b)
+        section = {"box": {"x": [-5, 5], "y": [None, 3]}, "inside_weight": 0.25, "outside_weight": 2.0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"inputs": {}, "region_weights": section}))
+        outdir = tmp_path / "cmp"
+        assert run_cli("compare", a, b, "--both", "--config", cfg, "-o", outdir) == 0
+        box = RegionWeight({"x": (-5.0, 5.0), "y": (None, 3.0)}, 0.25, 2.0)
+        for tag, subject in (("subject_vs_reference", a), ("reference_vs_subject", b)):
+            header, rows = read_table(outdir / f"comparison_{tag}.csv", "comparison")
+            weights = [float(cells[header.index("weight")]) for _, cells in rows]
+            expected = apply_region_weights(read_events(subject), box).weights
+            assert weights == expected.tolist()
+            assert set(weights) == {0.25, 2.0}
 
     def test_failed_backward_comparison_writes_nothing(self, tmp_path):
         # one subject event: the forward direction pools the reference's
@@ -810,6 +870,57 @@ def small_fit_config(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def fit_files(tmp_path_factory):
+    """A fit config over three event files, and the samples those files hold."""
+    root = tmp_path_factory.mktemp("fitfiles")
+    paths = {}
+    for role, preset, seed in (("background", "demo-background", 1), ("signal", "demo-signal", 2),
+                               ("observed", "disc", 3)):
+        paths[role] = root / f"{role}.csv"
+        run_cli("gen", "--preset", preset, "--seed", seed, "-n", 900, "-o", paths[role])
+    cfg = {
+        "seed": 5,
+        "inputs": {role: {"file": str(path)} for role, path in paths.items()},
+        "fit": {
+            "background": "background",
+            "signal": "signal",
+            "observed": "observed",
+            "binning": {"x_feature": "x", "y_feature": "y", **_DEMO_EDGES},
+            "calibration_alphas": [0.15, 0.3, 0.45],
+            "calibration_trials": 2,
+            "calibration_count": 500,
+            "alpha_grid": 101,
+        },
+    }
+    return cfg, {role: read_events(path) for role, path in paths.items()}
+
+
+def _library_fit(cfg: dict, background, signal, observed) -> dict:
+    """The ``fit_result.json`` entries of ``cfg``'s fit, run through the library on these samples."""
+    fit = cfg["fit"]
+    model = BinnedModel.from_samples(background, signal, observed, GridBinning.from_dict(fit["binning"]))
+    calibration = calibrate_mu_vs_alpha(
+        background, signal, fit["calibration_alphas"], fit["calibration_trials"], cfg["seed"],
+        fit["calibration_count"],
+    )
+    mu_obs = observed_mu(observed)
+    fits = {
+        "baseline": fit_alpha(model, None, fit["alpha_grid"]),
+        "augmented": fit_alpha(model, calibration.constraint(mu_obs), fit["alpha_grid"]),
+    }
+    out = {name: {"alpha_hat": r.alpha_hat, "sigma_alpha": r.sigma_alpha, "q_min": r.q_min}
+           for name, r in fits.items()}
+    out["calibration"] = {
+        "slope": calibration.slope,
+        "intercept": calibration.intercept,
+        "slope_stderr": calibration.slope_stderr,
+        "sigma_l": calibration.sigma_l,
+        "mu_obs": mu_obs,
+    }
+    return out
+
+
 class TestCliFit:
     def test_fit_outputs(self, small_fit_config, tmp_path):
         outdir = tmp_path / "fit"
@@ -869,6 +980,39 @@ class TestCliFit:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: a calibration worker process died")
         assert not out.exists()
+
+    @pytest.mark.parametrize("apply_to", [["observed"], []], ids=["observed", "all"])
+    def test_region_weights_match_the_library(self, apply_to, fit_files, tmp_path):
+        cfg, samples = fit_files
+        section = {"box": {"x": [5, 15], "y": [0, 8]}, "inside_weight": 0.5, "outside_weight": 1.5}
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps({**cfg, "region_weights": {**section, "apply_to": apply_to}}))
+        assert run_cli("fit", path, "-o", tmp_path / "weighted") == 0
+        result = json.loads((tmp_path / "weighted" / "fit_result.json").read_text())
+        box = RegionWeight({"x": (5.0, 15.0), "y": (0.0, 8.0)}, 0.5, 1.5)
+        weighted = {
+            role: apply_region_weights(ps, box) if role in (apply_to or samples) else ps
+            for role, ps in samples.items()
+        }
+        expected = _library_fit(cfg, **weighted)
+        assert {key: result[key] for key in expected} == expected
+        unweighted = tmp_path / "fit.json"
+        unweighted.write_text(json.dumps(cfg))
+        assert run_cli("fit", unweighted, "-o", tmp_path / "plain") == 0
+        plain = json.loads((tmp_path / "plain" / "fit_result.json").read_text())
+        assert {key: plain[key] for key in expected} != expected
+
+    def test_seed_flag_reaches_provenance(self, small_fit_config, tmp_path):
+        outdir = tmp_path / "fit"
+        assert run_cli("fit", small_fit_config, "--mode", "baseline", "--seed", 77, "-o", outdir) == 0
+        assert (outdir / "q_curve.csv").read_text().splitlines()[0].endswith(" seed=77")
+        assert json.loads((outdir / "effective_config.json").read_text())["seed"] == 77
+
+    def test_config_without_fit_section(self, tmp_path, capsys):
+        path = tmp_path / "nofit.json"
+        path.write_text(json.dumps({"seed": 1, "inputs": {}}))
+        out = tmp_path / "out"
+        _assert_config_error(run_cli("fit", path, "-o", out), capsys, out, "no fit section")
 
     def test_shipped_demo_config(self, tmp_path):
         demo = Path(__file__).resolve().parents[1] / "configs" / "fit_demo.json"
