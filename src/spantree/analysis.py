@@ -226,9 +226,6 @@ class CalibrationResult:
     slope_stderr: float
     sigma_l: float
 
-    def mu_at(self, alpha) -> np.ndarray | float:
-        return self.intercept + self.slope * np.asarray(alpha, dtype=np.float64)
-
     def constraint(self, mu_obs: float) -> MstConstraint:
         if not self.sigma_l > 0:
             raise DegenerateStatistic(

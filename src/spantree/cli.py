@@ -11,7 +11,8 @@ with identical configuration produce byte-identical outputs. Exit codes:
 (a dead calibration worker included), 4 I/O error. Outputs go to ``-o``,
 else a run config's ``output_dir``, else ``SPANTREE_OUTPUT_DIR`` when set,
 else the current directory; the last three are directories, created when
-missing, while ``-o`` of a single-file command may name the file.
+missing, while ``-o`` of a single-file command names the file unless it
+ends in a path separator or names a directory.
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    BinnedModel,
-    GridBinning,
-    RegionWeight,
-    apply_region_weights,
-    calibrate_mu_vs_alpha,
-    fit_alpha,
-    observed_mu,
-)
+from .analysis import BinnedModel, GridBinning, calibrate_mu_vs_alpha, fit_alpha, observed_mu
 from .compare import connection_ratios
 from .errors import ConfigError, DegenerateStatistic, EventFileError, SpanTreeError
 from .generators import PRESET_NAMES, GeneratorSpec, gen_two_component, generate, preset_spec
@@ -45,7 +38,6 @@ from .io import (
     config_hash,
     file_fingerprint,
     filter_events,
-    histogram_range,
     provenance_line,
     read_events,
     read_histogram_csv,
@@ -68,57 +60,24 @@ from .stats import (
 )
 from .svg import render_histograms_svg, render_tree_svg
 
-_DEFAULT_NBINS = 50
+def _out_path(path_arg: str | None, name: str | None = None) -> Path:
+    """The output directory, created when missing, or the file ``name`` inside it.
 
-
-def _out_base(path_arg: str | None) -> Path:
-    return Path(path_arg or os.environ.get("SPANTREE_OUTPUT_DIR", "."))
-
-
-def _ensure_dir(path: Path) -> Path:
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _out_file(path_arg: str | None, name: str) -> Path:
-    """``-o`` as a file, or ``name`` inside it when it is a directory; without
-    ``-o``, ``name`` inside the default output directory, created if missing."""
-    if path_arg is None:
-        return _ensure_dir(_out_base(None)) / name
-    out = Path(path_arg)
-    return out / name if out.is_dir() else out
-
-
-def _auto_range(values: np.ndarray) -> tuple[float, float]:
-    finite = values[np.isfinite(values)]
-    if not finite.size:
-        return 0.0, 1.0
-    lo, hi = float(finite.min()), float(finite.max())
-    if hi <= lo:
-        hi = lo + 1.0
-    return lo, hi + 1e-9 * (hi - lo)
-
-
-def _stat_histogram(values, weights, name: str, specs: dict, integer_valued: bool = False):
-    if name in specs:
-        return histogram(values, weights, *histogram_range(name, specs[name]))
-    if integer_valued:
-        top = int(values.max())
-        return histogram(values, weights, 0.5, top + 0.5, top, overflow=False)
-    lo, hi = _auto_range(values)
-    return histogram(values, weights, lo, hi, _DEFAULT_NBINS, overflow=True)
+    The directory is ``path_arg`` (``-o`` or a config's ``output_dir``), else
+    ``SPANTREE_OUTPUT_DIR``, else the current directory. With ``name``, a
+    ``path_arg`` that neither ends in a path separator nor names a directory
+    is the file itself.
+    """
+    if name and path_arg and not path_arg.endswith((os.sep, "/")) and not Path(path_arg).is_dir():
+        return Path(path_arg)
+    out = Path(path_arg or os.environ.get("SPANTREE_OUTPUT_DIR", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name if name else out
 
 
 def _log_branch_lengths(lengths, weights) -> tuple[np.ndarray, np.ndarray]:
     keep = lengths > 0
     return np.log(lengths[keep]), weights[keep]
-
-
-def _weighted(ps: PointSet, rw: RegionWeight) -> PointSet:
-    try:
-        return apply_region_weights(ps, rw)
-    except ValueError as exc:  # a box feature the events lack
-        raise ConfigError(f"region_weights: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +87,8 @@ def _gen_spec(args) -> GeneratorSpec:
     if args.preset:
         return preset_spec(args.preset, args.seed if args.seed is not None else 0, args.count)
     try:
-        payload = json.loads(Path(args.spec).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"{args.spec}: cannot load generator spec: {exc}") from exc
     if args.seed is not None:
         payload["seed"] = args.seed
@@ -145,7 +104,7 @@ def _cmd_gen(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid generator spec: {exc}") from exc
     cfg = {"command": "gen", "spec": spec.to_dict()}
-    out = _out_file(args.output, f"{args.preset or spec.kind}.csv")
+    out = _out_path(args.output, f"{args.preset or spec.kind}.csv")
     write_events(ps, out, provenance_line(config_hash(cfg), spec.seed))
     print(f"wrote {len(ps)} events ({ps.dimension} features) to {out}")
     return 0
@@ -168,7 +127,7 @@ def _cmd_build(args) -> int:
     ps = _load_events(args.events, args.rescale)
     tree = build_mst_kruskal(ps)
     cfg = {"command": "build", "events": file_fingerprint(args.events), "rescale": args.rescale}
-    out = _out_file(args.output, "tree.csv")
+    out = _out_path(args.output, "tree.csv")
     write_tree_csv(tree, out, provenance_line(config_hash(cfg)))
     print(f"wrote tree with {tree.edge_count} edges, total length {tree_total_length(tree):.6g}")
     return 0
@@ -176,19 +135,16 @@ def _cmd_build(args) -> int:
 
 def _cmd_stats(args) -> int:
     ps = _load_events(args.events, args.rescale)
-    config = RunConfig.load(args.config) if args.config else RunConfig(seed=0, inputs={})
-    hist_specs, statistics = config.histogram_specs, config.statistics
-    if config.region_weights:
-        ps = _weighted(ps, config.region_weight()[0])
+    config = RunConfig.load(args.config) if args.config else RunConfig()
+    ps = config.weigh(ps)
     tree = build_mst_kruskal(ps)
 
     cfg = {
         "command": "stats",
         "events": file_fingerprint(args.events),
         "rescale": args.rescale,
-        "statistics": list(statistics),
-        "histogram_specs": hist_specs,
-        "region_weights": config.region_weights,
+        "statistics": list(config.statistics),
+        **config.applied(),
     }
     prov = provenance_line(config_hash(cfg))
     stat_values = {
@@ -197,11 +153,11 @@ def _cmd_stats(args) -> int:
         "degree": lambda: degrees(tree),
         "log_branch_length": lambda: _log_branch_lengths(*extract_branches(tree)),
     }
-    hists = {name: _stat_histogram(*stat_values[name](), name, hist_specs, name == "degree")
-             for name in statistics}
+    values = {name: stat_values[name]() for name in config.statistics}
+    hists = {name: histogram(v, w, *config.binning(name, v)) for name, (v, w) in values.items()}
     summary = summarize(tree)
     # every output is computed before the first is written, so a failed run writes none
-    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
+    outdir = _out_path(args.output or config.output_dir)
     write_tree_csv(tree, outdir / "tree.csv", prov)
     for name, h in hists.items():
         write_histogram_csv(h, outdir / f"hist_{name}.csv", prov)
@@ -226,17 +182,17 @@ def _cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-def _comparison_tables(tag, subject, reference, args, hist_specs) -> tuple:
+def _comparison_tables(tag, subject, reference, args, config: RunConfig) -> tuple:
     """A comparison's tag, table and two histograms, computed but not written."""
     result = connection_ratios(subject, reference, k=args.k, edge_pool=args.pool)
     header = ("vertex", "connection_length", "connection_ratio", "weight")
-    ratios, weights = result.connection_ratio, result.weights
-    columns = (np.arange(len(ratios)), result.connection_length, ratios, weights)
-    h_c = _stat_histogram(result.connection_length, weights, "connection_length", hist_specs)
+    lengths, ratios, weights = result.connection_length, result.connection_ratio, result.weights
+    columns = (np.arange(len(ratios)), lengths, ratios, weights)
+    h_c = histogram(lengths, weights, *config.binning("connection_length", lengths))
     finite = np.isfinite(ratios)
     # with no finite ratio, one zero-weight entry keeps the automatic range defined
     ratios, weights = (ratios[finite], weights[finite]) if finite.any() else (np.zeros(1),) * 2
-    h_r = _stat_histogram(ratios, weights, "connection_ratio", hist_specs)
+    h_r = histogram(ratios, weights, *config.binning("connection_ratio", ratios))
     return tag, header, columns, h_c, h_r
 
 
@@ -246,12 +202,8 @@ def _cmd_compare(args) -> int:
     ps_a = _load_events(args.subject, args.rescale)
     ps_b = _load_events(args.reference, args.rescale)
 
-    config = RunConfig.load(args.config) if args.config else RunConfig(seed=0, inputs={})
-    hist_specs = config.histogram_specs
-    if config.region_weights:
-        rw, _ = config.region_weight()
-        ps_a = _weighted(ps_a, rw)
-        ps_b = _weighted(ps_b, rw)
+    config = RunConfig.load(args.config) if args.config else RunConfig()
+    ps_a, ps_b = config.weigh(ps_a), config.weigh(ps_b)
     tree_a = build_mst_kruskal(ps_a)
     tree_b = build_mst_kruskal(ps_b)
 
@@ -263,15 +215,14 @@ def _cmd_compare(args) -> int:
         "edge_pool": args.pool,
         "both": args.both,
         "rescale": args.rescale,
-        "histogram_specs": hist_specs,
-        "region_weights": config.region_weights,
+        **config.applied(),
     }
     prov = provenance_line(config_hash(cfg))
-    tables = [_comparison_tables("subject_vs_reference", tree_a, tree_b, args, hist_specs)]
+    tables = [_comparison_tables("subject_vs_reference", tree_a, tree_b, args, config)]
     if args.both:
-        tables.append(_comparison_tables("reference_vs_subject", tree_b, tree_a, args, hist_specs))
+        tables.append(_comparison_tables("reference_vs_subject", tree_b, tree_a, args, config))
     # both directions are computed before the first file is written, so a failed run writes none
-    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
+    outdir = _out_path(args.output or config.output_dir)
     for tag, header, columns, h_c, h_r in tables:
         write_table(outdir / f"comparison_{tag}.csv", [prov], header, columns)
         write_histogram_csv(h_c, outdir / f"hist_connection_length_{tag}.csv", prov)
@@ -322,13 +273,8 @@ def _cmd_fit(args) -> int:
     roles.sort(key=lambda item: config.inputs[item[1]].file is None)
     for i, role in roles:
         samples[role] = _resolve_input(config.inputs[role], config.seed, i)
-
-    if config.region_weights:
-        rw, apply_to = config.region_weight()
-        for role in apply_to or tuple(samples):
-            if role in samples:
-                samples[role] = _weighted(samples[role], rw)
-
+    # weighted once every input is resolved, so a failing input stops the fit first
+    samples = {role: config.weigh(ps, role) for role, ps in samples.items()}
     background, signal, observed = (samples[r] for r in (fit.background, fit.signal, fit.observed))
 
     try:
@@ -360,7 +306,7 @@ def _cmd_fit(args) -> int:
             )
         augmented = fit_alpha(model, calibration.constraint(mu_obs), fit.alpha_grid)
 
-    outdir = _ensure_dir(_out_base(args.output or config.output_dir))
+    outdir = _out_path(args.output or config.output_dir)
     write_json({**config.to_dict(), "config": cfg_hash}, outdir / "effective_config.json")
     fits = {n: r for n, r in (("baseline", baseline), ("augmented", augmented)) if r is not None}
     curves = [r.q_curve for r in fits.values()]
@@ -431,12 +377,13 @@ def _cmd_plot_tree(args) -> int:
     names = ps.feature_names or tuple(f"x{i}" for i in range(ps.dimension))
     svg = render_tree_svg(
         coords,
-        zip(us.tolist(), vs.tolist()),
+        us,
+        vs,
         labels=ps.labels,
         title=f"{names[ax]} vs {names[ay]}",
         comment=provenance_line(config_hash(cfg)),
     )
-    out = _out_file(args.output, "tree.svg")
+    out = _out_path(args.output, "tree.svg")
     write_text_atomic(out, svg)
     print(f"wrote {out}")
     return 0
@@ -446,7 +393,7 @@ def _cmd_plot_hist(args) -> int:
     named = [(Path(p).stem, read_histogram_csv(p)) for p in args.histograms]
     cfg = {"command": "plot-hist", "histograms": [file_fingerprint(p) for p in args.histograms]}
     svg = render_histograms_svg(named, comment=provenance_line(config_hash(cfg)))
-    out = _out_file(args.output, "histogram.svg")
+    out = _out_path(args.output, "histogram.svg")
     write_text_atomic(out, svg)
     print(f"wrote {out}")
     return 0

@@ -12,8 +12,9 @@ line number.
 Every file this package writes starts with a one-line provenance comment
 carrying the tool version, the hash of the effective configuration that
 produced it, and the master seed, so identical configurations can be
-recognized from their outputs alone. Every file is written through
-:func:`write_text_atomic`, so it is never left half-written.
+recognized from their outputs alone. Every file is read and written as
+UTF-8, and written through :func:`write_text_atomic`, so it is never left
+half-written.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import GridBinning, RegionWeight, check_calibration, resolve_alpha_grid
+from .analysis import (
+    GridBinning,
+    RegionWeight,
+    apply_region_weights,
+    check_calibration,
+    resolve_alpha_grid,
+)
 from .errors import ConfigError, DimensionMismatch, EventFileError
 from .generators import GeneratorSpec, check_component, check_mixture, config_int
 from .geometry import PointSet
@@ -69,7 +76,7 @@ def provenance_line(cfg_hash: str, seed: int | None = None) -> str:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step.
+    """Replace ``path`` with ``text``, encoded as UTF-8, in one step.
 
     The text goes to a new file beside ``path`` that is then renamed over
     it, so ``path`` never holds part of the text: a failed or interrupted
@@ -81,7 +88,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     # created like open(path, "w") would create path: mode 0o666 less the umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w") as fh:
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -150,14 +157,14 @@ def read_table(path: str | Path, what: str, header: Sequence[str] | None = None,
 
     ``what`` names the file in errors. The header must equal ``header`` when
     given; comment lines are appended to ``comments`` when given. Raises
-    :class:`EventFileError` for an unreadable file, a missing or unexpected
-    header, and a row whose field count differs from the header's.
+    :class:`EventFileError` for an unreadable or non-UTF-8 file, a missing or
+    unexpected header, and a row whose field count differs from the header's.
     """
     try:
         # newline="" hands line endings inside quoted fields to the csv reader as written
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             records = list(_csv_records(fh, comments))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EventFileError(f"{path}: cannot read {what}: {exc}") from exc
     except csv.Error as exc:
         raise EventFileError(f"{path}: {exc}") from exc
@@ -544,12 +551,36 @@ def histogram_range(name: str, spec: Any) -> tuple[float, float, int, bool]:
     return lo, hi, nbins, overflow
 
 
+def _region_weight(section: Any) -> tuple[RegionWeight, tuple[str, ...]]:
+    """A ``region_weights`` section as a box and the inputs it applies to."""
+    try:
+        unknown = sorted(set(section) - set(_REGION_KEYS))
+        if unknown or "box" not in section:
+            raise ConfigError(
+                f"region_weights takes a box and optionally {_REGION_KEYS[1:]}, "
+                f"got {sorted(section)}"
+            )
+        box = {}
+        for feature, (lo, hi) in section["box"].items():
+            key: int | str = int(feature) if str(feature).lstrip("-").isdigit() else feature
+            box[key] = tuple(None if b is None else float(b) for b in (lo, hi))
+        inside, outside = section.get("inside_weight", 0.0), section.get("outside_weight", 1.0)
+        return RegionWeight(box, float(inside), float(outside)), tuple(section.get("apply_to", ()))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"region_weights: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Declarative description of a reproducible pipeline run."""
+    """Declarative description of a reproducible pipeline run.
 
-    seed: int
-    inputs: dict[str, InputSpec]
+    Every section is optional, though ``fit`` needs ``inputs`` and a ``fit``
+    section. ``region_weights`` and ``histogram_specs`` are parsed once, at
+    construction, and applied by :meth:`weigh` and :meth:`binning`.
+    """
+
+    seed: int = 0
+    inputs: dict[str, InputSpec] = field(default_factory=dict)
     output_dir: str | None = None
     rescale: str = "none"
     region_weights: dict[str, Any] | None = None
@@ -570,39 +601,47 @@ class RunConfig:
             for role in (self.fit.background, self.fit.signal, self.fit.observed):
                 if role not in self.inputs:
                     raise ConfigError(f"fit references undeclared input {role!r}")
-        for name, spec in self.histogram_specs.items():
-            histogram_range(name, spec)
-        if self.region_weights is not None:
-            _, apply_to = self.region_weight()
-            undeclared = sorted(set(apply_to) - set(self.inputs))
-            if undeclared:
-                raise ConfigError(f"region_weights: apply_to names undeclared inputs {undeclared}")
+        bins = {name: histogram_range(name, spec) for name, spec in self.histogram_specs.items()}
+        object.__setattr__(self, "_bins", bins)
+        region = (None, ()) if self.region_weights is None else _region_weight(self.region_weights)
+        object.__setattr__(self, "_region", region)
+        undeclared = sorted(set(region[1]) - set(self.inputs))
+        if undeclared:
+            raise ConfigError(f"region_weights: apply_to names undeclared inputs {undeclared}")
 
-    def region_weight(self) -> tuple[RegionWeight, tuple[str, ...]]:
-        """The ``region_weights`` section as a box and the inputs it applies to.
+    def weigh(self, ps: PointSet, name: str | None = None) -> PointSet:
+        """``ps`` with the region weights applied, if they apply to input ``name``.
 
-        An empty ``apply_to`` means every input.
+        An empty ``apply_to`` applies them to every input, and they always
+        apply to an event file the config does not name (``name`` None).
         """
-        section = self.region_weights
+        rw, apply_to = self._region
+        if rw is None or (apply_to and name is not None and name not in apply_to):
+            return ps
         try:
-            unknown = sorted(set(section) - set(_REGION_KEYS))
-            if unknown or "box" not in section:
-                raise ConfigError(
-                    f"region_weights takes a box and optionally {_REGION_KEYS[1:]}, "
-                    f"got {sorted(section)}"
-                )
-            box = {}
-            for feature, (lo, hi) in section["box"].items():
-                key: int | str = int(feature) if str(feature).lstrip("-").isdigit() else feature
-                box[key] = tuple(None if b is None else float(b) for b in (lo, hi))
-            rw = RegionWeight(
-                box=box,
-                inside_weight=float(section.get("inside_weight", 0.0)),
-                outside_weight=float(section.get("outside_weight", 1.0)),
-            )
-            return rw, tuple(section.get("apply_to", ()))
-        except (AttributeError, TypeError, ValueError) as exc:
+            return apply_region_weights(ps, rw)
+        except ValueError as exc:  # a box feature the events lack
             raise ConfigError(f"region_weights: {exc}") from exc
+
+    def binning(self, name: str, values: np.ndarray) -> tuple[float, float, int, bool]:
+        """The (lo, hi, nbins, overflow) arguments of ``histogram`` for ``values`` of ``name``:
+        its spec, else unit bins for ``degree``, else 50 bins over the finite values."""
+        if name in self._bins:
+            return self._bins[name]
+        if name == "degree":
+            top = int(values.max())
+            return 0.5, top + 0.5, top, False
+        finite = values[np.isfinite(values)]
+        if not finite.size:
+            return 0.0, 1.0, 50, True
+        lo, hi = float(finite.min()), float(finite.max())
+        if hi <= lo:
+            hi = lo + 1.0
+        return lo, hi + 1e-9 * (hi - lo), 50, True
+
+    def applied(self) -> dict[str, Any]:
+        """The sections :meth:`weigh` and :meth:`binning` apply, as a command hashes them."""
+        return {"histogram_specs": self.histogram_specs, "region_weights": self.region_weights}
 
     def to_dict(self) -> dict[str, Any]:
         inputs = {}
@@ -642,7 +681,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown run configuration keys {unknown}; known: {sorted(known)}")
         try:
-            inputs = {name: InputSpec.from_dict(name, entry) for name, entry in d["inputs"].items()}
+            inputs = {n: InputSpec.from_dict(n, e) for n, e in d.get("inputs", {}).items()}
             seed = d.get("seed")
             if seed is None and any(spec.file is None for spec in inputs.values()):
                 raise ConfigError("a seed is required whenever any input is generated")
@@ -664,8 +703,8 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         try:
-            payload = json.loads(Path(path).read_text())
-        except OSError as exc:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc

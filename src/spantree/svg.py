@@ -7,7 +7,7 @@ be diffed in golden tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,39 +23,45 @@ _PALETTE = (
 )
 
 _MARGIN = 50.0
+_WIDTH = 720.0
+
+# the markup escapes; \r as a reference, since a parser reads a bare one as \n;
+# and U+FFFD in place of each character that XML 1.0 cannot hold
+_NOT_XML = (*range(9), 11, 12, *range(14, 32), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF)
+_TEXT_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"} | dict.fromkeys(_NOT_XML, "\ufffd")
+)
 
 
 def _f(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _axis_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return list(np.linspace(lo, hi, n))
+    return list(np.linspace(lo, hi, 5))
 
 
 class _Canvas:
-    def __init__(self, width: float, height: float, comment: str | None) -> None:
-        self.width = width
+    def __init__(self, height: float, comment: str | None) -> None:
         self.height = height
         self.parts: list[str] = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(width)}" '
-            f'height="{_f(height)}" viewBox="0 0 {_f(width)} {_f(height)}">',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(_WIDTH)}" '
+            f'height="{_f(height)}" viewBox="0 0 {_f(_WIDTH)} {_f(height)}">',
         ]
         if comment:
             self.parts.append(f"<!-- {comment.lstrip('# ')} -->")
-        self.parts.append(f'<rect width="{_f(width)}" height="{_f(height)}" fill="white"/>')
+        self.parts.append(f'<rect width="{_f(_WIDTH)}" height="{_f(height)}" fill="white"/>')
 
     def add(self, element: str) -> None:
         self.parts.append(element)
 
     def text(self, x: float, y: float, s: str, size: int = 12, anchor: str = "start") -> None:
-        s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         self.add(
             f'<text x="{_f(x)}" y="{_f(y)}" font-family="monospace" font-size="{size}" '
-            f'text-anchor="{anchor}" fill="#222222">{s}</text>'
+            f'text-anchor="{anchor}" fill="#222222">{s.translate(_TEXT_ESCAPES)}</text>'
         )
 
     def finish(self) -> str:
@@ -74,7 +80,7 @@ class _PlotFrame:
         if self.y1 <= self.y0:
             self.y1 = self.y0 + 1.0
         self.px0 = _MARGIN
-        self.px1 = canvas.width - _MARGIN / 2
+        self.px1 = _WIDTH - _MARGIN / 2
         self.py0 = canvas.height - _MARGIN
         self.py1 = _MARGIN / 2
 
@@ -84,7 +90,7 @@ class _PlotFrame:
     def y(self, v: float) -> float:
         return self.py0 + (v - self.y0) / (self.y1 - self.y0) * (self.py1 - self.py0)
 
-    def draw_axes(self, x_label: str = "", y_label: str = "") -> None:
+    def draw_axes(self, y_label: str = "") -> None:
         c = self.canvas
         c.add(
             f'<rect x="{_f(self.px0)}" y="{_f(self.py1)}" width="{_f(self.px1 - self.px0)}" '
@@ -104,27 +110,24 @@ class _PlotFrame:
                 f'y2="{_f(py)}" stroke="#555555" stroke-width="1"/>'
             )
             c.text(self.px0 - 6, py + 3, f"{ty:.3g}", size=10, anchor="end")
-        if x_label:
-            c.text((self.px0 + self.px1) / 2, self.canvas.height - 8, x_label, anchor="middle")
         if y_label:
             c.text(10, self.py1 - 6, y_label)
 
 
 def render_tree_svg(
     coords: np.ndarray,
-    edge_pairs: Iterable[tuple[int, int]],
+    us: np.ndarray,
+    vs: np.ndarray,
     labels: Sequence[str | None] | None = None,
     title: str = "",
     comment: str | None = None,
-    width: float = 720.0,
-    height: float = 720.0,
 ) -> str:
-    """Render a 2-d tree: edges as segments, vertices colored by label."""
+    """Render a 2-d tree: edges ``us[i]``-``vs[i]`` as segments, vertices colored by label."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError("tree rendering requires (m, 2) coordinates")
 
-    canvas = _Canvas(width, height, comment)
+    canvas = _Canvas(_WIDTH, comment)
     pad_x = 0.05 * (float(np.ptp(coords[:, 0])) or 1.0)
     pad_y = 0.05 * (float(np.ptp(coords[:, 1])) or 1.0)
     frame = _PlotFrame(
@@ -134,9 +137,9 @@ def render_tree_svg(
     )
     frame.draw_axes()
     if title:
-        canvas.text(width / 2, 20, title, anchor="middle")
+        canvas.text(_WIDTH / 2, 20, title, anchor="middle")
 
-    for u, v in edge_pairs:
+    for u, v in zip(us.tolist(), vs.tolist()):
         canvas.add(
             f'<line x1="{_f(frame.x(coords[u, 0]))}" y1="{_f(frame.y(coords[u, 1]))}" '
             f'x2="{_f(frame.x(coords[v, 0]))}" y2="{_f(frame.y(coords[v, 1]))}" '
@@ -160,23 +163,18 @@ def render_tree_svg(
     legend_y = _MARGIN / 2 + 14
     for name, color in sorted((k, v) for k, v in color_of.items() if k is not None):
         canvas.add(
-            f'<circle cx="{_f(width - 150)}" cy="{_f(legend_y - 4)}" r="4" fill="{color}"/>'
+            f'<circle cx="{_f(_WIDTH - 150)}" cy="{_f(legend_y - 4)}" r="4" fill="{color}"/>'
         )
-        canvas.text(width - 140, legend_y, name, size=11)
+        canvas.text(_WIDTH - 140, legend_y, name, size=11)
         legend_y += 16
     return canvas.finish()
 
 
 def render_histograms_svg(
-    histograms: Sequence[tuple[str, Histogram]],
-    title: str = "",
-    x_label: str = "",
-    comment: str | None = None,
-    width: float = 720.0,
-    height: float = 480.0,
+    histograms: Sequence[tuple[str, Histogram]], comment: str | None = None
 ) -> str:
     """Overlay step histograms; annotates folded overflow bins."""
-    canvas = _Canvas(width, height, comment)
+    canvas = _Canvas(480.0, comment)
     if histograms:
         x_lo = min(h.lo for _, h in histograms)
         x_hi = max(h.hi for _, h in histograms)
@@ -184,9 +182,7 @@ def render_histograms_svg(
     else:
         x_lo, x_hi, y_hi = 0.0, 1.0, 0.0
     frame = _PlotFrame(canvas, (x_lo, x_hi), (0.0, y_hi * 1.05 if y_hi > 0 else 1.0))
-    frame.draw_axes(x_label=x_label, y_label="weight / bin")
-    if title:
-        canvas.text(width / 2, 20, title, anchor="middle")
+    frame.draw_axes(y_label="weight / bin")
 
     legend_y = _MARGIN / 2 + 14
     any_folded = False
@@ -204,10 +200,10 @@ def render_histograms_svg(
             f'stroke-width="1.5"/>'
         )
         canvas.add(
-            f'<line x1="{_f(width - 160)}" y1="{_f(legend_y - 4)}" x2="{_f(width - 145)}" '
+            f'<line x1="{_f(_WIDTH - 160)}" y1="{_f(legend_y - 4)}" x2="{_f(_WIDTH - 145)}" '
             f'y2="{_f(legend_y - 4)}" stroke="{color}" stroke-width="2"/>'
         )
-        canvas.text(width - 140, legend_y, name, size=11)
+        canvas.text(_WIDTH - 140, legend_y, name, size=11)
         legend_y += 16
         any_folded = any_folded or h.folds_overflow
     if any_folded:

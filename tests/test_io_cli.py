@@ -664,6 +664,22 @@ class TestCliBuildStats:
         assert run_cli(*(str(a).format(events=events, hist=hist) for a in command)) == 0
         assert [p.name for p in outdir.iterdir()] == [written]
 
+    @pytest.mark.parametrize("command, written", [
+        (("gen", "--preset", "disc", "-n", 50), "disc.csv"),
+        (("build", "{events}"), "tree.csv"),
+        (("plot", "tree", "--events", "{events}"), "tree.svg"),
+        (("plot", "hist", "{hist}"), "histogram.svg"),
+    ], ids=["gen", "build", "plot-tree", "plot-hist"])
+    def test_trailing_separator_names_a_directory(self, command, written, tmp_path):
+        # once a file named after the missing directory
+        events, hist = tmp_path / "e.csv", tmp_path / "h.csv"
+        events.write_text("x,y\n0.0,0.0\n1.0,0.0\n0.0,2.0\n")
+        write_histogram_csv(Histogram(0.0, 1.0, 2, np.array([1.0, 2.0])), hist)
+        outdir = tmp_path / "newdir" / "nested"
+        argv = (str(a).format(events=events, hist=hist) for a in command)
+        assert run_cli(*argv, "-o", f"{outdir}{os.sep}") == 0
+        assert [p.name for p in outdir.iterdir()] == [written]
+
     def test_config_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         events = tmp_path / "e.csv"
@@ -693,12 +709,23 @@ class TestCliBuildStats:
             spec = specs[name]
             folds = spec.get("overflow", True)
             h = read_histogram_csv(outdir / f"hist_{name}.csv")
-            assert (h.lo, h.hi, h.nbins, h.folds_overflow) == (spec["lo"], spec["hi"], spec["nbins"], folds)
+            assert (h.lo, h.hi, h.nbins) == (spec["lo"], spec["hi"], spec["nbins"])
+            assert h.folds_overflow == folds
             expected = histogram(*values, spec["lo"], spec["hi"], spec["nbins"], folds)
             np.testing.assert_array_equal(h.contents, expected.contents)
             assert (h.overflow, h.underflow) == (expected.overflow, expected.underflow)
         # a histogram the config leaves out keeps the automatic 50 bins
         assert read_histogram_csv(outdir / "hist_log_norm_length.csv").nbins == 50
+
+    def test_config_without_inputs(self, tmp_path):
+        # stats reads no inputs, so its config need not declare them
+        events = tmp_path / "e.csv"
+        run_cli("gen", "--preset", "disc", "--seed", 4, "-n", 60, "-o", events)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"histogram_specs": {"degree": {"lo": 0, "hi": 6, "nbins": 6}}}))
+        outdir = tmp_path / "out"
+        assert run_cli("stats", events, "--config", cfg, "-o", outdir) == 0
+        assert read_histogram_csv(outdir / "hist_degree.csv").nbins == 6
 
     def test_statistics_selection_via_config(self, tmp_path):
         events = tmp_path / "e.csv"
@@ -776,7 +803,8 @@ class TestCliCompare:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli("gen", "--preset", "disc", "--seed", 7, "-n", 80, "-o", a)
         run_cli("gen", "--preset", "strip", "--seed", 8, "-n", 80, "-o", b)
-        section = {"box": {"x": [-5, 5], "y": [None, 3]}, "inside_weight": 0.25, "outside_weight": 2.0}
+        section = {"box": {"x": [-5, 5], "y": [None, 3]}, "inside_weight": 0.25,
+                   "outside_weight": 2.0}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"inputs": {}, "region_weights": section}))
         outdir = tmp_path / "cmp"
@@ -897,9 +925,10 @@ def fit_files(tmp_path_factory):
 
 
 def _library_fit(cfg: dict, background, signal, observed) -> dict:
-    """The ``fit_result.json`` entries of ``cfg``'s fit, run through the library on these samples."""
+    """The ``fit_result.json`` entries of ``cfg``'s fit, run by the library on these samples."""
     fit = cfg["fit"]
-    model = BinnedModel.from_samples(background, signal, observed, GridBinning.from_dict(fit["binning"]))
+    binning = GridBinning.from_dict(fit["binning"])
+    model = BinnedModel.from_samples(background, signal, observed, binning)
     calibration = calibrate_mu_vs_alpha(
         background, signal, fit["calibration_alphas"], fit["calibration_trials"], cfg["seed"],
         fit["calibration_count"],
@@ -1004,7 +1033,8 @@ class TestCliFit:
 
     def test_seed_flag_reaches_provenance(self, small_fit_config, tmp_path):
         outdir = tmp_path / "fit"
-        assert run_cli("fit", small_fit_config, "--mode", "baseline", "--seed", 77, "-o", outdir) == 0
+        code = run_cli("fit", small_fit_config, "--mode", "baseline", "--seed", 77, "-o", outdir)
+        assert code == 0
         assert (outdir / "q_curve.csv").read_text().splitlines()[0].endswith(" seed=77")
         assert json.loads((outdir / "effective_config.json").read_text())["seed"] == 77
 
@@ -1137,6 +1167,34 @@ class TestCliConfigErrors:
         out = tmp_path / "tree.svg"
         code = run_cli("plot", "tree", "--events", events, "--tree", tree, "-o", out)
         _assert_config_error(code, capsys, out, "vertex outside the 3 events")
+
+
+# a file holding a 0xff byte, which no UTF-8 text holds, and the command reading it
+NON_UTF8_FILES = {
+    "events": (b"x,y,label\n0,0,a\xffb\n1,0,c\n", ("stats", "{bad}")),
+    "tree": (
+        b"# \xff\nu,v,length,weight\n0,1,1.0,1.0\n",
+        ("plot", "tree", "--events", "{events}", "--tree", "{bad}"),
+    ),
+    "histogram": (b"# \xff\nbin_lo,bin_hi,content\n0,1,2.0\n", ("plot", "hist", "{bad}")),
+    "stats-config": (b'{"output_dir": "\xff"}', ("stats", "{events}", "--config", "{bad}")),
+    "fit-config": (b'{"output_dir": "\xff"}', ("fit", "{bad}")),
+    "generator-spec": (b'{"kind": "\xff"}', ("gen", "--spec", "{bad}")),
+}
+
+
+class TestNonUtf8Files:
+    """Once a UnicodeDecodeError traceback (exit 1)."""
+
+    @pytest.mark.parametrize("kind", sorted(NON_UTF8_FILES))
+    def test_exit_2_without_output(self, kind, tmp_path, capsys):
+        text, command = NON_UTF8_FILES[kind]
+        bad, events = tmp_path / "bad", tmp_path / "events.csv"
+        bad.write_bytes(text)
+        events.write_text("x,y\n0.0,0.0\n1.0,0.0\n0.0,1.0\n")
+        out = tmp_path / "out"
+        argv = [a.format(bad=bad, events=events) for a in command]
+        _assert_config_error(run_cli(*argv, "-o", out), capsys, out, "can't decode byte 0xff")
 
 
 def _set(path: str, value):
@@ -1329,10 +1387,13 @@ class TestCliPlot:
             return [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
 
         events = tmp_path / "amp.csv"
-        events.write_text("x<1,y&2,label\n0.0,0.0,a&b\n1.0,0.0,<c>\n0.0,1.0,a&b\n")
+        events.write_text(
+            'x<1,y&2,label\n0.0,0.0,a&b\n1.0,0.0,<c>\n0.0,1.0,a&b\n2.0,1.0,a\x01b\n1.0,2.0,"a\rb"\n'
+        )
         tree_svg = tmp_path / "amp.svg"
         assert run_cli("plot", "tree", "--events", events, "-o", tree_svg) == 0
-        assert {"x<1 vs y&2", "a&b", "<c>"} <= set(texts(tree_svg))
+        # a character XML cannot hold shows as U+FFFD; a carriage return reads back as itself
+        assert {"x<1 vs y&2", "a&b", "<c>", "a\ufffdb", "a\rb"} <= set(texts(tree_svg))
         hist = tmp_path / "q&a.csv"
         write_histogram_csv(Histogram(0.0, 1.0, 2, np.array([1.0, 2.0])), hist)
         hist_svg = tmp_path / "hist.svg"
