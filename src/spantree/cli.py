@@ -75,6 +75,12 @@ def _out_path(path_arg: str | None, name: str | None = None) -> Path:
     return out / name if name else out
 
 
+def _echo(line: str) -> None:
+    """Print ``line``, writing what stdout cannot encode as backslash escapes, as stderr does."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _log_branch_lengths(lengths, weights) -> tuple[np.ndarray, np.ndarray]:
     keep = lengths > 0
     return np.log(lengths[keep]), weights[keep]
@@ -106,7 +112,7 @@ def _cmd_gen(args) -> int:
     cfg = {"command": "gen", "spec": spec.to_dict()}
     out = _out_path(args.output, f"{args.preset or spec.kind}.csv")
     write_events(ps, out, provenance_line(config_hash(cfg), spec.seed))
-    print(f"wrote {len(ps)} events ({ps.dimension} features) to {out}")
+    _echo(f"wrote {len(ps)} events ({ps.dimension} features) to {out}")
     return 0
 
 
@@ -129,13 +135,13 @@ def _cmd_build(args) -> int:
     cfg = {"command": "build", "events": file_fingerprint(args.events), "rescale": args.rescale}
     out = _out_path(args.output, "tree.csv")
     write_tree_csv(tree, out, provenance_line(config_hash(cfg)))
-    print(f"wrote tree with {tree.edge_count} edges, total length {tree_total_length(tree):.6g}")
+    _echo(f"wrote tree with {tree.edge_count} edges, total length {tree_total_length(tree):.6g}")
     return 0
 
 
 def _cmd_stats(args) -> int:
     ps = _load_events(args.events, args.rescale)
-    config = RunConfig.load(args.config) if args.config else RunConfig()
+    config = RunConfig.load(args.config, "stats") if args.config else RunConfig()
     ps = config.weigh(ps)
     tree = build_mst_kruskal(ps)
 
@@ -175,7 +181,7 @@ def _cmd_stats(args) -> int:
         },
         outdir / "summary.json",
     )
-    print(f"wrote statistics for {len(ps)} events to {outdir}")
+    _echo(f"wrote statistics for {len(ps)} events to {outdir}")
     return 0
 
 
@@ -202,7 +208,7 @@ def _cmd_compare(args) -> int:
     ps_a = _load_events(args.subject, args.rescale)
     ps_b = _load_events(args.reference, args.rescale)
 
-    config = RunConfig.load(args.config) if args.config else RunConfig()
+    config = RunConfig.load(args.config, "compare") if args.config else RunConfig()
     ps_a, ps_b = config.weigh(ps_a), config.weigh(ps_b)
     tree_a = build_mst_kruskal(ps_a)
     tree_b = build_mst_kruskal(ps_b)
@@ -227,7 +233,7 @@ def _cmd_compare(args) -> int:
         write_table(outdir / f"comparison_{tag}.csv", [prov], header, columns)
         write_histogram_csv(h_c, outdir / f"hist_connection_length_{tag}.csv", prov)
         write_histogram_csv(h_r, outdir / f"hist_connection_ratio_{tag}.csv", prov)
-    print(f"wrote comparison tables to {outdir}")
+    _echo(f"wrote comparison tables to {outdir}")
     return 0
 
 
@@ -250,7 +256,7 @@ def _resolve_input(spec: InputSpec, master_seed: int, index: int) -> PointSet:
 
 
 def _cmd_fit(args) -> int:
-    config = RunConfig.load(args.config)
+    config = RunConfig.load(args.config, "fit")
     if config.fit is None:
         raise ConfigError("run configuration has no fit section")
     if args.seed is not None:
@@ -327,7 +333,7 @@ def _cmd_fit(args) -> int:
     write_json(result, outdir / "fit_result.json")
 
     for name, res in fits.items():
-        print(f"{name}: alpha_hat={res.alpha_hat:.6f} sigma_alpha={res.sigma_alpha:.6f}")
+        _echo(f"{name}: alpha_hat={res.alpha_hat:.6f} sigma_alpha={res.sigma_alpha:.6f}")
     return 0
 
 
@@ -385,7 +391,7 @@ def _cmd_plot_tree(args) -> int:
     )
     out = _out_path(args.output, "tree.svg")
     write_text_atomic(out, svg)
-    print(f"wrote {out}")
+    _echo(f"wrote {out}")
     return 0
 
 
@@ -395,7 +401,7 @@ def _cmd_plot_hist(args) -> int:
     svg = render_histograms_svg(named, comment=provenance_line(config_hash(cfg)))
     out = _out_path(args.output, "histogram.svg")
     write_text_atomic(out, svg)
-    print(f"wrote {out}")
+    _echo(f"wrote {out}")
     return 0
 
 

@@ -27,6 +27,7 @@ import numbers
 import os
 import re
 from dataclasses import asdict, dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -182,6 +183,31 @@ def read_table(path: str | Path, what: str, header: Sequence[str] | None = None,
     return found, rows
 
 
+def _numbers(path: str | Path, rows, cols: Sequence[int], read=float) -> np.ndarray:
+    """Cells ``cols`` of ``read_table`` rows as one (rows, cols) float64 or int64 array.
+
+    numpy reads each cell by calling ``read``, ``float`` or ``int``; only when one is
+    refused, not finite or beyond int64 are the rows walked, to name the first such line.
+    """
+    get, dtype = itemgetter(*cols), np.int64 if read is int else np.float64
+    try:
+        values = np.array([get(cells) for _, cells in rows], dtype).reshape(len(rows), len(cols))
+        if read is int or np.isfinite(values).all():
+            return values
+    except (ValueError, OverflowError):
+        pass
+    for lineno, cells in rows:
+        try:
+            row = [read(cells[i]) for i in cols]
+        except ValueError as exc:
+            raise EventFileError(f"{path}: line {lineno}: {exc}") from exc
+        if read is int and not all(-(2**63) <= i < 2**63 for i in row):
+            raise EventFileError(f"{path}: line {lineno}: vertex index beyond 64 bits")
+        if read is float and not all(map(math.isfinite, row)):
+            raise EventFileError(f"{path}: line {lineno}: non-finite value")
+    raise AssertionError(f"{path}: numpy refused cells that {read.__name__}() reads")
+
+
 # ---------------------------------------------------------------------------
 # event files
 
@@ -247,50 +273,29 @@ def read_events(path: str | Path) -> PointSet:
     """Parse an event table into a PointSet.
 
     Header names lose their surrounding blanks; label cells are kept as
-    written, and an empty one is no label. Raises :class:`EventFileError`
-    for a header that names a column twice, and with the offending line
-    number for rows with the wrong column count, non-finite numbers or a
-    negative weight.
+    written, and an empty one is no label. An error names a header that
+    names a column twice, else the first line with the wrong field count,
+    else the first with a feature or weight that is no finite float, else
+    the first with a negative weight.
     """
     header, rows = read_table(path, "event file")
     repeated = sorted({h for h in header if header.count(h) > 1})
     if repeated:
         raise EventFileError(f"{path}: header names {repeated} more than once")
-    feature_cols = [i for i, h in enumerate(header) if h not in _RESERVED]
-    if not feature_cols:
+    features = [i for i, h in enumerate(header) if h not in _RESERVED]
+    if not features:
         raise EventFileError(f"{path}: header declares no feature columns")
-    weight_col = header.index(WEIGHT_COLUMN) if WEIGHT_COLUMN in header else None
-    label_col = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
-    names = tuple(header[i] for i in feature_cols)
-
-    coords: list[list[float]] = []
-    weights: list[float] = []
-    labels: list[str | None] = []
-    for lineno, cells in rows:
-        try:
-            values = [float(cells[i]) for i in feature_cols]
-            w = float(cells[weight_col]) if weight_col is not None else 1.0
-        except ValueError as exc:
-            raise EventFileError(f"{path}: line {lineno}: {exc}") from exc
-        if not all(math.isfinite(v) for v in values) or not math.isfinite(w):
-            raise EventFileError(f"{path}: line {lineno}: non-finite value")
-        coords.append(values)
-        weights.append(w)
-        labels.append(cells[label_col] or None if label_col is not None else None)
-
-    if not coords:
+    col = {h: i for i, h in enumerate(header)}
+    names = tuple(header[i] for i in features)
+    if not rows:
         raise EventFileError(f"{path}: event file contains no rows")
-    w = np.asarray(weights)
+    values = _numbers(path, rows, features + ([col[WEIGHT_COLUMN]] if WEIGHT_COLUMN in col else []))
+    w = values[:, -1] if WEIGHT_COLUMN in col else np.ones(len(rows))
     if (w < 0).any():
         i = int(np.argmax(w < 0))
-        raise EventFileError(f"{path}: line {rows[i][0]}: negative weight {weights[i]!r}")
-
-    return PointSet(
-        np.asarray(coords),
-        w,
-        labels if any(l is not None for l in labels) else None,
-        names,
-    )
+        raise EventFileError(f"{path}: line {rows[i][0]}: negative weight {float(w[i])!r}")
+    labels = [cells[col[LABEL_COLUMN]] or None for _, cells in rows] if LABEL_COLUMN in col else []
+    return PointSet(values[:, : len(names)], w, labels if any(labels) else None, names)
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +311,13 @@ def write_tree_csv(tree: Tree, path: str | Path, comment: str | None = None) -> 
 
 
 def read_tree_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read a tree file back as (u, v, length, weight) arrays."""
+    """Read a tree file back as (u, v, length, weight) arrays.
+
+    An error names the first line whose ``u`` or ``v`` is no int64, else the
+    first whose length or weight is no finite float.
+    """
     _, rows = read_table(path, "tree file", TREE_HEADER)
-    edges = []
-    for lineno, (u, v, length, weight) in rows:
-        try:
-            edge = (int(u), int(v), float(length), float(weight))
-        except ValueError as exc:
-            raise EventFileError(f"{path}: line {lineno}: {exc}") from exc
-        if not all(-(2**63) <= i < 2**63 for i in edge[:2]):
-            raise EventFileError(f"{path}: line {lineno}: vertex index beyond 64 bits")
-        edges.append(edge)
-    columns = list(zip(*edges)) or [()] * 4
-    return tuple(np.asarray(c, t) for c, t in zip(columns, (np.int64, np.int64, float, float)))
+    return (*_numbers(path, rows, (0, 1), int).T.copy(), *_numbers(path, rows, (2, 3)).T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -340,46 +339,39 @@ def write_histogram_csv(h: Histogram, path: str | Path, comment: str | None = No
 
 
 def read_histogram_csv(path: str | Path) -> Histogram:
-    """Read a histogram file back.
+    """Read a histogram file back; bins narrower than the float spacing may be empty.
 
-    Raises :class:`EventFileError` naming the line for a non-finite number,
-    and for bins that are not the uniform split of [lo, hi): a ``bin_lo``
-    above its ``bin_hi`` or unequal to the ``bin_hi`` before it, or an edge
-    off the split by more than 1e-9 (hi - lo). A bin may be empty, as bins
-    narrower than the float spacing at [lo, hi) are, but not the range.
+    An error names the first bin row, then trailer row, with a cell that is
+    no finite float; else the first ``bin_lo`` above its ``bin_hi`` or unequal
+    to the ``bin_hi`` before it; else no bins or an empty range; else the
+    first ``bin_lo`` off the uniform split of [lo, hi) by over 1e-9 (hi - lo).
     """
     comments: list[str] = []
     _, rows = read_table(path, "histogram file", HISTOGRAM_HEADER, comments)
     flags = [c.split("folds_overflow=")[1].strip() for c in comments if "folds_overflow=" in c]
-    bins, trailers = [], {"overflow": 0.0, "underflow": 0.0}
-    for lineno, cells in rows:
-        try:
-            values = [float(c) for c in (cells[2:] if cells[0] in trailers else cells)]
-            if not all(map(math.isfinite, values)):
-                raise ValueError("non-finite value")
-            if cells[0] in trailers:
-                trailers[cells[0]] = values[0]
-            elif values[0] > values[1]:
-                raise ValueError(f"bin_lo {values[0]!r} is above bin_hi {values[1]!r}")
-            elif bins and values[0] != bins[-1][2]:
-                raise ValueError(f"bin_lo {values[0]!r} differs from the bin_hi before it")
-            else:
-                bins.append((lineno, *values))
-        except ValueError as exc:
-            raise EventFileError(f"{path}: line {lineno}: {exc}") from exc
-    if not bins:
+    ends = [row for row in rows if row[1][0] in ("overflow", "underflow")]
+    bin_rows = [row for row in rows if row[1][0] not in ("overflow", "underflow")]
+    los, his, contents = _numbers(path, bin_rows, (0, 1, 2)).T.copy()
+    trailers = {cells[0]: float(v) for (_, cells), v in zip(ends, _numbers(path, ends, (2,)).flat)}
+    bad = (los > his) | np.append(False, los[1:] != his[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        lo, hi = float(los[i]), float(his[i])
+        fault = f"is above bin_hi {hi!r}" if lo > hi else "differs from the bin_hi before it"
+        raise EventFileError(f"{path}: line {bin_rows[i][0]}: bin_lo {lo!r} {fault}")
+    if not bin_rows:
         raise EventFileError(f"{path}: histogram file contains no bins")
-    lines, los, his, contents = zip(*bins)
-    if not los[0] < his[-1]:
-        raise EventFileError(f"{path}: histogram range [{los[0]!r}, {his[-1]!r}) is empty")
+    lo, hi = float(los[0]), float(his[-1])
+    if not lo < hi:
+        raise EventFileError(f"{path}: histogram range [{lo!r}, {hi!r}) is empty")
     folds = not flags or flags[-1] == "true"
-    h = Histogram(los[0], his[-1], len(bins), contents, folds_overflow=folds, **trailers)
-    off = np.abs(np.array(los) - h.edges[:-1]) > 1e-9 * (h.hi - h.lo)
+    h = Histogram(lo, hi, len(bin_rows), contents, folds_overflow=folds, **trailers)
+    off = np.abs(los - h.edges[:-1]) > 1e-9 * (hi - lo)
     if off.any():
         i = int(np.argmax(off))
         raise EventFileError(
-            f"{path}: line {lines[i]}: bin_lo {los[i]!r} is off the uniform split of "
-            f"[{h.lo!r}, {h.hi!r}) into {h.nbins} bins"
+            f"{path}: line {bin_rows[i][0]}: bin_lo {float(los[i])!r} is off the uniform split "
+            f"of [{lo!r}, {hi!r}) into {h.nbins} bins"
         )
     return h
 
@@ -524,6 +516,12 @@ HISTOGRAM_NAMES = ALL_STATISTICS + ("connection_length", "connection_ratio")
 _REGION_KEYS = ("box", "inside_weight", "outside_weight", "apply_to")
 # one row per bin: a million bins already make a 28 MB file and a 0.44 GB peak
 MAX_NBINS = 10**6
+# the run-config keys each command reads; each also accepts the echoed "config" hash
+COMMAND_KEYS = {
+    "stats": ("output_dir", "statistics", "region_weights", "histogram_specs"),
+    "compare": ("output_dir", "region_weights", "histogram_specs"),
+    "fit": ("seed", "inputs", "output_dir", "rescale", "region_weights", "fit"),
+}
 
 
 def histogram_range(name: str, spec: Any) -> tuple[float, float, int, bool]:
@@ -575,8 +573,9 @@ class RunConfig:
     """Declarative description of a reproducible pipeline run.
 
     Every section is optional, though ``fit`` needs ``inputs`` and a ``fit``
-    section. ``region_weights`` and ``histogram_specs`` are parsed once, at
-    construction, and applied by :meth:`weigh` and :meth:`binning`.
+    section; loaded for a command, a config may hold only the keys that
+    command reads. ``region_weights`` and ``histogram_specs`` are parsed
+    once, at construction, and applied by :meth:`weigh` and :meth:`binning`.
     """
 
     seed: int = 0
@@ -653,33 +652,29 @@ class RunConfig:
                 "filters": [asdict(f) for f in spec.filters] or None,
             }
             inputs[name] = {key: value for key, value in entry.items() if value is not None}
-        out: dict[str, Any] = {
+        out = {
             "seed": self.seed,
             "inputs": inputs,
             "rescale": self.rescale,
+            "statistics": list(self.statistics) if self.statistics != ALL_STATISTICS else None,
+            "output_dir": self.output_dir,
+            "region_weights": self.region_weights,
+            "fit": self.fit and {f.name: getattr(self.fit, f.name) for f in fields(self.fit)},
+            "histogram_specs": self.histogram_specs or None,
         }
-        if self.statistics != ALL_STATISTICS:
-            out["statistics"] = list(self.statistics)
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
-        if self.region_weights is not None:
-            out["region_weights"] = self.region_weights
-        if self.fit is not None:
-            out["fit"] = {f.name: getattr(self.fit, f.name) for f in fields(self.fit)}
-        if self.histogram_specs:
-            out["histogram_specs"] = self.histogram_specs
-        return out
+        return {key: value for key, value in out.items() if value is not None}
 
     @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "RunConfig":
+    def from_dict(cls, d: Mapping[str, Any], command: str | None = None) -> "RunConfig":
         if not isinstance(d, Mapping):
             raise ConfigError("a run configuration must be a JSON object")
         # "config" is the hash that effective_config.json carries next to the
         # settings; it is recomputed on every run, so an echoed config loads
-        known = {f.name for f in fields(cls)} | {"config"}
+        known = {"config", *(COMMAND_KEYS[command] if command else (f.name for f in fields(cls)))}
         unknown = sorted(set(d) - known)
         if unknown:
-            raise ConfigError(f"unknown run configuration keys {unknown}; known: {sorted(known)}")
+            where = f" for {command}" if command else ""
+            raise ConfigError(f"unknown run config keys {unknown}{where}; known: {sorted(known)}")
         try:
             inputs = {n: InputSpec.from_dict(n, e) for n, e in d.get("inputs", {}).items()}
             seed = d.get("seed")
@@ -695,20 +690,18 @@ class RunConfig:
                 fit=FitSettings(**d["fit"]) if "fit" in d else None,
                 histogram_specs=dict(d.get("histogram_specs", {})),
             )
-        except ConfigError:
-            raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed run configuration: {exc}") from exc
 
     @classmethod
-    def load(cls, path: str | Path) -> "RunConfig":
+    def load(cls, path: str | Path, command: str | None = None) -> "RunConfig":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(payload, command)
 
     def hash(self) -> str:
         return config_hash(self.to_dict())

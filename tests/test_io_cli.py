@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,7 @@ from spantree.cli import main
 from spantree.io import (
     ColumnFilter,
     RunConfig,
+    _numbers,
     config_hash,
     filter_events,
     histogram_range,
@@ -219,6 +223,99 @@ class TestHistogramFiles:
         with pytest.raises(EventFileError, match=f"line {at + 1}:"):
             read_histogram_csv(path)
         assert run_cli("plot", "hist", path, "-o", tmp_path / "h.svg") == 2
+
+
+# a file with several faults, and the one its reader must name: the first
+# in the order the reader's docstring gives
+MULTI_FAULT_FILES = {
+    # a negative weight on line 2, a refused cell on line 3, a non-finite one on line 4
+    "events": (read_events, "x,y,weight\n0,0,-1\n1,abc,2\n2,inf,1\n",
+               "line 3: could not convert string to float: 'abc'"),
+    # a refused length on line 2 comes after the indices: a fractional one on line 3
+    "tree": (read_tree_csv, "u,v,length,weight\n0,1,abc,1.0\n0,1.5,1,1\n0,2,nan,1\n",
+             r"line 3: invalid literal for int\(\) with base 10: '1.5'"),
+    # a reversed bin on line 3 comes after the non-finite content on line 4
+    "histogram": (read_histogram_csv, "bin_lo,bin_hi,content\n0,1,2.0\n1,0.5,1.0\n3,4,nan\n",
+                  "line 4: non-finite value"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MULTI_FAULT_FILES))
+def test_first_fault_in_reader_order(kind, tmp_path):
+    reader, text, match = MULTI_FAULT_FILES[kind]
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(EventFileError, match=match):
+        reader(path)
+
+
+def _with_underscores(draw, text: str) -> str:
+    """``text`` with an underscore drawn between any two adjacent digits."""
+    out = text[:1]
+    for before, ch in zip(text, text[1:]):
+        if before.isdigit() and ch.isdigit() and draw(st.booleans()):
+            out += "_"
+        out += ch
+    return out
+
+
+_INTS = st.integers(-(2**63), 2**63 - 1) | st.integers(-(2**65), 2**65)
+# cells neither function reads, or that only one of them reads
+_JUNK = st.one_of(
+    st.sampled_from(["nan(1)", "1__0", "_1", "1_", "١٫٥", "١.٥", "１２", "4.9e-324", "1e400",
+                     "1.0", "9223372036854775808", "0x10", "", "e5", "1.", ".5", "Infinity"]),
+    st.text(st.sampled_from("0123456789.eE+-_ nafity١٢３"), max_size=6),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _cell(draw, cores) -> str:
+    """A drawn core with underscores between digits, a sign and surrounding blanks."""
+    core = _with_underscores(draw, draw(cores))
+    sign = "" if core[:1] in "+-" else draw(st.sampled_from(["", "+", "-"]))
+    pad = st.sampled_from(["", " ", "\t", " \n "])
+    return draw(pad) + sign + core + draw(pad)
+
+
+class TestNumbers:
+    """``io._numbers`` reads a cell exactly as ``float()`` or ``int()`` reads it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), read=st.sampled_from([float, int]), width=st.integers(1, 3))
+    def test_agrees_with_float_and_int(self, data, read, width):
+        # float reprs, inf and nan included, and ints within and beyond int64
+        cell = _cell(_INTS.map(str) if read is int else st.floats().map(repr) | _INTS.map(str))
+        nrows = data.draw(st.integers(0, 5))
+        rows = [(3 + 2 * i, data.draw(st.lists(cell, min_size=width + 1, max_size=width + 1)))
+                for i in range(nrows)]
+        if rows and data.draw(st.booleans()):
+            rows[data.draw(st.integers(0, nrows - 1))][1][data.draw(st.integers(0, width))] = (
+                data.draw(_cell(_JUNK))
+            )
+        cols = data.draw(st.permutations(range(width + 1)))[:width]
+        fault = None
+        for lineno, cells in rows:
+            try:
+                values = [read(cells[i]) for i in cols]
+            except ValueError as exc:
+                fault = f"line {lineno}: {exc}"
+                break
+            if read is int and not all(-(2**63) <= v < 2**63 for v in values):
+                fault = f"line {lineno}: vertex index beyond 64 bits"
+                break
+            if read is float and not all(map(math.isfinite, values)):
+                fault = f"line {lineno}: non-finite value"
+                break
+        if fault is not None:
+            with pytest.raises(EventFileError) as info:
+                _numbers("t.csv", rows, cols, read)
+            assert str(info.value) == f"t.csv: {fault}"
+            return
+        got = _numbers("t.csv", rows, cols, read)
+        assert got.dtype == (np.int64 if read is int else np.float64)
+        assert got.shape == (nrows, width)
+        assert got.tolist() == [[read(cells[i]) for i in cols] for _, cells in rows]
 
 
 # text holding every character the table format must quote; the event
@@ -685,7 +782,7 @@ class TestCliBuildStats:
         events = tmp_path / "e.csv"
         events.write_text("x\n0.0\n1.0\n3.0\n")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"inputs": {}, "output_dir": "wanted"}))
+        cfg.write_text(json.dumps({"output_dir": "wanted"}))
         assert run_cli("stats", events, "--config", cfg) == 0
         assert (tmp_path / "wanted" / "summary.json").exists()
         assert not (tmp_path / "summary.json").exists()
@@ -701,7 +798,7 @@ class TestCliBuildStats:
             "edge_length": {"lo": 0, "hi": 3, "nbins": 7, "overflow": False},
         }
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"inputs": {}, "histogram_specs": specs}))
+        cfg.write_text(json.dumps({"histogram_specs": specs}))
         outdir = tmp_path / "out"
         assert run_cli("stats", events, "--config", cfg, "-o", outdir) == 0
         tree = build_mst_kruskal(read_events(events))
@@ -731,7 +828,7 @@ class TestCliBuildStats:
         events = tmp_path / "e.csv"
         run_cli("gen", "--preset", "disc", "--seed", 4, "-n", 120, "-o", events)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"inputs": {}, "statistics": ["degree"]}))
+        cfg.write_text(json.dumps({"statistics": ["degree"]}))
         outdir = tmp_path / "out"
         assert run_cli("stats", events, "--config", cfg, "-o", outdir) == 0
         assert (outdir / "hist_degree.csv").exists()
@@ -792,7 +889,7 @@ class TestCliCompare:
         events = tmp_path / "e.csv"
         events.write_text("x,y\n0.0,0.0\n1.0,0.0\n0.0,2.0\n")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"inputs": {}, "output_dir": "wanted"}))
+        cfg.write_text(json.dumps({"output_dir": "wanted"}))
         assert run_cli("compare", events, events, "--config", cfg) == 0
         assert (tmp_path / "wanted" / "comparison_subject_vs_reference.csv").exists()
         assert not (tmp_path / "comparison_subject_vs_reference.csv").exists()
@@ -806,7 +903,7 @@ class TestCliCompare:
         section = {"box": {"x": [-5, 5], "y": [None, 3]}, "inside_weight": 0.25,
                    "outside_weight": 2.0}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"inputs": {}, "region_weights": section}))
+        cfg.write_text(json.dumps({"region_weights": section}))
         outdir = tmp_path / "cmp"
         assert run_cli("compare", a, b, "--both", "--config", cfg, "-o", outdir) == 0
         box = RegionWeight({"x": (-5.0, 5.0), "y": (None, 3.0)}, 0.25, 2.0)
@@ -1139,9 +1236,30 @@ class TestCliConfigErrors:
     )
     def test_stats_config(self, section, match, events, tmp_path, capsys):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"seed": 1, "inputs": {"a": {"file": str(events)}}, **section}))
+        config.write_text(json.dumps(section))
         out = tmp_path / "out"
         code = run_cli("stats", events, "--config", config, "-o", out)
+        _assert_config_error(code, capsys, out, match)
+
+    # a key the command never reads; each once ran without it taking effect
+    @pytest.mark.parametrize(
+        "command, extra, match",
+        [
+            ("stats", {"seed": 9, "inputs": {"q": {"file": "nowhere.csv"}}},
+             r"keys \['inputs', 'seed'\] for stats"),
+            ("compare", {"statistics": ["degree"]}, r"keys \['statistics'\] for compare"),
+            ("fit", {"statistics": ["degree"], "histogram_specs": {}},
+             r"keys \['histogram_specs', 'statistics'\] for fit"),
+        ],
+        ids=["stats", "compare", "fit"],
+    )
+    def test_key_the_command_does_not_read(self, command, extra, match, events, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        base = json.loads(DEMO_CONFIG.read_text()) if command == "fit" else {"output_dir": "x"}
+        config.write_text(json.dumps({**base, **extra}))
+        args = {"stats": [events, "--config"], "compare": [events, events, "--config"], "fit": []}
+        out = tmp_path / "out"
+        code = run_cli(command, *args[command], config, "-o", out)
         _assert_config_error(code, capsys, out, match)
 
     def test_nbins_limit_itself_loads(self):
@@ -1195,6 +1313,26 @@ class TestNonUtf8Files:
         out = tmp_path / "out"
         argv = [a.format(bad=bad, events=events) for a in command]
         _assert_config_error(run_cli(*argv, "-o", out), capsys, out, "can't decode byte 0xff")
+
+
+class TestUnencodableOutputPath:
+    """Once a UnicodeEncodeError traceback (exit 1) after the output was written."""
+
+    @pytest.mark.parametrize("command", ["gen", "plot-hist"])
+    def test_exit_0(self, command, tmp_path):
+        name = os.fsdecode(b"o\xff.out")
+        write_histogram_csv(Histogram(0.0, 1.0, 2, np.array([1.0, 2.0])), tmp_path / "h.csv")
+        argv = {"gen": ["gen", "--preset", "disc", "-n", "20"], "plot-hist": ["plot", "hist", "h.csv"]}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spantree.cli", *argv[command], "-o", name],
+            cwd=tmp_path, env=env, capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stdout.rstrip().endswith(b"o\\udcff.out") and not proc.stderr
+        assert (tmp_path / name).stat().st_size > 0
 
 
 def _set(path: str, value):
@@ -1422,6 +1560,8 @@ BAD_TABLES = {
         "tree", "u,v,length,weight\n0,1,1.0,1.0\n0,9223372036854775808,1.0,1.0\n",
         "line 3: vertex index beyond 64 bits",
     ),
+    "nan-tree-length": ("tree", "u,v,length,weight\n0,1,1.0,1.0\n1,2,nan,1.0\n", "line 3: non-finite"),
+    "inf-tree-weight": ("tree", "u,v,length,weight\n0,1,1.0,-inf\n1,2,1.0,1.0\n", "line 2: non-finite"),
 }
 
 
