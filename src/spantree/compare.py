@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStatistic, DimensionMismatch
+from .geometry import squared_span
 from .mst import Tree, _kd_tree_class
 
 EDGE_POOLS = ("reference", "subject")
@@ -41,11 +42,6 @@ class ComparisonResult:
     connection_length: np.ndarray
     connection_ratio: np.ndarray
     weights: np.ndarray
-
-
-def _nearest_point_distances(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Distance from each query point to its nearest target point."""
-    return _kd_tree_class()(targets).query(queries, k=1)[0]
 
 
 def _nearest_edge_mean_lengths(
@@ -90,7 +86,9 @@ def connection_lengths(subject: Tree, reference: Tree) -> tuple[np.ndarray, np.n
         raise DimensionMismatch(
             f"trees live in different feature spaces: {sub.dimension} vs {ref.dimension}"
         )
-    return _nearest_point_distances(sub.coords, ref.coords), sub.weights
+    if not np.isfinite(squared_span(sub.coords, ref.coords)):
+        raise DegenerateStatistic("the two samples lie too far apart: squared distances overflow")
+    return _kd_tree_class()(ref.coords).query(sub.coords, k=1)[0], sub.weights
 
 
 def connection_ratios(

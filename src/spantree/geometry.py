@@ -50,6 +50,8 @@ class PointSet:
             raise ValueError("points must have at least one coordinate")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coordinates must be finite")
+        if not np.isfinite(squared_span(arr)):
+            raise ValueError("coordinates lie too far apart: squared distances overflow")
 
         if self.weights is None:
             w = np.ones(m, dtype=np.float64)
@@ -99,6 +101,13 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet(m={len(self)}, dimension={self.dimension})"
+
+
+def squared_span(*coords: np.ndarray) -> float:
+    """Sum over features of (max - min)² over all rows: a bound on squared distances."""
+    with np.errstate(over="ignore"):
+        ends = np.vstack([f(c, axis=0) for c in coords for f in (np.min, np.max)])
+        return float(np.sum(np.square(np.ptp(ends, axis=0))))
 
 
 def rescale_features(ps: PointSet, mode: str = "none") -> PointSet:

@@ -295,7 +295,10 @@ def read_events(path: str | Path) -> PointSet:
         i = int(np.argmax(w < 0))
         raise EventFileError(f"{path}: line {rows[i][0]}: negative weight {float(w[i])!r}")
     labels = [cells[col[LABEL_COLUMN]] or None for _, cells in rows] if LABEL_COLUMN in col else []
-    return PointSet(values[:, : len(names)], w, labels if any(labels) else None, names)
+    try:
+        return PointSet(values[:, : len(names)], w, labels if any(labels) else None, names)
+    except ValueError as exc:  # coordinates whose squared distances overflow
+        raise EventFileError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ import importlib.util
 import os
 import sys
 import threading
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,14 +165,30 @@ def _lightest(best: tuple, comp: np.ndarray, first: np.ndarray, m: int) -> tuple
 
 _KD_MODULE = "scipy.spatial._ckdtree"
 _KD_LOCK = threading.Lock()
+# what the extension takes at load from two modules that cost 0.15 s to import
+_STAND_INS = {"scipy.sparse": {}, "scipy._lib._util": {
+    "copy_if_needed": None if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else False}}
+
+
+class _StandIn(types.ModuleType):
+    """A module whose names not set on it load the real module in its place."""
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        if sys.modules.get(self.__name__) is self:
+            del sys.modules[self.__name__]
+        return getattr(importlib.import_module(self.__name__), name)
 
 
 def _kd_tree_class() -> type:
     """scipy's compiled ``cKDTree`` class, loaded without the rest of scipy.spatial.
 
     ``import scipy.spatial`` also loads Qhull, scipy.linalg and scipy.special,
-    about 0.45 s on top of numpy; the extension alone takes about 0.2 s. It
-    is registered under its own name before it runs, so a later ``import
+    about 0.45 s on top of numpy. The extension takes about 15 ms when, with no
+    other thread running, it runs beside ``_STAND_INS`` in place of the two
+    modules it imports; they leave ``sys.modules`` when it returns. It is
+    registered under its own name before it runs, so a later ``import
     scipy.spatial`` reuses it and ``scipy.spatial.cKDTree`` is this class
     (the package then lacks the attribute ``_ckdtree``; ``sys.modules`` has
     it). A scipy that keeps the extension elsewhere gets the public import.
@@ -189,11 +206,21 @@ def _kd_tree_class() -> type:
                 return cKDTree
             module = importlib.util.module_from_spec(spec)
             sys.modules[_KD_MODULE] = module
+            # another thread could import a stand-in while it sits in sys.modules
+            lone = threading.active_count() == 1
+            stand_ins = [_StandIn(name) for name in _STAND_INS if lone and name not in sys.modules]
+            for stand_in in stand_ins:
+                vars(stand_in).update(_STAND_INS[stand_in.__name__])
+                sys.modules[stand_in.__name__] = stand_in
             try:
                 spec.loader.exec_module(module)
             except BaseException:
                 del sys.modules[_KD_MODULE]
                 raise
+            finally:
+                for stand_in in stand_ins:
+                    if sys.modules.get(stand_in.__name__) is stand_in:
+                        del sys.modules[stand_in.__name__]
     return module.cKDTree
 
 
@@ -325,7 +352,9 @@ def build_mst_kruskal(ps: PointSet) -> Tree:
     coords = ps.coords
     us, vs = _candidates(coords)
     lengths = _lengths(coords, us, vs)
-    order = np.lexsort((vs, us, lengths))
+    # the keys u * m + v are distinct, so a stable sort by length keeps their order
+    o = np.argsort(us * len(coords) + vs)
+    order = o[np.argsort(lengths[o], kind="stable")]
     us, vs = us[order], vs[order]
     return Tree(ps, us, vs, lengths[order], ps.weights[us] * ps.weights[vs])
 

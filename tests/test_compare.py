@@ -212,6 +212,13 @@ class TestConnectionRatios:
         with pytest.raises(DegenerateStatistic):
             connection_ratios(single, other, k=2, edge_pool="subject")
 
+    def test_samples_too_far_apart_raise(self):
+        near, far = tree_of([[1e200, 0.0], [1e200, 1.0]]), tree_of([[-1e200, 0.0], [-1e200, 2.0]])
+        for subject, reference in ((near, far), (far, near)):
+            with pytest.raises(DegenerateStatistic, match="too far apart"):
+                connection_ratios(subject, reference)
+        assert connection_ratios(near, near).connection_length.tolist() == [0.0, 0.0]
+
     def test_zero_local_mean_gives_inf_sentinel(self):
         reference = tree_of([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])  # degenerate, zero lengths
         subject = tree_of([[4.0, 5.0]])

@@ -75,6 +75,17 @@ class TestPointSet:
         with pytest.raises(ValueError, match="finite"):
             PointSet([0.0, bad])
 
+    def test_squared_distances_that_overflow_rejected(self):
+        # finite coordinates whose squared distances are not: the kd-tree
+        # would find no neighbour and the tree an infinite length
+        with pytest.raises(ValueError, match="too far apart"):
+            PointSet([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="too far apart"):
+            PointSet([1e200, -1e200])
+        with pytest.raises(ValueError, match="too far apart"):
+            PointSet([[1e154, 1e154], [-1e154, -1e154]])
+        assert len(PointSet([[1e150, 0.0], [-1e150, 1e150]])) == 2
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -146,6 +146,19 @@ class TestEventFiles:
         with pytest.raises(EventFileError):
             read_events(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("rows", ["x,y\n1e200,0\n-1e200,0\n0,1\n5,5\n", "x\n1e200\n-1e200\n0\n"])
+    def test_overflowing_squared_distances_exit_2(self, rows, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        path.write_text(rows)
+        with pytest.raises(EventFileError, match="far.csv: coordinates lie too far apart"):
+            read_events(path)
+        for command in ("stats", "build"):
+            out = tmp_path / command
+            assert run_cli(command, path, "-o", out) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+
     def test_negative_weight_names_line(self, tmp_path, capsys):
         path = tmp_path / "e.csv"
         path.write_text("x,y,weight\n0,0,1\n\n1,1,-1\n2,2,-3\n")
@@ -927,6 +940,17 @@ class TestCliCompare:
         assert run_cli("compare", one, b, "-o", tmp_path / "forward") == 0
         assert run_cli("compare", one, b, "--both", "-o", outdir) == 3
         assert _snapshot(outdir) == before
+
+    def test_samples_too_far_apart_exit_3(self, tmp_path, capsys):
+        # each sample's own span is small; their union's squared span overflows
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("x,y\n1e200,0\n1e200,1\n1e200,3\n")
+        b.write_text("x,y\n-1e200,0\n-1e200,2\n-1e200,5\n")
+        outdir = tmp_path / "cmp"
+        assert run_cli("compare", a, b, "--both", "-o", outdir) == 3
+        err = capsys.readouterr().err
+        assert err == "error: the two samples lie too far apart: squared distances overflow\n"
+        assert not outdir.exists()
 
     def test_both_directions(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
@@ -445,21 +447,123 @@ assert loaded is module.cKDTree is scipy.spatial.cKDTree
 """
 
 
+# Each script runs in a fresh interpreter, where the kd-tree is not loaded yet.
+_KD_LOAD_LEAVES_REAL_MODULES = """
+import sys
+from spantree import mst
+
+loaded = mst._kd_tree_class()
+assert not any(isinstance(m, mst._StandIn) for m in sys.modules.values())
+import scipy._lib._util
+import scipy.sparse
+import scipy.spatial
+
+for module in (scipy.sparse, scipy._lib._util, scipy.spatial):
+    assert not isinstance(module, mst._StandIn) and module.__spec__ is not None
+assert scipy.sparse.csr_matrix and scipy.spatial.cKDTree is loaded
+"""
+
+_KD_LOAD_SERVES_SCIPYS_VALUES = """
+import sys
+import numpy as np
+from spantree import mst
+
+tree = mst._kd_tree_class()(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+dist = tree.sparse_distance_matrix(tree, 1.5, output_type="coo_matrix")
+import scipy._lib._util
+import scipy.sparse
+
+assert scipy.sparse.issparse(dist)
+assert dist.toarray().tolist() == [[0, 1, 1], [1, 0, 2**0.5], [1, 2**0.5, 0]]
+served = sys.modules["scipy.spatial._ckdtree"].copy_if_needed
+assert served is scipy._lib._util.copy_if_needed
+"""
+
+_KD_LOAD_WITH_A_SECOND_THREAD = """
+import sys
+import threading
+from spantree import mst
+
+stop = threading.Event()
+worker = threading.Thread(target=stop.wait)
+worker.start()
+try:
+    mst._kd_tree_class()
+finally:
+    stop.set()
+    worker.join()
+assert "scipy.sparse" in sys.modules and "scipy._lib._util" in sys.modules
+assert not any(isinstance(m, mst._StandIn) for m in sys.modules.values())
+"""
+
+_KD_LOAD_FORWARDS_OTHER_NAMES = """
+import sys
+import numpy as np
+from spantree import PointSet, build_mst_kruskal, mst
+
+mst._STAND_INS["scipy._lib._util"].clear()
+mst._kd_tree_class()
+util = sys.modules["scipy._lib._util"]
+assert not isinstance(util, mst._StandIn)
+assert sys.modules["scipy.spatial._ckdtree"].copy_if_needed is util.copy_if_needed
+# a stand-in asked for a name it does not serve gives way to the real module
+assert "scipy.sparse" not in sys.modules
+sys.modules["scipy.sparse"] = stand_in = mst._StandIn("scipy.sparse")
+assert stand_in.issparse is sys.modules["scipy.sparse"].issparse
+assert not isinstance(sys.modules["scipy.sparse"], mst._StandIn)
+tree = build_mst_kruskal(PointSet(np.random.default_rng(int(sys.argv[1])).normal(size=(300, 3))))
+print(tree.edge_u.tolist())
+print(tree.edge_v.tolist())
+print(tree.lengths.tobytes().hex())
+"""
+
+# the stand-ins serve what scipy 1.17's extension takes at load; an older
+# scipy may ask for other names, which then load the real modules
+_STAND_INS_CHECKED = pytest.mark.skipif(
+    np.lib.NumpyVersion(scipy.__version__) < "1.17.0",
+    reason="the kd-tree load's stand-ins were checked against scipy 1.17 only",
+)
+
+
+def _run_fresh(script: str, *argv) -> str:
+    """Run ``script`` in a fresh interpreter with the package importable; its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestKdTreeLoader:
     """The compiled kd-tree loads without scipy.spatial and stays scipy's own class."""
 
     @pytest.mark.parametrize("order", ["helper-first", "scipy-first"])
     def test_one_class_in_either_order(self, order):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _KD_LOAD_ORDER, order],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        _run_fresh(_KD_LOAD_ORDER, order)
+
+    def test_later_imports_get_the_real_modules(self):
+        _run_fresh(_KD_LOAD_LEAVES_REAL_MODULES)
+
+    @_STAND_INS_CHECKED
+    def test_served_values_are_scipys(self):
+        _run_fresh(_KD_LOAD_SERVES_SCIPYS_VALUES)
+
+    @_STAND_INS_CHECKED
+    def test_second_thread_gets_the_full_load(self):
+        _run_fresh(_KD_LOAD_WITH_A_SECOND_THREAD)
+
+    @_STAND_INS_CHECKED
+    def test_unserved_name_loads_the_real_module(self):
+        us, vs, lengths = _run_fresh(_KD_LOAD_FORWARDS_OTHER_NAMES, 83).splitlines()
+        want_u, want_v, want_lengths = canonical_mst_dense(np.random.default_rng(83).normal(size=(300, 3)))
+        assert json.loads(us) == want_u.tolist() and json.loads(vs) == want_v.tolist()
+        assert lengths == want_lengths.tobytes().hex()
 
     def test_missing_extension_falls_back_to_public_class(self, monkeypatch):
         import importlib.machinery
