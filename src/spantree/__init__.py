@@ -45,6 +45,7 @@ from .generators import (
 )
 from .geometry import PointSet, rescale_features
 from .mst import Tree, build_mst_kruskal, tree_total_length
+from .pipeline import load_sample, run_compare, run_fit, run_stats
 from .stats import (
     Histogram,
     TreeStatsSummary,
@@ -96,6 +97,7 @@ __all__ = [
     "gen_two_component",
     "generate",
     "histogram",
+    "load_sample",
     "log_normalized_lengths",
     "mean_edge_length",
     "mean_log_norm_length",
@@ -103,6 +105,9 @@ __all__ = [
     "observed_mu",
     "preset_spec",
     "rescale_features",
+    "run_compare",
+    "run_fit",
+    "run_stats",
     "sample_1d",
     "summarize",
     "tree_total_length",

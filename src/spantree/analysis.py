@@ -35,7 +35,7 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateStatistic, FitError
-from .geometry import PointSet
+from .geometry import PointSet, feature_index
 from .mst import _kd_tree_class, build_mst_kruskal
 from .stats import mean_log_norm_length
 
@@ -61,15 +61,17 @@ class RegionWeight:
             raise ValueError("region weights must be non-negative")
         object.__setattr__(self, "box", dict(self.box))
 
-    def inside_mask(self, ps: PointSet) -> np.ndarray:
-        mask = np.ones(len(ps), dtype=bool)
+    def factors(self, coords: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
+        """Each row's factor: ``inside_weight`` inside the box, else ``outside_weight``;
+        ``names`` are the feature names of the columns of ``coords``."""
+        inside = np.ones(len(coords), dtype=bool)
         for feature, (lo, hi) in self.box.items():
-            col = ps.coords[:, ps.feature_index(feature)]
+            col = coords[:, feature_index(names, coords.shape[1], feature)]
             if lo is not None:
-                mask &= col > lo
+                inside &= col > lo
             if hi is not None:
-                mask &= col < hi
-        return mask
+                inside &= col < hi
+        return np.where(inside, self.inside_weight, self.outside_weight)
 
 
 def apply_region_weights(ps: PointSet, rw: RegionWeight) -> PointSet:
@@ -78,9 +80,7 @@ def apply_region_weights(ps: PointSet, rw: RegionWeight) -> PointSet:
     Coordinates are untouched, so trees built from the result have exactly
     the same edge set as before; only weights differ.
     """
-    inside = rw.inside_mask(ps)
-    factors = np.where(inside, rw.inside_weight, rw.outside_weight)
-    return replace(ps, weights=ps.weights * factors)
+    return replace(ps, weights=ps.weights * rw.factors(ps.coords, ps.feature_names))
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,7 @@ def check_calibration(alphas: Sequence[float], trials: int, count: int | None) -
         alphas = np.asarray(list(alphas), dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"calibration fractions must be numbers: {exc}") from None
-    if alphas.size < 2 or np.unique(alphas).size < 2:
+    if alphas.size < 2 or np.isnan(alphas).all() or (alphas == alphas[0]).all():
         raise ValueError("calibration needs at least two distinct fraction values")
     if not np.all((alphas >= 0) & (alphas <= 1)):
         raise ValueError(f"calibration fractions must lie in [0, 1], got {alphas.tolist()}")
@@ -434,16 +434,17 @@ class FitResult:
 
 
 def resolve_alpha_grid(alpha_grid) -> np.ndarray:
-    """The fit's fraction grid: that many evenly spaced points on [0, 1]
-    for an int, else the given points sorted without repeats."""
+    """The fit's fraction grid: that many evenly spaced points on [0, 1] for an
+    int, else the given points, all in [0, 1] (so none NaN), sorted without repeats."""
     if isinstance(alpha_grid, int):
         if alpha_grid < 3:
             raise ValueError("alpha grid needs at least three samples")
         return np.linspace(0.0, 1.0, alpha_grid)
-    grid = np.unique(np.asarray(alpha_grid, dtype=np.float64))
+    grid = np.sort(np.asarray(alpha_grid, dtype=np.float64), axis=None)
+    grid = grid[np.append(True, grid[1:] != grid[:-1])[: grid.size]]  # [: size] for size 0
     if grid.size < 3:
         raise ValueError("alpha grid needs at least three samples")
-    if grid[0] < 0.0 or grid[-1] > 1.0:
+    if not (grid[0] >= 0.0 and grid[-1] <= 1.0):
         raise ValueError("alpha grid must lie within [0, 1]")
     return grid
 

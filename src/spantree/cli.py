@@ -21,43 +21,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import BinnedModel, GridBinning, calibrate_mu_vs_alpha, fit_alpha, observed_mu
-from .compare import connection_ratios
-from .errors import ConfigError, DegenerateStatistic, EventFileError, SpanTreeError
-from .generators import PRESET_NAMES, GeneratorSpec, gen_two_component, generate, preset_spec
-from .geometry import PointSet, rescale_features
-from .io import (
-    InputSpec,
-    RunConfig,
-    config_hash,
-    file_fingerprint,
-    filter_events,
-    provenance_line,
-    read_events,
-    read_histogram_csv,
-    read_tree_csv,
-    write_events,
-    write_histogram_csv,
-    write_json,
-    write_table,
-    write_text_atomic,
-    write_tree_csv,
-)
+from .errors import ConfigError, EventFileError, SpanTreeError
+from .generators import PRESET_NAMES, GeneratorSpec, generate, preset_spec
+from .geometry import PointSet
+from .io import (RunConfig, config_hash, file_fingerprint, provenance_line, read_histogram_csv,
+                 read_tree_csv, write_events, write_histogram_csv, write_json, write_table,
+                 write_text_atomic, write_tree_csv)
 from .mst import build_mst_kruskal, tree_total_length
-from .stats import (
-    degrees,
-    edge_lengths,
-    extract_branches,
-    histogram,
-    log_normalized_lengths,
-    summarize,
-)
+from .pipeline import load_sample, run_compare, run_fit, run_stats
 from .svg import render_histograms_svg, render_tree_svg
 
 def _out_path(path_arg: str | None, name: str | None = None) -> Path:
@@ -79,11 +56,6 @@ def _echo(line: str) -> None:
     """Print ``line``, writing what stdout cannot encode as backslash escapes, as stderr does."""
     encoding = sys.stdout.encoding or "utf-8"
     print(line.encode(encoding, "backslashreplace").decode(encoding))
-
-
-def _log_branch_lengths(lengths, weights) -> tuple[np.ndarray, np.ndarray]:
-    keep = lengths > 0
-    return np.log(lengths[keep]), weights[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +91,8 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # build / stats
 
-def _load_events(path: str, rescale: str) -> PointSet:
-    ps = read_events(path)
-    if rescale != "none":
-        try:
-            ps = rescale_features(ps, rescale)
-        except ValueError as exc:
-            raise EventFileError(f"{path}: {exc}") from exc
-    return ps
-
-
 def _cmd_build(args) -> int:
-    ps = _load_events(args.events, args.rescale)
-    tree = build_mst_kruskal(ps)
+    tree = build_mst_kruskal(load_sample(args.events, args.rescale))
     cfg = {"command": "build", "events": file_fingerprint(args.events), "rescale": args.rescale}
     out = _out_path(args.output, "tree.csv")
     write_tree_csv(tree, out, provenance_line(config_hash(cfg)))
@@ -140,99 +101,46 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    ps = _load_events(args.events, args.rescale)
     config = RunConfig.load(args.config, "stats") if args.config else RunConfig()
-    ps = config.weigh(ps)
-    tree = build_mst_kruskal(ps)
-
-    cfg = {
-        "command": "stats",
-        "events": file_fingerprint(args.events),
-        "rescale": args.rescale,
-        "statistics": list(config.statistics),
-        **config.applied(),
-    }
+    run = run_stats(load_sample(args.events, args.rescale, config.weigh), config)
+    cfg = {"command": "stats", "events": file_fingerprint(args.events), "rescale": args.rescale,
+           "statistics": list(config.statistics), **config.applied()}
     prov = provenance_line(config_hash(cfg))
-    stat_values = {
-        "edge_length": lambda: edge_lengths(tree),
-        "log_norm_length": lambda: log_normalized_lengths(tree),
-        "degree": lambda: degrees(tree),
-        "log_branch_length": lambda: _log_branch_lengths(*extract_branches(tree)),
-    }
-    values = {name: stat_values[name]() for name in config.statistics}
-    hists = {name: histogram(v, w, *config.binning(name, v)) for name, (v, w) in values.items()}
-    summary = summarize(tree)
+    summary = {**asdict(run.summary), "version": __version__, "config": config_hash(cfg),
+               "vertex_count": run.tree.vertex_count, "total_length": run.total_length}
+    summary["degree_counts"] = {str(k): v for k, v in summary["degree_counts"].items()}
     # every output is computed before the first is written, so a failed run writes none
     outdir = _out_path(args.output or config.output_dir)
-    write_tree_csv(tree, outdir / "tree.csv", prov)
-    for name, h in hists.items():
+    write_tree_csv(run.tree, outdir / "tree.csv", prov)
+    for name, h in run.histograms.items():
         write_histogram_csv(h, outdir / f"hist_{name}.csv", prov)
-    write_json(
-        {
-            "version": __version__,
-            "config": config_hash(cfg),
-            "vertex_count": len(ps),
-            "edge_count": summary.edge_count,
-            "total_length": tree_total_length(tree),
-            "mean_edge_length": summary.mean_edge_length,
-            "mean_log_norm_length": summary.mean_log_norm_length,
-            "degree_counts": {str(k): v for k, v in sorted(summary.degree_counts.items())},
-            "branch_count": summary.branch_count,
-        },
-        outdir / "summary.json",
-    )
-    _echo(f"wrote statistics for {len(ps)} events to {outdir}")
+    write_json(summary, outdir / "summary.json")
+    _echo(f"wrote statistics for {run.tree.vertex_count} events to {outdir}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # compare
 
-def _comparison_tables(tag, subject, reference, args, config: RunConfig) -> tuple:
-    """A comparison's tag, table and two histograms, computed but not written."""
-    result = connection_ratios(subject, reference, k=args.k, edge_pool=args.pool)
-    header = ("vertex", "connection_length", "connection_ratio", "weight")
-    lengths, ratios, weights = result.connection_length, result.connection_ratio, result.weights
-    columns = (np.arange(len(ratios)), lengths, ratios, weights)
-    h_c = histogram(lengths, weights, *config.binning("connection_length", lengths))
-    finite = np.isfinite(ratios)
-    # with no finite ratio, one zero-weight entry keeps the automatic range defined
-    ratios, weights = (ratios[finite], weights[finite]) if finite.any() else (np.zeros(1),) * 2
-    h_r = histogram(ratios, weights, *config.binning("connection_ratio", ratios))
-    return tag, header, columns, h_c, h_r
-
-
 def _cmd_compare(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
-    ps_a = _load_events(args.subject, args.rescale)
-    ps_b = _load_events(args.reference, args.rescale)
-
     config = RunConfig.load(args.config, "compare") if args.config else RunConfig()
-    ps_a, ps_b = config.weigh(ps_a), config.weigh(ps_b)
-    tree_a = build_mst_kruskal(ps_a)
-    tree_b = build_mst_kruskal(ps_b)
-
-    cfg = {
-        "command": "compare",
-        "subject": file_fingerprint(args.subject),
-        "reference": file_fingerprint(args.reference),
-        "k": args.k,
-        "edge_pool": args.pool,
-        "both": args.both,
-        "rescale": args.rescale,
-        **config.applied(),
-    }
+    samples = [load_sample(p, args.rescale, config.weigh) for p in (args.subject, args.reference)]
+    comparisons = run_compare(*samples, args.k, args.pool, args.both, config)
+    cfg = {"command": "compare", "subject": file_fingerprint(args.subject),
+           "reference": file_fingerprint(args.reference), "k": args.k, "edge_pool": args.pool,
+           "both": args.both, "rescale": args.rescale, **config.applied()}
     prov = provenance_line(config_hash(cfg))
-    tables = [_comparison_tables("subject_vs_reference", tree_a, tree_b, args, config)]
-    if args.both:
-        tables.append(_comparison_tables("reference_vs_subject", tree_b, tree_a, args, config))
+    header = ("vertex", "connection_length", "connection_ratio", "weight")
     # both directions are computed before the first file is written, so a failed run writes none
     outdir = _out_path(args.output or config.output_dir)
-    for tag, header, columns, h_c, h_r in tables:
-        write_table(outdir / f"comparison_{tag}.csv", [prov], header, columns)
-        write_histogram_csv(h_c, outdir / f"hist_connection_length_{tag}.csv", prov)
-        write_histogram_csv(h_r, outdir / f"hist_connection_ratio_{tag}.csv", prov)
+    for c in comparisons:
+        r = c.result
+        columns = (np.arange(len(r.weights)), r.connection_length, r.connection_ratio, r.weights)
+        write_table(outdir / f"comparison_{c.tag}.csv", [prov], header, columns)
+        write_histogram_csv(c.lengths, outdir / f"hist_connection_length_{c.tag}.csv", prov)
+        write_histogram_csv(c.ratios, outdir / f"hist_connection_ratio_{c.tag}.csv", prov)
     _echo(f"wrote comparison tables to {outdir}")
     return 0
 
@@ -240,30 +148,9 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # fit
 
-def _resolve_input(spec: InputSpec, master_seed: int, index: int) -> PointSet:
-    try:
-        if spec.file is not None:
-            ps = read_events(spec.file)
-        elif spec.generator is not None:
-            ps = generate(spec.generator)
-        else:
-            mix = spec.two_component
-            seed = master_seed + 7919 * (index + 1) if mix.seed is None else mix.seed
-            ps = gen_two_component(mix.count, mix.alpha_true, mix.background, mix.signal, seed)
-        return filter_events(ps, spec.filters)
-    except (TypeError, ValueError) as exc:  # a generator param's value, or a filter the events fail
-        raise ConfigError(f"input {spec.name!r}: {exc}") from exc
-
-
 def _cmd_fit(args) -> int:
-    config = RunConfig.load(args.config, "fit")
-    if config.fit is None:
-        raise ConfigError("run configuration has no fit section")
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.mode is not None:
-        config = replace(config, fit=replace(config.fit, mode=args.mode))
-
+    run = run_fit(RunConfig.load(args.config, "fit"), args.seed, args.mode)
+    config = run.config
     hashed = config.to_dict()
     hashed.pop("output_dir", None)
     for entry in hashed["inputs"].values():
@@ -272,64 +159,20 @@ def _cmd_fit(args) -> int:
     cfg_hash = config_hash(hashed)
     prov = provenance_line(cfg_hash, config.seed)
 
-    fit = config.fit
-    samples: dict[str, PointSet] = {}
-    roles = list(enumerate((fit.background, fit.signal, fit.observed)))
-    # event files first, so that a filter one fails stops the fit before any draw
-    roles.sort(key=lambda item: config.inputs[item[1]].file is None)
-    for i, role in roles:
-        samples[role] = _resolve_input(config.inputs[role], config.seed, i)
-    # weighted once every input is resolved, so a failing input stops the fit first
-    samples = {role: config.weigh(ps, role) for role, ps in samples.items()}
-    background, signal, observed = (samples[r] for r in (fit.background, fit.signal, fit.observed))
-
-    try:
-        binning = GridBinning.from_dict(fit.binning)
-        model = BinnedModel.from_samples(background, signal, observed, binning)
-    except ValueError as exc:  # a binning feature the samples lack, or bins they miss
-        raise ConfigError(f"fit binning: {exc}") from exc
-
-    baseline = augmented = calibration = mu_obs = None
-    if fit.mode in ("baseline", "both"):
-        baseline = fit_alpha(model, None, fit.alpha_grid)
-    if fit.mode in ("augmented", "both"):
-        try:
-            calibration = calibrate_mu_vs_alpha(
-                background,
-                signal,
-                fit.calibration_alphas,
-                fit.calibration_trials,
-                config.seed,
-                fit.calibration_count,
-            )
-        except ValueError as exc:  # a calibration count above a component's size
-            raise ConfigError(f"fit calibration: {exc}") from exc
-        mu_obs = observed_mu(observed)
-        if not np.isfinite(mu_obs):
-            raise DegenerateStatistic(
-                f"the observed sample's statistic is {mu_obs}; coincident points "
-                "make the log normalized length undefined"
-            )
-        augmented = fit_alpha(model, calibration.constraint(mu_obs), fit.alpha_grid)
-
     outdir = _out_path(args.output or config.output_dir)
     write_json({**config.to_dict(), "config": cfg_hash}, outdir / "effective_config.json")
-    fits = {n: r for n, r in (("baseline", baseline), ("augmented", augmented)) if r is not None}
+    fits = {n: r for n, r in (("baseline", run.baseline), ("augmented", run.augmented)) if r}
     curves = [r.q_curve for r in fits.values()]
     columns = [curves[0][:, 0]] + [curve[:, 1] for curve in curves]
     write_table(outdir / "q_curve.csv", [prov], ["alpha"] + [f"q_{n}" for n in fits], columns)
 
-    result: dict = {"version": __version__, "config": cfg_hash, "mode": fit.mode}
+    result: dict = {"version": __version__, "config": cfg_hash, "mode": config.fit.mode}
     for name, r in fits.items():
         result[name] = {"alpha_hat": r.alpha_hat, "sigma_alpha": r.sigma_alpha, "q_min": r.q_min}
-    if augmented is not None:
-        result["calibration"] = {
-            "slope": calibration.slope,
-            "intercept": calibration.intercept,
-            "slope_stderr": calibration.slope_stderr,
-            "sigma_l": calibration.sigma_l,
-            "mu_obs": mu_obs,
-        }
+    if run.augmented is not None:
+        cal = {key: getattr(run.calibration, key)
+               for key in ("slope", "intercept", "slope_stderr", "sigma_l")}
+        result["calibration"] = {**cal, "mu_obs": run.mu_obs}
     write_json(result, outdir / "fit_result.json")
 
     for name, res in fits.items():
@@ -359,7 +202,7 @@ def _parse_axes(spec: str | None, ps: PointSet) -> tuple[int, int]:
 
 
 def _cmd_plot_tree(args) -> int:
-    ps = read_events(args.events)
+    ps = load_sample(args.events)
     ax, ay = _parse_axes(args.axes, ps)
     if args.tree:
         us, vs, _, _ = read_tree_csv(args.tree)
@@ -373,12 +216,8 @@ def _cmd_plot_tree(args) -> int:
     else:
         tree = build_mst_kruskal(ps)
         us, vs = tree.edge_u, tree.edge_v
-    cfg = {
-        "command": "plot-tree",
-        "events": file_fingerprint(args.events),
-        "tree": file_fingerprint(args.tree) if args.tree else None,
-        "axes": args.axes,
-    }
+    cfg = {"command": "plot-tree", "events": file_fingerprint(args.events),
+           "tree": file_fingerprint(args.tree) if args.tree else None, "axes": args.axes}
     coords = ps.coords[:, (ax, ay)]
     names = ps.feature_names or tuple(f"x{i}" for i in range(ps.dimension))
     svg = render_tree_svg(

@@ -86,18 +86,7 @@ class PointSet:
 
     def feature_index(self, feature: int | str) -> int:
         """Resolve a feature given by position or by name to a column index."""
-        if isinstance(feature, int):
-            if not 0 <= feature < self.dimension:
-                raise ValueError(f"feature index {feature} out of range")
-            return feature
-        if self.feature_names is None:
-            raise ValueError(f"point set has no feature names, cannot resolve {feature!r}")
-        try:
-            return self.feature_names.index(feature)
-        except ValueError:
-            raise ValueError(
-                f"unknown feature {feature!r}; available: {self.feature_names}"
-            ) from None
+        return feature_index(self.feature_names, self.dimension, feature)
 
     def __repr__(self) -> str:
         return f"PointSet(m={len(self)}, dimension={self.dimension})"
@@ -110,26 +99,47 @@ def squared_span(*coords: np.ndarray) -> float:
         return float(np.sum(np.square(np.ptp(ends, axis=0))))
 
 
+def feature_index(names: Sequence[str] | None, dimension: int, feature: int | str) -> int:
+    """The column of ``feature``, a position or a name, among ``dimension`` columns ``names``."""
+    if isinstance(feature, int):
+        if not 0 <= feature < dimension:
+            raise ValueError(f"feature index {feature} out of range")
+        return feature
+    if names is None:
+        raise ValueError(f"point set has no feature names, cannot resolve {feature!r}")
+    try:
+        return tuple(names).index(feature)
+    except ValueError:
+        raise ValueError(f"unknown feature {feature!r}; available: {tuple(names)}") from None
+
+
+def rescaled(coords: np.ndarray, mode: str) -> np.ndarray:
+    """``coords``, one feature per column, rescaled as :func:`rescale_features` describes."""
+    if mode not in RESCALE_MODES:
+        raise ValueError(f"unknown rescale mode {mode!r}; expected one of {RESCALE_MODES}")
+    if mode == "none":
+        return coords
+    with np.errstate(over="ignore"):  # a spread beyond the float range is refused below
+        if mode == "unit-range":
+            offset = coords.min(axis=0)
+            scale = coords.max(axis=0) - offset
+        else:
+            if len(coords) < 2:
+                raise ValueError("unit-variance rescaling requires at least two points")
+            offset = coords.mean(axis=0)
+            scale = coords.std(axis=0)
+    if not np.isfinite(offset).all() or not np.isfinite(scale).all():
+        raise ValueError(f"features spread too far for {mode} rescaling: it overflows")
+    scale = np.where(scale > 0, scale, 1.0)
+    return (coords - offset) / scale
+
+
 def rescale_features(ps: PointSet, mode: str = "none") -> PointSet:
     """Rescale every feature of a point set; weights and labels are unchanged.
 
     ``unit-range`` maps each feature to [0, 1] via (x - min) / (max - min);
-    ``unit-variance`` maps to (x - mean) / stddev. Constant features map
-    to 0 in either mode.
+    ``unit-variance`` maps to (x - mean) / stddev. Constant features map to 0
+    in either mode; a ``ValueError`` refuses a range or variance that overflows.
     """
-    if mode not in RESCALE_MODES:
-        raise ValueError(f"unknown rescale mode {mode!r}; expected one of {RESCALE_MODES}")
-    if mode == "none":
-        return ps
-
-    coords = ps.coords
-    if mode == "unit-range":
-        offset = coords.min(axis=0)
-        scale = coords.max(axis=0) - offset
-    else:
-        if len(ps) < 2:
-            raise ValueError("unit-variance rescaling requires at least two points")
-        offset = coords.mean(axis=0)
-        scale = coords.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    return replace(ps, coords=(coords - offset) / scale)
+    coords = rescaled(ps.coords, mode)
+    return ps if coords is ps.coords else replace(ps, coords=coords)

@@ -34,18 +34,12 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    GridBinning,
-    RegionWeight,
-    apply_region_weights,
-    check_calibration,
-    resolve_alpha_grid,
-)
+from .analysis import GridBinning, RegionWeight, check_calibration, resolve_alpha_grid
 from .errors import ConfigError, DimensionMismatch, EventFileError
 from .generators import GeneratorSpec, check_component, check_mixture, config_int
-from .geometry import PointSet
+from .geometry import PointSet, rescaled
 from .mst import Tree
-from .stats import Histogram
+from .stats import STATISTICS, Histogram
 
 WEIGHT_COLUMN = "weight"
 LABEL_COLUMN = "label"
@@ -86,15 +80,20 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    # created like open(path, "w") would create path: mode 0o666 less the umask
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        # created like open(path, "w") would create path: mode 0o666 less the umask
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # named after the target, not the temporary file
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +268,16 @@ def filter_events(ps: PointSet, filters: Sequence[ColumnFilter]) -> PointSet:
     )
 
 
-def read_events(path: str | Path) -> PointSet:
-    """Parse an event table into a PointSet.
+def load_sample(path: str | Path, rescale: str = "none", weigh=None) -> PointSet:
+    """Parse an event table into one PointSet, checked once rescaled and weighted.
 
-    Header names lose their surrounding blanks; label cells are kept as
-    written, and an empty one is no label. An error names a header that
-    names a column twice, else the first line with the wrong field count,
-    else the first with a feature or weight that is no finite float, else
-    the first with a negative weight.
+    The features are rescaled by ``rescale`` (see ``rescale_features``), then
+    ``weigh(coords, weights, feature_names)``, such as :meth:`RunConfig.weigh`,
+    returns the weights. Header names lose their surrounding blanks; label
+    cells are kept as written, and an empty one is no label. An error names a
+    header that names a column twice, else the first line with the wrong
+    field count, else the first with a feature or weight that is no finite
+    float, else the first with a negative weight.
     """
     header, rows = read_table(path, "event file")
     repeated = sorted({h for h in header if header.count(h) > 1})
@@ -296,9 +297,15 @@ def read_events(path: str | Path) -> PointSet:
         raise EventFileError(f"{path}: line {rows[i][0]}: negative weight {float(w[i])!r}")
     labels = [cells[col[LABEL_COLUMN]] or None for _, cells in rows] if LABEL_COLUMN in col else []
     try:
-        return PointSet(values[:, : len(names)], w, labels if any(labels) else None, names)
-    except ValueError as exc:  # coordinates whose squared distances overflow
+        coords = rescaled(values[:, : len(names)], rescale)
+        w = w if weigh is None else weigh(coords, w, names)
+        return PointSet(coords, w, labels if any(labels) else None, names)
+    except ValueError as exc:  # a rescale the sample cannot take, or an overflowing span
         raise EventFileError(f"{path}: {exc}") from None
+
+
+# the same reader, named for reading a table as written: no rescale, no weigh
+read_events = load_sample
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +519,7 @@ class FitSettings:
             raise ConfigError(f"fit section: {exc}") from exc
 
 
-ALL_STATISTICS = ("edge_length", "log_norm_length", "degree", "log_branch_length")
+ALL_STATISTICS = tuple(STATISTICS)
 # histograms a run config can set the range of: stats writes the first four,
 # compare the last two
 HISTOGRAM_NAMES = ALL_STATISTICS + ("connection_length", "connection_ratio")
@@ -611,17 +618,15 @@ class RunConfig:
         if undeclared:
             raise ConfigError(f"region_weights: apply_to names undeclared inputs {undeclared}")
 
-    def weigh(self, ps: PointSet, name: str | None = None) -> PointSet:
-        """``ps`` with the region weights applied, if they apply to input ``name``.
-
-        An empty ``apply_to`` applies them to every input, and they always
-        apply to an event file the config does not name (``name`` None).
-        """
+    def weigh(self, coords: np.ndarray, weights: np.ndarray, names=None, name=None) -> np.ndarray:
+        """``weights`` times the region weight factors of ``coords`` (features ``names``)
+        if they apply to input ``name``: an empty ``apply_to`` applies them to every
+        input, and they always apply to an event file the config does not name (None)."""
         rw, apply_to = self._region
         if rw is None or (apply_to and name is not None and name not in apply_to):
-            return ps
+            return weights
         try:
-            return apply_region_weights(ps, rw)
+            return weights * rw.factors(coords, names)
         except ValueError as exc:  # a box feature the events lack
             raise ConfigError(f"region_weights: {exc}") from exc
 

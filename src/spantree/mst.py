@@ -308,7 +308,7 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
             if todo.size:
                 todo = _offer_rows(pts, comp, best, todo, *_query(tree, pts[todo], k, everyone))
         todo = np.concatenate([todo, large])
-        for c in np.unique(comp[todo]):
+        for c in np.flatnonzero(np.bincount(comp[todo])):
             outside = np.flatnonzero(comp != c)
             # built anew per component and round: the unbalanced build is cheaper
             local = cKDTree(pts[outside], balanced_tree=False, compact_nodes=False)

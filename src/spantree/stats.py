@@ -133,12 +133,24 @@ def extract_branches(t: Tree) -> tuple[np.ndarray, np.ndarray]:
     flat = np.array(edges)
     totals = np.empty(len(ends))
     weights = np.empty(len(ends))
-    for size in np.unique(sizes).tolist():
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == size)
         members = flat[offsets[rows, None] + np.arange(size)]
         totals[rows] = np.add.reduce(t.lengths[members], axis=1)
         weights[rows] = np.multiply.reduce(t.edge_weights[members], axis=1)
     return totals, weights
+
+
+def log_branch_lengths(t: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Per-branch (ln of total length, weight) arrays; zero-length branches are left out."""
+    lengths, weights = extract_branches(t)
+    keep = lengths > 0
+    return np.log(lengths[keep]), weights[keep]
+
+
+# the per-tree statistics that ``stats`` histograms, by name
+STATISTICS = {"edge_length": edge_lengths, "log_norm_length": log_normalized_lengths,
+              "degree": degrees, "log_branch_length": log_branch_lengths}
 
 
 def summarize(t: Tree) -> TreeStatsSummary:

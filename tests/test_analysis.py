@@ -440,6 +440,37 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_alpha(asimov, None, np.array([-0.2, 0.5, 1.0]))
 
+    def test_alpha_grid_refuses_nan_points(self, demo_model):
+        # NaN compares false with both ends of [0, 1]; the grid refuses it,
+        # before the objective is ever evaluated there
+        asimov = demo_model.asimov(0.3, 1000.0)
+        for grid in ([0.0, 0.5, math.nan], [math.nan, 0.0, 0.5, 1.0], [math.nan] * 3):
+            with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+                analysis.resolve_alpha_grid(grid)
+            with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+                fit_alpha(asimov, None, grid)
+
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0, -0.0]), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_alpha_grid_points_sorted_without_repeats(self, points):
+        if np.unique(points).size < 3:
+            with pytest.raises(ValueError, match="at least three"):
+                analysis.resolve_alpha_grid(points)
+        else:
+            grid = analysis.resolve_alpha_grid(points)
+            assert grid.tobytes() == np.unique(np.asarray(points, dtype=np.float64)).tobytes()
+
+    @pytest.mark.parametrize(
+        "alphas, match",
+        [([0.2, 0.2], "two distinct"), ([math.nan, math.nan], "two distinct"),
+         ([0.2, math.nan], r"lie in \[0, 1\]"), ([0.2, 0.2, math.nan], r"lie in \[0, 1\]")],
+        ids=["repeated", "nan-twice", "one-nan", "repeated-and-nan"],
+    )
+    def test_calibration_fractions_distinct_as_unique_counts_them(self, alphas, match):
+        # NaNs count as one value, as np.unique counts them
+        with pytest.raises(ValueError, match=match):
+            analysis.check_calibration(alphas, 2, None)
+
     def test_mode_labels(self, demo_model):
         asimov = demo_model.asimov(0.3, 1000.0)
         assert fit_alpha(asimov).mode == "baseline"
@@ -610,14 +641,14 @@ class TestFitMatchesScipyOracle:
         _assert_same_fit(model, constraint, alpha_grid)
 
     def test_demo_config(self):
-        from spantree.cli import _resolve_input
         from spantree.io import RunConfig
+        from spantree.pipeline import resolve_input
 
         demo = Path(__file__).resolve().parents[1] / "configs" / "fit_demo.json"
         config = RunConfig.load(demo)
         fit = config.fit
         bg, sig, obs = (
-            _resolve_input(config.inputs[role], config.seed, i)
+            resolve_input(config.inputs[role], config.seed, i)
             for i, role in enumerate((fit.background, fit.signal, fit.observed))
         )
         model = BinnedModel.from_samples(bg, sig, obs, GridBinning.from_dict(fit.binning))

@@ -435,6 +435,18 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
+    def test_error_names_the_target_not_the_temporary_file(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "t.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            write_text_atomic(target, "x")
+        assert info.value.filename == str(target)
+        events = tmp_path / "one.csv"
+        events.write_text("x,y\n0,0\n1,0\n")
+        assert run_cli("build", events, "-o", target) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        assert not (tmp_path / "missing").exists()
+
     def test_new_file_gets_default_mode(self, tmp_path):
         reference = tmp_path / "reference.txt"
         reference.write_text("x")
@@ -721,12 +733,12 @@ class TestCliBuildStats:
         assert not out.exists()
 
     def test_memory_error_exit_code(self, tmp_path, monkeypatch, capsys):
-        from spantree import cli
+        from spantree import pipeline
 
         def exhaust(ps):
             raise MemoryError("Unable to allocate 8.00 TiB for an array")
 
-        monkeypatch.setattr(cli, "build_mst_kruskal", exhaust)
+        monkeypatch.setattr(pipeline, "build_mst_kruskal", exhaust)
         events = tmp_path / "e.csv"
         events.write_text("x,y\n0.0,0.0\n1.0,0.0\n")
         out = tmp_path / "out"
@@ -1119,12 +1131,12 @@ class TestCliFit:
     def test_dead_calibration_worker_exit_3(self, small_fit_config, tmp_path, monkeypatch, capsys):
         from concurrent.futures.process import BrokenProcessPool
 
-        from spantree import cli
+        from spantree import pipeline
 
         def die(*args, **kwargs):
             raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
-        monkeypatch.setattr(cli, "calibrate_mu_vs_alpha", die)
+        monkeypatch.setattr(pipeline, "calibrate_mu_vs_alpha", die)
         out = tmp_path / "out"
         assert run_cli("fit", small_fit_config, "-o", out) == 3
         err = capsys.readouterr().err.splitlines()
@@ -1428,8 +1440,8 @@ class TestInputsRejectedBeforeAnyDraw:
         def draw(*args, **kwargs):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr("spantree.cli.generate", draw)
-        monkeypatch.setattr("spantree.cli.gen_two_component", draw)
+        monkeypatch.setattr("spantree.pipeline.generate", draw)
+        monkeypatch.setattr("spantree.pipeline.gen_two_component", draw)
 
     @pytest.mark.parametrize("case", sorted(INPUT_CONFIG_ERRORS))
     def test_fit_input(self, case, tmp_path, capsys):
@@ -1462,13 +1474,13 @@ class TestInputsRejectedBeforeAnyDraw:
 class TestFiltersOnEveryInput:
     @pytest.mark.parametrize("kind", ["generator", "two_component"])
     def test_generated_input_filtered(self, kind):
-        from spantree.cli import _resolve_input
+        from spantree.pipeline import resolve_input
 
         inputs = json.loads(DEMO_CONFIG.read_text())["inputs"]
         entry = inputs["background" if kind == "generator" else "observed"]
         entry["filters"] = [{"feature": "x", "lo": 0.0}, {"feature": 1, "hi": 5.0}]
         config = RunConfig.from_dict({"seed": 5, "inputs": {"a": entry}})
-        ps = _resolve_input(config.inputs["a"], config.seed, 0)
+        ps = resolve_input(config.inputs["a"], config.seed, 0)
         assert 0 < len(ps) < 6000
         assert ps.coords[:, 0].min() >= 0.0 and ps.coords[:, 1].max() <= 5.0
 
