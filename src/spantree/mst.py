@@ -13,17 +13,31 @@ edge to that representative. Over the distinct points:
 * d = 1: consecutive points in sorted order;
 * d >= 2: the tree's own edges, found by Borůvka rounds over a kd-tree, in
   the spirit of dual-tree Borůvka (March, Ram & Gray 2010) and the
-  kNN-filtered EMST (Wang, Yu, Gu & Shun 2021). Each point's 16 nearest
-  points are queried once per build, and a pointer per row skips the
-  entries already inside its component, so each entry is read about once.
-  Each round a point offers the entry at its pointer, and any entry whose
-  kd distance is within a factor 1 + 1e-9 of it, their lengths computed
-  exactly. A row settles when its component's lightest edge is lighter
-  than its 16th distance times (1 - 1e-9). Unsettled points of components
-  below 64 points, or of components that already hold an offer, ask for
-  their 32, then 64 nearest points; the rest (large components with no
-  offer, such as isolated clusters), and the few still unsettled, query a
-  kd-tree of the points outside.
+  kNN-filtered EMST (Wang, Yu, Gu & Shun 2021).
+
+  At d = 2 a pass first finds the tree's edges shorter than a radius r, the
+  median 7th-neighbour distance over a stride sample of the points. A grid
+  of side r bounds the ordered pairs within r by 9 times the sum of the
+  squared cell counts; if that allows at most 50 per point, one pair search
+  returns every pair within r, and Borůvka rounds over those shorter than
+  r (1 - 1e-9), in (length, u, v) order, join each component along its
+  lightest one. Every pair left out is at least that long. Dense clumps
+  and mixed scales fail the bound, as every d >= 3 input tried did (the
+  factor is 3^d), so d >= 3 runs no pass.
+
+  Then rounds over a table of each point's 16 nearest points join the
+  rest. After a pass the largest component does not search, since another
+  component's lightest edge reaches it, and a point is queried into the
+  table when it first searches; otherwise every point is, in the first
+  round. A pointer per row skips the entries already inside its component,
+  so each entry is read about once. Each round a point offers the entry at
+  its pointer, and any entry whose kd distance is within a factor 1 + 1e-9
+  of it, their lengths computed exactly. A row settles when its component's
+  lightest edge is lighter than its 16th distance times (1 - 1e-9).
+  Unsettled points of components below 64 points, or of components that
+  already hold an offer, ask for their 32, then 64 nearest points; the rest
+  (large components with no offer, such as isolated clusters), and the few
+  still unsettled, query a kd-tree of the points outside.
 
 Memory is O(m) on every path. The result is a :class:`Tree`, a frozen
 dataclass of read-only edge arrays.
@@ -132,20 +146,29 @@ def _lengths(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _hook(comp: np.ndarray, roots: np.ndarray, other: np.ndarray, mutual: np.ndarray):
-    """Component labels after each component in ``roots`` joins ``other``.
+def _hook(comp: np.ndarray, lowest: np.ndarray, roots: np.ndarray, other: np.ndarray):
+    """Component labels after each component in ``roots`` joins ``other``, and
+    which of their lightest edges are new.
 
-    Labels are vertex ids. Of a pair that picked the same edge (``mutual``)
-    the lower id stays a root, every other component hooks onto the one it
-    picked, and pointer jumping relabels each vertex with its new root.
+    Labels are vertex ids, and ``lowest`` ranks each component's lightest
+    edge. Of a pair that picked the same edge the lower id stays a root and
+    holds the new edge, every other component hooks onto the one it picked,
+    and pointer jumping relabels each vertex with its new root.
     """
+    mutual = lowest[other] == lowest[roots]
     hook = ~mutual | (roots > other)
     parent = np.arange(comp.size)
     parent[roots[hook]] = other[hook]
     grand = parent[parent]
     while not np.array_equal(grand, parent):
         parent, grand = grand, grand[grand]
-    return parent[comp]
+    return parent[comp], ~mutual | (roots < other)
+
+
+def _keys(first: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """The keys u * m + v (u < v) of the edges between distinct rows a and b."""
+    u, v = first[a], first[b]
+    return np.minimum(u, v) * m + np.maximum(u, v)
 
 
 def _lightest(best: tuple, comp: np.ndarray, first: np.ndarray, m: int) -> tuple:
@@ -154,7 +177,7 @@ def _lightest(best: tuple, comp: np.ndarray, first: np.ndarray, m: int) -> tuple
     bound, offers = best
     a, b, length = (np.concatenate(col) for col in zip(*offers))
     a, b = (col[length == bound[comp[a]]] for col in (a, b))
-    key = np.minimum(first[a], first[b]) * m + np.maximum(first[a], first[b])
+    key = _keys(first, a, b, m)
     lowest = np.full(comp.size, m * m)
     np.minimum.at(lowest, comp[a], key)
     won = key == lowest[comp[a]]
@@ -262,30 +285,88 @@ def _offer_rows(pts, comp, best, todo, dist, nbr, complete=False):
     return todo[~settled]
 
 
+def _short_edges(tree, pts: np.ndarray, first: np.ndarray, m: int) -> tuple | None:
+    """Each row's component label after the tree's edges shorter than r (1 - 1e-9),
+    and those edges as keys u * m + v; None where the pass does not run."""
+    n = len(pts)
+    if pts.shape[1] != 2 or n < 2:
+        return None
+    kth = tree.query(pts[:: max(1, n // 256)], min(8, n))[0][:, -1]
+    r = np.sort(kth)[kth.size // 2]
+    lo = pts.min(axis=0)
+    # int64 cell ids hold spans of 2**30 cells; r = 0 is refused here too
+    if not (pts.max(axis=0) - lo <= r * 2**30).all():
+        return None
+    cells = ((pts - lo) / r).astype(np.int64) @ [1 << 31, 1]
+    if 9 * (np.unique(cells, return_counts=True)[1] ** 2).sum() > 50 * n:
+        return None
+    i, j = _ranked_pairs(tree, pts, first, r, m)
+    comp, us, vs = np.arange(n), [i[:0]], [j[:0]]
+    while True:
+        a, b = comp[i], comp[j]
+        out = a != b
+        if not out.any():
+            return comp, _keys(first, np.concatenate(us), np.concatenate(vs), m)
+        if not out.all():
+            i, j, a, b = i[out], j[out], a[out], b[out]
+        # the pairs are in rank order: a component's lightest is its first
+        lowest = np.full(n, i.size)
+        np.minimum.at(lowest, a, np.arange(i.size))
+        np.minimum.at(lowest, b, np.arange(i.size))
+        roots = np.flatnonzero(lowest < i.size)
+        e = lowest[roots]
+        comp, new = _hook(comp, lowest, roots, a[e] + b[e] - roots)
+        us.append(i[e[new]])
+        vs.append(j[e[new]])
+
+
+def _ranked_pairs(tree, pts: np.ndarray, first: np.ndarray, r: float, m: int) -> tuple:
+    """The pairs (i, j) of rows shorter than r (1 - 1e-9), in (length, u, v) order."""
+    i, j = tree.query_pairs(r, output_type="ndarray").T
+    length = _lengths(pts, i, j)
+    kept = length < r * (1 - 1e-9)
+    i, j, length = i[kept], j[kept], length[kept]
+    order = np.argsort(length)
+    if (length[order[1:]] == length[order[:-1]]).any():
+        order = np.lexsort((_keys(first, i, j, m), length))
+    return i[order], j[order]
+
+
 def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonical tree's edges (u < v) between the distinct rows ``first``.
 
-    Borůvka rounds over one kd-tree of the rows, whose 16 nearest points per
-    row are queried once; each row's pointer only advances, as components
-    only merge. A point whose 16th distance does not clear its component's
-    lightest edge asks for its 32, then 64 nearest points if its component
-    has fewer than 64 points or already holds an offer; otherwise, or if
-    still unsettled, it queries a kd-tree of the points outside its
-    component. Each component joins the one its lightest edge reaches, so
-    the m - 1 edges found are the tree.
+    The short edges, where the pass runs, then Borůvka rounds over one
+    kd-tree of the rows and a packed table of their nearest points. Each
+    searching component joins the one its lightest edge reaches, so the
+    m - 1 edges found are the tree.
     """
     cKDTree = _kd_tree_class()
     pts = coords[first]
     n, m = len(pts), len(coords)
     everyone = np.arange(n)
     tree = cKDTree(pts)
-    dist, nbr, _ = _query(tree, pts, 16, everyone)
-    pos = everyone * dist.shape[1]  # each row's pointer into the flattened table
-    stop = pos + dist.shape[1]
-    comp = active = everyone
-    keys = [np.empty(0, np.int64)]  # one distinct row: no rounds
-    found = 0
+    short = _short_edges(tree, pts, first, m)
+    comp, keys = short or (everyone, np.empty(0, np.int64))
+    keys, found = [keys], keys.size
+    width = min(16, n)
+    # pos and stop index the flattened table, whose row stop // width - 1
+    # holds a point's nearest points; stop is 0 while the point has none
+    pos, stop = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    dist, nbr, active = np.empty((0, width)), np.empty((0, width), np.int64), everyone[:0]
     while found < n - 1:
+        big = np.bincount(comp).argmax() if short else -1
+        # rows that joined the largest component leave the table, to be
+        # queried again if it stops being the largest
+        inside = comp[active] == big
+        stop[active[inside]] = 0
+        active = active[~inside]
+        rows = np.flatnonzero((stop == 0) & (comp != big))
+        if rows.size:
+            near = _query(tree, pts if rows.size == n else pts[rows], 16, everyone)
+            pos[rows] = (len(dist) + np.arange(rows.size)) * width
+            stop[rows] = pos[rows] + width
+            dist, nbr, active = (np.concatenate([old, add]) if len(old) else add
+                                 for old, add in zip((dist, nbr, active), (near[0], near[1], rows)))
         rows = active
         while rows.size:  # an entry once inside a component stays inside it
             rows = rows[comp[np.take(nbr, pos[rows])] == comp[rows]]
@@ -299,9 +380,11 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
         wide = (nxt > at) & (np.take(dist, nxt) <= np.take(dist, at) * (1 + 1e-9))
         _offer(pts, comp, best, active[~wide], np.take(nbr, at[~wide]))
         if wide.any():
-            _offer_rows(pts, comp, best, active[wide], dist[active[wide]], nbr[active[wide]])
+            slots = stop[active[wide]] // width - 1
+            _offer_rows(pts, comp, best, active[wide], dist[slots], nbr[slots])
+        todo = np.flatnonzero(comp != big)
         # a table that holds every point settles at the first wider query
-        todo = np.flatnonzero(dist[:, -1] * (1 - 1e-9) <= best[0][comp])
+        todo = todo[dist[stop[todo] // width - 1, -1] * (1 - 1e-9) <= best[0][comp[todo]]]
         small = (np.bincount(comp, minlength=n)[comp[todo]] < 64) | np.isfinite(best[0][comp[todo]])
         large, todo = todo[~small], todo[small]
         for k in (32, 64):
@@ -319,12 +402,9 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
                 k *= 2
         lowest, reach = _lightest(best, comp, first, m)
         roots = np.flatnonzero(lowest < m * m)
-        other = comp[reach[roots]]
-        mutual = lowest[other] == lowest[roots]
-        new = ~mutual | (roots < other)
+        comp, new = _hook(comp, lowest, roots, comp[reach[roots]])
         keys.append(lowest[roots[new]])
         found += int(new.sum())
-        comp = _hook(comp, roots, other, mutual)
     return np.divmod(np.concatenate(keys), m)
 
 

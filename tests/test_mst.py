@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,50 @@ _GATE_CASES.update(
 )
 
 
+def _two_discs(count: int, alpha: float, seed: int) -> np.ndarray:
+    """A mixture shaped like the fit demo's: a disc of radius 20 around the
+    origin and, for a fraction ``alpha`` of the points, one of radius 8
+    around (10, 4), every point jittered by a Gaussian of width 0.2."""
+    rng = np.random.default_rng(seed)
+    signal = np.arange(count) < int(count * alpha)
+    u = rng.random((count, 2))
+    r, t = np.where(signal, 8.0, 20.0) * np.sqrt(u[:, 0]), 2 * np.pi * u[:, 1]
+    xy = np.column_stack([r * np.cos(t), r * np.sin(t)]) + np.outer(signal, [10.0, 4.0])
+    return xy + rng.normal(0.0, 0.2, xy.shape)
+
+
+def _late_join_2d(seed: int) -> np.ndarray:
+    """A 40 x 40 block and two 30 x 30 blocks 4 apart, 11 from it, jittered by
+    1e-3: the pass joins each block, the two join next into a component
+    larger than the first, and the first then joins them."""
+    jitter = np.random.default_rng(seed).normal(0.0, 1e-3, (3400, 2))
+    return np.vstack([_lattice(2, 30) + [0.0, 50.0], _lattice(2, 40),
+                      _lattice(2, 30) + [33.0, 50.0]]) + jitter
+
+
+def _clump_beside_background(clump: int, background: int, seed: int) -> np.ndarray:
+    """``clump`` points in a box 1e-3 wide beside ``background`` points spread over 100 x 100."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.random((clump, 2)) * 1e-3 + 50.0, rng.random((background, 2)) * 100.0])
+
+
+_lattice_rng = np.random.default_rng(89)
+_ties = np.vstack([_lattice(2, 30), _lattice(2, 30)[_lattice_rng.integers(0, 900, 150)]])
+# 2-d inputs that take the short-edge pass
+_PASS_CASES = {
+    "two-discs-a15": _two_discs(1200, 0.15, seed=1),
+    "two-discs-a45": _two_discs(1200, 0.45, seed=2),
+    # lattice edges of one length: the pass ranks its pairs by a lexsort
+    "lattice-ties-duplicates-2d": _ties[_lattice_rng.permutation(len(_ties))],
+    "late-join-2d": _late_join_2d(seed=3),
+    # the median 7th-neighbour distance is sqrt(2), the diagonals' exact length
+    "pair-at-radius-2d": _lattice(2, 25) + 1000.0,
+}
+# up to 20 points the stride sample holds every point; some take the pass
+_GATE_CASES.update({f"sampled-whole-2d-m{m}": _lattice_rng.random((m, 2)) for m in range(2, 21)})
+_GATE_CASES["clump-beside-background-2d"] = _clump_beside_background(450, 550, seed=5)
+
+
 class TestExactnessGate:
     """The tree equals the canonical all-pairs Kruskal tree, bit for bit."""
 
@@ -424,6 +469,73 @@ class TestOneTreePath:
         # a large component that already holds an offer settles its inner
         # points with the 32/64 re-queries, not with a tree of all outside points
         assert outside == []
+
+
+def _count_kd_calls(monkeypatch) -> dict:
+    """Record each pair search's radius, and (tree size, rows) of each
+    16-nearest query, made by the kd-tree class the builder loads."""
+    calls = {"pairs": [], "table": []}
+
+    class CountingKDTree(mst._kd_tree_class()):
+        def query(self, x, k, *args, **kwargs):
+            if k == 16:
+                calls["table"].append((self.n, len(x)))
+            return super().query(x, k, *args, **kwargs)
+
+        def query_pairs(self, r, *args, **kwargs):
+            calls["pairs"].append(r)
+            return super().query_pairs(r, *args, **kwargs)
+
+    monkeypatch.setattr(mst, "_kd_tree_class", lambda: CountingKDTree)
+    return calls
+
+
+class TestShortEdgePass:
+    """At d = 2 one pair search finds the tree's short edges, and the table of
+    nearest points is queried only outside the largest component."""
+
+    @pytest.mark.parametrize("name", sorted(_PASS_CASES))
+    def test_pass_inputs_are_exact(self, monkeypatch, name):
+        calls = _count_kd_calls(monkeypatch)
+        _assert_canonical(PointSet(_PASS_CASES[name]))
+        assert len(calls["pairs"]) == 1
+
+    def test_pair_as_long_as_the_radius(self, monkeypatch):
+        coords = _PASS_CASES["pair-at-radius-2d"]
+        calls = _count_kd_calls(monkeypatch)
+        _assert_canonical(PointSet(coords))
+        # the pass leaves the diagonals, exactly r long, to the table rounds
+        assert calls["pairs"] == [np.sqrt(2.0)] and np.sqrt(2.0) in pdist(coords)
+
+    def test_rows_queried_when_their_component_stops_being_largest(self, monkeypatch):
+        calls = _count_kd_calls(monkeypatch)
+        _assert_canonical(PointSet(_PASS_CASES["late-join-2d"]))
+        # the two small blocks first, then the 40 x 40 block once they have joined
+        assert [rows for _, rows in calls["table"]] == [1800, 1600]
+
+    def test_disc_queries_the_table_for_few_rows(self, monkeypatch):
+        u = np.random.default_rng(7).random((20000, 2))
+        r, t = np.sqrt(u[:, 0]), 2 * np.pi * u[:, 1]
+        calls = _count_kd_calls(monkeypatch)
+        tree = build_mst_kruskal(PointSet(np.column_stack([r * np.cos(t), r * np.sin(t)])))
+        assert tree.edge_count == 19999
+        assert len(calls["pairs"]) == 1
+        assert sum(rows for n, rows in calls["table"] if n == 20000) < 200
+
+    def test_dense_clump_refuses_the_pass(self, monkeypatch):
+        # at the background's radius the clump's 4,500 points share one cell
+        calls = _count_kd_calls(monkeypatch)
+        tree = build_mst_kruskal(PointSet(_clump_beside_background(4500, 5500, seed=5)))
+        validate_tree(tree)
+        assert calls["pairs"] == [] and calls["table"] == [(10000, 10000)]
+
+    def test_huge_span_builds_without_overflow(self):
+        rng = np.random.default_rng(97)
+        far = np.array([[1e150, 0.0], [-1e150, 0.0], [0.0, 1e150], [0.0, -1e150]])
+        coords = np.vstack([rng.random((300, 2)) * 1e-3, far])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_canonical(PointSet(coords))
 
 
 # Loads the kd-tree class and scipy.spatial in the order argv[1] names, in a
@@ -606,12 +718,14 @@ def test_lengths_match_all_pairs_distances():
 
 _LINEAR_MEMORY = """
 import resource
+import sys
 
 import numpy as np
 from spantree import PointSet, build_mst_kruskal
 
-tree = build_mst_kruskal(PointSet(np.random.default_rng(67).normal(size=(30_000, 4))))
-assert tree.edge_count == 29_999
+draw, m, d = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+tree = build_mst_kruskal(PointSet(getattr(np.random.default_rng(67), draw)(size=(m, d))))
+assert tree.edge_count == m - 1
 try:
     # on Linux ru_maxrss keeps the peak of the address space this process
     # was exec'd from, which under vfork is the test runner's; VmHWM (KiB)
@@ -624,20 +738,22 @@ except OSError:
 
 
 def test_memory_is_linear_in_points():
-    # all pairs of these 30,000 points would take about 7 GB; the child
-    # reports its own peak, since this process's other children (forked
-    # calibration workers) share the RUSAGE_CHILDREN maximum
+    # all pairs of 30,000 points would take about 7 GB, and 200,000 uniform
+    # 2-d points take the short-edge pass; each child reports its own peak,
+    # since this process's other children (forked calibration workers)
+    # share the RUSAGE_CHILDREN maximum
     pytest.importorskip("resource")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LINEAR_MEMORY],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    # ru_maxrss is in KiB on Linux and in bytes on macOS
-    scale = 1 if sys.platform == "darwin" else 1024
-    assert int(proc.stdout) * scale < 400 * 2**20
+    for draw, m, d in (("normal", 30_000, 4), ("random", 200_000, 2)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LINEAR_MEMORY, draw, str(m), str(d)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        scale = 1 if sys.platform == "darwin" else 1024
+        assert int(proc.stdout) * scale < 400 * 2**20
