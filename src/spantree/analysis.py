@@ -57,8 +57,11 @@ class RegionWeight:
     outside_weight: float
 
     def __post_init__(self) -> None:
-        if self.inside_weight < 0 or self.outside_weight < 0:
-            raise ValueError("region weights must be non-negative")
+        if not all(0 <= w < np.inf for w in (self.inside_weight, self.outside_weight)):
+            raise ValueError(
+                f"region weights must be finite and non-negative, got inside "
+                f"{self.inside_weight!r} and outside {self.outside_weight!r}"
+            )
         object.__setattr__(self, "box", dict(self.box))
 
     def factors(self, coords: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
@@ -156,7 +159,8 @@ class BinnedModel:
         if np.any(b < 0) or np.any(s < 0) or np.any(n < 0):
             raise ValueError("bin contents must be non-negative")
         for name, pdf in (("background", b), ("signal", s)):
-            if abs(pdf.sum() - 1.0) > 1e-9:
+            # written so that a NaN or infinite content fails it
+            if not abs(pdf.sum() - 1.0) <= 1e-9:
                 raise ValueError(f"{name} template must sum to 1, got {pdf.sum()!r}")
         for arr in (b, s, n):
             arr.setflags(write=False)
@@ -181,6 +185,8 @@ class BinnedModel:
         n = binning.weighted_counts(observed)
         if b.sum() <= 0 or s.sum() <= 0:
             raise ValueError("templates must have positive total weight inside the binning")
+        if not (b.sum() < np.inf and s.sum() < np.inf):
+            raise ValueError("the templates' total weight inside the binning overflows")
         return cls(b / b.sum(), s / s.sum(), n)
 
     def asimov(self, alpha: float, total: float) -> "BinnedModel":

@@ -606,6 +606,9 @@ class RunConfig:
         unknown = set(self.statistics) - set(ALL_STATISTICS)
         if unknown:
             raise ConfigError(f"unknown statistics {sorted(unknown)}; known: {ALL_STATISTICS}")
+        repeated = sorted({name for name in self.statistics if self.statistics.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"repeated statistics {repeated}")
         if self.fit is not None:
             for role in (self.fit.background, self.fit.signal, self.fit.observed):
                 if role not in self.inputs:
@@ -688,13 +691,16 @@ class RunConfig:
             seed = d.get("seed")
             if seed is None and any(spec.file is None for spec in inputs.values()):
                 raise ConfigError("a seed is required whenever any input is generated")
+            statistics = d.get("statistics", list(ALL_STATISTICS))
+            if not isinstance(statistics, list):
+                raise ConfigError(f"statistics must be a list of names, got {statistics!r}")
             return cls(
                 seed=config_int("seed", seed) if seed is not None else 0,
                 inputs=inputs,
                 output_dir=d.get("output_dir"),
                 rescale=d.get("rescale", "none"),
                 region_weights=d.get("region_weights"),
-                statistics=tuple(d.get("statistics", ALL_STATISTICS)),
+                statistics=tuple(statistics),
                 fit=FitSettings(**d["fit"]) if "fit" in d else None,
                 histogram_specs=dict(d.get("histogram_specs", {})),
             )

@@ -26,18 +26,18 @@ edge to that representative. Over the distinct points:
   factor is 3^d), so d >= 3 runs no pass.
 
   Then rounds over a table of each point's 16 nearest points join the
-  rest. After a pass the largest component does not search, since another
-  component's lightest edge reaches it, and a point is queried into the
-  table when it first searches; otherwise every point is, in the first
-  round. A pointer per row skips the entries already inside its component,
-  so each entry is read about once. Each round a point offers the entry at
-  its pointer, and any entry whose kd distance is within a factor 1 + 1e-9
-  of it, their lengths computed exactly. A row settles when its component's
-  lightest edge is lighter than its 16th distance times (1 - 1e-9).
-  Unsettled points of components below 64 points, or of components that
-  already hold an offer, ask for their 32, then 64 nearest points; the rest
-  (large components with no offer, such as isolated clusters), and the few
-  still unsettled, query a kd-tree of the points outside.
+  rest. A largest component of more than one point never searches, since
+  another component's lightest edge reaches it; a point is queried into
+  the table in the first round it searches and keeps its row. A pointer
+  per row skips the entries already inside its component, so each entry is
+  read about once. Each round a point offers the entry at its pointer, and
+  any entry whose kd distance is within a factor 1 + 1e-9 of it, their
+  lengths computed exactly. A row settles when its component's lightest
+  edge is lighter than its 16th distance times (1 - 1e-9). Unsettled
+  points of components below 64 points, or of components that already hold
+  an offer, ask for their 32, then 64 nearest points; the rest (large
+  components with no offer, such as isolated clusters), and the few still
+  unsettled, query a kd-tree of the points outside.
 
 Memory is O(m) on every path. The result is a :class:`Tree`, a frozen
 dataclass of read-only edge arrays.
@@ -65,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateStatistic
 from .geometry import PointSet
 
 
@@ -91,6 +92,8 @@ class Tree:
             raise ValueError("edge arrays must have equal shapes")
         if np.any(us >= vs):
             raise ValueError("edges must be stored canonically with u < v")
+        if not (np.isfinite(lengths).all() and np.isfinite(weights).all()):
+            raise ValueError("edge lengths and weights must be finite")
         for name, arr in (("edge_u", us), ("edge_v", vs), ("lengths", lengths),
                           ("edge_weights", weights)):
             arr.setflags(write=False)
@@ -247,15 +250,12 @@ def _kd_tree_class() -> type:
     return module.cKDTree
 
 
-def _query(tree, pts: np.ndarray, k: int, index: np.ndarray) -> tuple:
-    """Each row's k nearest points in ``tree``, as rows of ``pts``.
-
-    ``index`` maps the tree's points to rows of ``pts``. Returns the kd
-    distances and point ids, nearest first, and whether k covers the tree.
-    """
+def _query(tree, pts: np.ndarray, k: int) -> tuple:
+    """Each row's k nearest points in ``tree``, nearest first: their kd distances
+    and indices in the tree, and whether k covers the tree."""
     k = min(k, tree.n)
     dist, nbr = tree.query(pts, k)
-    return dist.reshape(-1, k), index[nbr].reshape(-1, k), k == tree.n
+    return dist.reshape(-1, k), nbr.reshape(-1, k), k == tree.n
 
 
 def _offer(pts, comp, best, a, b) -> None:
@@ -301,12 +301,12 @@ def _short_edges(tree, pts: np.ndarray, first: np.ndarray, m: int) -> tuple | No
     if 9 * (np.unique(cells, return_counts=True)[1] ** 2).sum() > 50 * n:
         return None
     i, j = _ranked_pairs(tree, pts, first, r, m)
-    comp, us, vs = np.arange(n), [i[:0]], [j[:0]]
+    comp, keys = np.arange(n), [np.empty(0, np.int64)]
     while True:
         a, b = comp[i], comp[j]
         out = a != b
         if not out.any():
-            return comp, _keys(first, np.concatenate(us), np.concatenate(vs), m)
+            return comp, np.concatenate(keys)
         if not out.all():
             i, j, a, b = i[out], j[out], a[out], b[out]
         # the pairs are in rank order: a component's lightest is its first
@@ -316,8 +316,7 @@ def _short_edges(tree, pts: np.ndarray, first: np.ndarray, m: int) -> tuple | No
         roots = np.flatnonzero(lowest < i.size)
         e = lowest[roots]
         comp, new = _hook(comp, lowest, roots, a[e] + b[e] - roots)
-        us.append(i[e[new]])
-        vs.append(j[e[new]])
+        keys.append(_keys(first, i[e[new]], j[e[new]], m))
 
 
 def _ranked_pairs(tree, pts: np.ndarray, first: np.ndarray, r: float, m: int) -> tuple:
@@ -343,31 +342,27 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
     cKDTree = _kd_tree_class()
     pts = coords[first]
     n, m = len(pts), len(coords)
-    everyone = np.arange(n)
     tree = cKDTree(pts)
-    short = _short_edges(tree, pts, first, m)
-    comp, keys = short or (everyone, np.empty(0, np.int64))
+    comp, keys = _short_edges(tree, pts, first, m) or (np.arange(n), np.empty(0, np.int64))
     keys, found = [keys], keys.size
     width = min(16, n)
     # pos and stop index the flattened table, whose row stop // width - 1
     # holds a point's nearest points; stop is 0 while the point has none
     pos, stop = np.zeros(n, np.int64), np.zeros(n, np.int64)
-    dist, nbr, active = np.empty((0, width)), np.empty((0, width), np.int64), everyone[:0]
+    dist, nbr = np.empty((0, width)), np.empty((0, width), np.int64)
     while found < n - 1:
-        big = np.bincount(comp).argmax() if short else -1
-        # rows that joined the largest component leave the table, to be
-        # queried again if it stops being the largest
-        inside = comp[active] == big
-        stop[active[inside]] = 0
-        active = active[~inside]
+        sizes = np.bincount(comp, minlength=n)
+        # the largest never searches, since another component's lightest edge
+        # reaches it; while all are single points, every point searches at once
+        big = sizes.argmax() if sizes.max() > 1 else -1
         rows = np.flatnonzero((stop == 0) & (comp != big))
         if rows.size:
-            near = _query(tree, pts if rows.size == n else pts[rows], 16, everyone)
+            near = _query(tree, pts if rows.size == n else pts[rows], 16)
             pos[rows] = (len(dist) + np.arange(rows.size)) * width
             stop[rows] = pos[rows] + width
-            dist, nbr, active = (np.concatenate([old, add]) if len(old) else add
-                                 for old, add in zip((dist, nbr, active), (near[0], near[1], rows)))
-        rows = active
+            dist, nbr = (np.concatenate([old, add]) if len(old) else add
+                         for old, add in zip((dist, nbr), near))
+        rows = active = np.flatnonzero((pos < stop) & (comp != big))
         while rows.size:  # an entry once inside a component stays inside it
             rows = rows[comp[np.take(nbr, pos[rows])] == comp[rows]]
             pos[rows] += 1
@@ -385,11 +380,11 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
         todo = np.flatnonzero(comp != big)
         # a table that holds every point settles at the first wider query
         todo = todo[dist[stop[todo] // width - 1, -1] * (1 - 1e-9) <= best[0][comp[todo]]]
-        small = (np.bincount(comp, minlength=n)[comp[todo]] < 64) | np.isfinite(best[0][comp[todo]])
+        small = (sizes[comp[todo]] < 64) | np.isfinite(best[0][comp[todo]])
         large, todo = todo[~small], todo[small]
         for k in (32, 64):
             if todo.size:
-                todo = _offer_rows(pts, comp, best, todo, *_query(tree, pts[todo], k, everyone))
+                todo = _offer_rows(pts, comp, best, todo, *_query(tree, pts[todo], k))
         todo = np.concatenate([todo, large])
         for c in np.flatnonzero(np.bincount(comp[todo])):
             outside = np.flatnonzero(comp != c)
@@ -397,8 +392,8 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
             local = cKDTree(pts[outside], balanced_tree=False, compact_nodes=False)
             pending, k = todo[comp[todo] == c], 8
             while pending.size:
-                nearest = _query(local, pts[pending], k, outside)
-                pending = _offer_rows(pts, comp, best, pending, *nearest)
+                odist, onbr, complete = _query(local, pts[pending], k)
+                pending = _offer_rows(pts, comp, best, pending, odist, outside[onbr], complete)
                 k *= 2
         lowest, reach = _lightest(best, comp, first, m)
         roots = np.flatnonzero(lowest < m * m)
@@ -424,10 +419,10 @@ def build_mst_kruskal(ps: PointSet) -> Tree:
 
     The tree is the canonical Kruskal tree: edges appear sorted by length
     ascending, ties broken by the canonical (u, v) pair. Each edge carries
-    weight(u) * weight(v). A single point yields a tree with zero edges.
-    Points on a line (d = 1) join their sorted neighbours; at d >= 2 the
-    edges come from Borůvka rounds over one kd-tree. Memory is O(m) at
-    every dimension.
+    weight(u) * weight(v), and DegenerateStatistic refuses a product that
+    overflows. A single point yields a tree with zero edges. Points on a
+    line (d = 1) join their sorted neighbours; at d >= 2 the edges come
+    from Borůvka rounds over one kd-tree, in O(m) memory.
     """
     coords = ps.coords
     us, vs = _candidates(coords)
@@ -436,7 +431,11 @@ def build_mst_kruskal(ps: PointSet) -> Tree:
     o = np.argsort(us * len(coords) + vs)
     order = o[np.argsort(lengths[o], kind="stable")]
     us, vs = us[order], vs[order]
-    return Tree(ps, us, vs, lengths[order], ps.weights[us] * ps.weights[vs])
+    with np.errstate(over="ignore"):
+        weights = ps.weights[us] * ps.weights[vs]
+    if not np.isfinite(weights).all():
+        raise DegenerateStatistic("edge weights overflow: weight(u) * weight(v) is not finite")
+    return Tree(ps, us, vs, lengths[order], weights)
 
 
 def tree_total_length(t: Tree) -> float:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -94,6 +95,11 @@ class TestRegionWeights:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             RegionWeight(box={}, inside_weight=-1.0, outside_weight=1.0)
+        for bad in (math.nan, math.inf, -math.inf, float("nan")):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                RegionWeight(box={}, inside_weight=bad, outside_weight=1.0)
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                RegionWeight(box={}, inside_weight=0.0, outside_weight=bad)
 
 
 class TestGridBinning:
@@ -117,6 +123,20 @@ class TestBinnedModel:
     def test_templates_must_normalize(self):
         with pytest.raises(ValueError):
             BinnedModel(np.array([0.5, 0.4]), np.array([0.5, 0.5]), np.array([1.0, 1.0]))
+        # a NaN template's sum once passed as normalized
+        for bad in ([math.nan, math.nan], [math.inf, 0.0]):
+            with pytest.raises(ValueError, match="must sum to 1"):
+                BinnedModel(bad, [0.5, 0.5], [1.0, 1.0])
+            with pytest.raises(ValueError, match="must sum to 1"):
+                BinnedModel([0.5, 0.5], bad, [1.0, 1.0])
+        # weights whose total overflows are refused before they are divided by it
+        ps = PointSet([[0.5, 0.5], [0.5, 1.5], [1.5, 0.5]], weights=[1e308, 1e308, 1.0],
+                      feature_names=("x", "y"))
+        binning = GridBinning("x", "y", (0.0, 1.0, 2.0), (0.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                BinnedModel.from_samples(ps, ps, ps, binning)
 
     def test_needs_two_bins(self):
         with pytest.raises(ValueError):

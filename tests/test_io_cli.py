@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -513,8 +514,13 @@ class TestRunConfig:
             ({"region_weights": {}}, "takes a box"),
             ({"region_weights": {"box": {"x": [0, 1]}, "weight": 0}}, "takes a box"),
             ({"region_weights": {"box": {"x": [0, 1]}, "apply_to": ["b"]}}, "undeclared inputs"),
+            # a string once read as one statistic per character
+            ({"statistics": "degree"}, "statistics must be a list of names, got 'degree'"),
+            ({"statistics": ["degree", "edge_length", "degree"]},
+             r"repeated statistics \['degree'\]"),
         ],
-        ids=["unknown-histogram", "non-numeric-hi", "no-box", "unknown-region-key", "undeclared-input"],
+        ids=["unknown-histogram", "non-numeric-hi", "no-box", "unknown-region-key",
+             "undeclared-input", "statistics-string", "statistics-repeated"],
     )
     def test_bad_sections_rejected_on_load(self, section, match):
         with pytest.raises(ConfigError, match=match):
@@ -702,6 +708,21 @@ class TestCliBuildStats:
         events = tmp_path / "e.csv"
         events.write_text("x,y\n1.0,1.0\n1.0,1.0\n")
         assert run_cli("stats", events, "-o", tmp_path / "out") == 3
+
+    def test_overflowing_edge_weights_exit_3(self, tmp_path, capsys):
+        # 1e200 squared overflows: the tree's edge weights would be infinite
+        events = tmp_path / "disc.csv"
+        run_cli("gen", "--preset", "disc", "--seed", 5, "-n", 300, "-o", events)
+        config = tmp_path / "run.json"
+        heavy = {"region_weights": {"box": {"x": [-100, 100]}, "inside_weight": 1e200}}
+        config.write_text(json.dumps(heavy))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("stats", events, "--config", config, "-o", out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: edge weights overflow: weight(u) * weight(v) is not finite"]
+        assert not out.exists()
 
     def test_failed_stats_writes_nothing(self, tmp_path):
         # a good run's outputs stay as they were: the coincident run fails
@@ -1256,6 +1277,12 @@ class TestCliConfigErrors:
             ({"histogram_specs": {"degree": {"hi": 5, "nbins": 5}}}, "lacks \\['lo'\\]"),
             ({"histogram_specs": {"degree": {"lo": 0, "hi": 5, "nbins": 0}}}, "nbins"),
             ({"region_weights": {"box": {"x": [0, 1]}, "inside_weight": -1}}, "non-negative"),
+            ({"region_weights": {"box": {"x": [0, 1]}, "inside_weight": math.nan}},
+             "region_weights: .*finite"),
+            ({"region_weights": {"box": {"x": [0, 1]}, "outside_weight": math.inf}},
+             "region_weights: .*finite"),
+            ({"region_weights": {"box": {"x": [0, 1]}, "inside_weight": "nan"}},
+             "region_weights: .*finite"),
             ({"region_weights": {"box": {"energy": [0, 1]}}}, "unknown feature 'energy'"),
             ({"histogram_specs": {"degree": {"lo": 0, "hi": 5, "nbins": 5, "overflow": "no"}}},
              "overflow is true or false, got 'no'"),
@@ -1267,7 +1294,8 @@ class TestCliConfigErrors:
             ({"histogram_specs": {"degree": {"lo": 0, "hi": 5, "nbins": 10**6 + 1}}},
              "nbins must be 1 to 1000000, got 1000001"),
         ],
-        ids=["hist-empty-range", "hist-no-lo", "hist-no-bins", "negative-weight", "unknown-box-feature",
+        ids=["hist-empty-range", "hist-no-lo", "hist-no-bins", "negative-weight", "nan-weight",
+             "infinite-weight", "nan-string-weight", "unknown-box-feature",
              "hist-overflow-string", "hist-unknown-key", "hist-huge-nbins", "hist-nbins-over-limit"],
     )
     def test_stats_config(self, section, match, events, tmp_path, capsys):
@@ -1276,6 +1304,18 @@ class TestCliConfigErrors:
         out = tmp_path / "out"
         code = run_cli("stats", events, "--config", config, "-o", out)
         _assert_config_error(code, capsys, out, match)
+
+    # JSON reads NaN, and 1e400 as infinity; float() reads the string "nan"
+    @pytest.mark.parametrize("weight", ["NaN", "1e400", '"nan"'],
+                             ids=["nan", "overflowing", "nan-string"])
+    def test_fit_refuses_non_finite_region_weight(self, weight, tmp_path, capsys):
+        cfg = json.loads(DEMO_CONFIG.read_text())
+        cfg["region_weights"] = {"box": {"x": [-100, 100]}, "inside_weight": "WEIGHT"}
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(cfg).replace('"WEIGHT"', weight))
+        out = tmp_path / "out"
+        code = run_cli("fit", path, "-o", out)
+        _assert_config_error(code, capsys, out, "region_weights: .*finite")
 
     # a key the command never reads; each once ran without it taking effect
     @pytest.mark.parametrize(

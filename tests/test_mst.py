@@ -158,6 +158,23 @@ class TestTreeValidation:
         with pytest.raises(ValueError):
             Tree(ps, [1], [0], [1.0], [1.0])
 
+    def test_rejects_non_finite_edges(self):
+        from spantree import Tree
+
+        ps = PointSet([[0.0], [1.0]])
+        for length, weight in ((np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                Tree(ps, [0], [1], [length], [weight])
+
+    def test_overflowing_edge_weights_raise(self):
+        from spantree import DegenerateStatistic
+
+        ps = PointSet(np.random.default_rng(3).random((50, 2)), weights=np.full(50, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateStatistic, match="edge weights overflow"):
+                build_mst_kruskal(ps)
+
     def test_validate_catches_cycle(self):
         from spantree import Tree
 
@@ -320,6 +337,16 @@ def _late_join_2d(seed: int) -> np.ndarray:
                       _lattice(2, 30) + [33.0, 50.0]]) + jitter
 
 
+def _six_blocks_2d() -> np.ndarray:
+    """Six integer-lattice blocks, each joined by the pass. The 40 x 25 block is
+    the largest at first, then the two 30 x 20 blocks once joined, then the
+    other four blocks once joined."""
+    blocks = [(40, 25, 0.0, 0.0), (10, 10, 42.0, 0.0), (20, 20, 0.0, 28.0),
+              (20, 20, 22.5, 28.0), (30, 20, 100.0, 0.0), (30, 20, 100.0, 22.0)]
+    return np.vstack([np.stack(np.meshgrid(np.arange(w) + x, np.arange(h) + y, indexing="ij"),
+                               axis=-1).reshape(-1, 2) for w, h, x, y in blocks])
+
+
 def _clump_beside_background(clump: int, background: int, seed: int) -> np.ndarray:
     """``clump`` points in a box 1e-3 wide beside ``background`` points spread over 100 x 100."""
     rng = np.random.default_rng(seed)
@@ -335,6 +362,7 @@ _PASS_CASES = {
     # lattice edges of one length: the pass ranks its pairs by a lexsort
     "lattice-ties-duplicates-2d": _ties[_lattice_rng.permutation(len(_ties))],
     "late-join-2d": _late_join_2d(seed=3),
+    "six-blocks-2d": _six_blocks_2d(),
     # the median 7th-neighbour distance is sqrt(2), the diagonals' exact length
     "pair-at-radius-2d": _lattice(2, 25) + 1000.0,
 }
@@ -448,9 +476,10 @@ class TestOneTreePath:
         _assert_canonical(PointSet(points))
         # every point of a whole isolated cluster is unsettled: 30 points ask
         # for their 32 nearest, which reach past the cluster, while 100 points
-        # query the points outside their component at once
+        # query the points outside their component at once; the largest
+        # component never searches, so the 30-point clusters need no outside tree
         assert bool(wide) == requeried
-        assert outside
+        assert bool(outside) != requeried
 
     def test_uniform_disc_builds_no_outside_tree(self, monkeypatch):
         u = np.random.default_rng(7).random((20000, 2))
@@ -512,6 +541,23 @@ class TestShortEdgePass:
         _assert_canonical(PointSet(_PASS_CASES["late-join-2d"]))
         # the two small blocks first, then the 40 x 40 block once they have joined
         assert [rows for _, rows in calls["table"]] == [1800, 1600]
+
+    def test_each_point_queried_into_the_table_at_most_once(self, monkeypatch):
+        coords = _PASS_CASES["six-blocks-2d"]
+        queried = []
+
+        class CountingKDTree(mst._kd_tree_class()):
+            def query(self, x, k, *args, **kwargs):
+                if k == 16:
+                    queried.append(np.asarray(x))
+                return super().query(x, k, *args, **kwargs)
+
+        monkeypatch.setattr(mst, "_kd_tree_class", lambda: CountingKDTree)
+        _assert_canonical(PointSet(coords))
+        # rows of the two 30 x 20 blocks keep their table rows while the pair
+        # is the largest component, and search again once it is not
+        rows = np.concatenate(queried)
+        assert len(np.unique(rows, axis=0)) == len(rows) == len(coords)
 
     def test_disc_queries_the_table_for_few_rows(self, monkeypatch):
         u = np.random.default_rng(7).random((20000, 2))
