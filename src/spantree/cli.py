@@ -18,24 +18,24 @@ ends in a path separator or names a directory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ConfigError, EventFileError, SpanTreeError
-from .generators import PRESET_NAMES, GeneratorSpec, generate, preset_spec
-from .geometry import PointSet
-from .io import (RunConfig, config_hash, file_fingerprint, provenance_line, read_histogram_csv,
-                 read_tree_csv, write_events, write_histogram_csv, write_json, write_table,
-                 write_text_atomic, write_tree_csv)
-from .mst import build_mst_kruskal, tree_total_length
-from .pipeline import load_sample, run_compare, run_fit, run_stats
-from .svg import render_histograms_svg, render_tree_svg
+
+if TYPE_CHECKING:
+    from .generators import GeneratorSpec
+    from .geometry import PointSet
+
+# the names of generators.PRESET_NAMES, spelt out so that building the parser
+# loads no numpy: each command imports the modules it runs when it runs
+PRESET_NAMES = ("demo-background", "demo-signal", "dense-grid", "disc", "disc3d-exp",
+                "disc3d-uniform", "exp-1d", "quadratic-grid", "sin2-1d", "sparse-grid", "strip",
+                "uniform-1d")
+
 
 def _out_path(path_arg: str | None, name: str | None = None) -> Path:
     """The output directory, created when missing, or the file ``name`` inside it.
@@ -62,6 +62,10 @@ def _echo(line: str) -> None:
 # gen
 
 def _gen_spec(args) -> GeneratorSpec:
+    import json
+
+    from .generators import GeneratorSpec, preset_spec
+
     if args.preset:
         return preset_spec(args.preset, args.seed if args.seed is not None else 0, args.count)
     try:
@@ -76,6 +80,9 @@ def _gen_spec(args) -> GeneratorSpec:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import generate
+    from .io import config_hash, provenance_line, write_events
+
     try:
         spec = _gen_spec(args)
         ps = generate(spec)
@@ -92,6 +99,9 @@ def _cmd_gen(args) -> int:
 # build / stats
 
 def _cmd_build(args) -> int:
+    from .io import config_hash, file_fingerprint, load_sample, provenance_line, write_tree_csv
+    from .mst import build_mst_kruskal, tree_total_length
+
     tree = build_mst_kruskal(load_sample(args.events, args.rescale))
     cfg = {"command": "build", "events": file_fingerprint(args.events), "rescale": args.rescale}
     out = _out_path(args.output, "tree.csv")
@@ -101,6 +111,12 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from dataclasses import asdict
+
+    from .io import (RunConfig, config_hash, file_fingerprint, load_sample, provenance_line,
+                     write_histogram_csv, write_json, write_tree_csv)
+    from .pipeline import run_stats
+
     config = RunConfig.load(args.config, "stats") if args.config else RunConfig()
     run = run_stats(load_sample(args.events, args.rescale, config.weigh), config)
     cfg = {"command": "stats", "events": file_fingerprint(args.events), "rescale": args.rescale,
@@ -123,6 +139,12 @@ def _cmd_stats(args) -> int:
 # compare
 
 def _cmd_compare(args) -> int:
+    import numpy as np
+
+    from .io import (RunConfig, config_hash, file_fingerprint, load_sample, provenance_line,
+                     write_histogram_csv, write_table)
+    from .pipeline import run_compare
+
     if args.k < 1:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
     config = RunConfig.load(args.config, "compare") if args.config else RunConfig()
@@ -149,6 +171,10 @@ def _cmd_compare(args) -> int:
 # fit
 
 def _cmd_fit(args) -> int:
+    from .io import (RunConfig, config_hash, file_fingerprint, provenance_line, write_json,
+                     write_table)
+    from .pipeline import run_fit
+
     run = run_fit(RunConfig.load(args.config, "fit"), args.seed, args.mode)
     config = run.config
     hashed = config.to_dict()
@@ -202,6 +228,13 @@ def _parse_axes(spec: str | None, ps: PointSet) -> tuple[int, int]:
 
 
 def _cmd_plot_tree(args) -> int:
+    import numpy as np
+
+    from .io import (config_hash, file_fingerprint, load_sample, provenance_line, read_tree_csv,
+                     write_text_atomic)
+    from .mst import build_mst_kruskal
+    from .svg import render_tree_svg
+
     ps = load_sample(args.events)
     ax, ay = _parse_axes(args.axes, ps)
     if args.tree:
@@ -235,6 +268,10 @@ def _cmd_plot_tree(args) -> int:
 
 
 def _cmd_plot_hist(args) -> int:
+    from .io import (config_hash, file_fingerprint, provenance_line, read_histogram_csv,
+                     write_text_atomic)
+    from .svg import render_histograms_svg
+
     named = [(Path(p).stem, read_histogram_csv(p)) for p in args.histograms]
     cfg = {"command": "plot-hist", "histograms": [file_fingerprint(p) for p in args.histograms]}
     svg = render_histograms_svg(named, comment=provenance_line(config_hash(cfg)))

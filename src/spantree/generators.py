@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .geometry import PointSet
+from .io import config_int
 
 INTERVAL_1D = (0.0, 12.0)
 SIN2_NORMALIZATION = 1.0 / 6.0
@@ -43,14 +44,6 @@ _Z_KINDS = ("uniform", "exponential")
 
 BACKGROUND_LABEL = "background"
 SIGNAL_LABEL = "signal"
-
-
-def config_int(name: str, value: Any) -> int:
-    """``value`` as an int; booleans and numbers with a fraction are refused
-    with ``ValueError``, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

@@ -29,22 +29,32 @@ import re
 from dataclasses import asdict, dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
-from .analysis import GridBinning, RegionWeight, check_calibration, resolve_alpha_grid
 from .errors import ConfigError, DimensionMismatch, EventFileError
-from .generators import GeneratorSpec, check_component, check_mixture, config_int
 from .geometry import PointSet, rescaled
-from .mst import Tree
 from .stats import STATISTICS, Histogram
+
+if TYPE_CHECKING:
+    from .analysis import RegionWeight
+    from .generators import GeneratorSpec
+    from .mst import Tree
 
 WEIGHT_COLUMN = "weight"
 LABEL_COLUMN = "label"
 
 _RESERVED = (WEIGHT_COLUMN, LABEL_COLUMN)
+
+
+def config_int(name: str, value: Any) -> int:
+    """``value`` as an int; booleans and numbers with a fraction are refused
+    with ``ValueError``, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def config_hash(config: Mapping[str, Any]) -> str:
@@ -424,6 +434,8 @@ class MixtureSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "MixtureSpec":
+        from .generators import GeneratorSpec, check_component, check_mixture
+
         unknown = sorted(set(d) - {"count", "alpha_true", "seed", "background", "signal"})
         if unknown:
             raise ValueError(f"unknown two_component keys {unknown}")
@@ -469,6 +481,8 @@ class InputSpec:
 
     @classmethod
     def from_dict(cls, name: str, d: Mapping[str, Any]) -> "InputSpec":
+        from .generators import GeneratorSpec
+
         try:
             gen, two = d.get("generator"), d.get("two_component")
             unknown = sorted(set(d) - set(_INPUT_KEYS))
@@ -504,6 +518,8 @@ class FitSettings:
     def __post_init__(self) -> None:
         if self.mode not in ("baseline", "augmented", "both"):
             raise ConfigError(f"fit mode must be baseline/augmented/both, got {self.mode!r}")
+        from .analysis import GridBinning, check_calibration, resolve_alpha_grid
+
         # what can be checked before any sample exists; the binning's features
         # and the calibration count against the component sizes need the data
         try:
@@ -561,6 +577,8 @@ def histogram_range(name: str, spec: Any) -> tuple[float, float, int, bool]:
 
 def _region_weight(section: Any) -> tuple[RegionWeight, tuple[str, ...]]:
     """A ``region_weights`` section as a box and the inputs it applies to."""
+    from .analysis import RegionWeight
+
     try:
         unknown = sorted(set(section) - set(_REGION_KEYS))
         if unknown or "box" not in section:

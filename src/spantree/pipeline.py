@@ -8,19 +8,19 @@ read from event files come from :func:`load_sample`, one ``PointSet`` each.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .analysis import (BinnedModel, CalibrationResult, FitResult, GridBinning,
-                       calibrate_mu_vs_alpha, fit_alpha, observed_mu)
-from .compare import ComparisonResult, connection_ratios
 from .errors import ConfigError, DegenerateStatistic
-from .generators import gen_two_component, generate
 from .geometry import PointSet
 from .io import InputSpec, RunConfig, filter_events, load_sample
 from .mst import Tree, build_mst_kruskal, tree_total_length
 from .stats import STATISTICS, Histogram, TreeStatsSummary, histogram, summarize
+
+if TYPE_CHECKING:
+    from .analysis import CalibrationResult, FitResult
+    from .compare import ComparisonResult
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ class Comparison:
 
 
 def _compare(tag: str, subject: Tree, reference: Tree, k: int, pool: str, config) -> Comparison:
+    from .compare import connection_ratios
+
     result = connection_ratios(subject, reference, k=k, edge_pool=pool)
     lengths, ratios, weights = result.connection_length, result.connection_ratio, result.weights
     h_c = histogram(lengths, weights, *config.binning("connection_length", lengths))
@@ -76,6 +78,8 @@ def run_compare(subject: PointSet, reference: PointSet, k: int = 5, pool: str = 
 def resolve_input(spec: InputSpec, master_seed: int, index: int) -> PointSet:
     """The events of run-config input ``spec``, filtered; a mixture without a
     seed of its own draws with one derived from ``master_seed`` and ``index``."""
+    from .generators import gen_two_component, generate
+
     try:
         if spec.file is not None:
             ps = load_sample(spec.file)
@@ -105,6 +109,8 @@ class FitRun:
 def run_fit(config: RunConfig, seed: int | None = None, mode: str | None = None) -> FitRun:
     """The fit that ``config`` describes, with its master seed and fit mode
     replaced by ``seed`` and ``mode`` when given."""
+    from .analysis import BinnedModel, GridBinning, calibrate_mu_vs_alpha, fit_alpha, observed_mu
+
     if config.fit is None:
         raise ConfigError("run configuration has no fit section")
     if seed is not None:

@@ -17,12 +17,26 @@ weights; degree entries carry the vertex weight.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateStatistic
-from .mst import Tree
+
+if TYPE_CHECKING:
+    from .mst import Tree
+
+
+@contextmanager
+def _refuse_overflow(what: str):
+    """Raise :class:`DegenerateStatistic` where a float operation inside overflows."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise DegenerateStatistic(f"{what} overflows: the weights are too large") from None
 
 
 @dataclass(frozen=True)
@@ -47,10 +61,11 @@ def mean_edge_length(t: Tree) -> float:
     """Weighted mean edge length; the normalization scale for the tree."""
     if t.edge_count == 0:
         raise DegenerateStatistic("mean edge length is undefined for a tree with no edges")
-    wsum = float(t.edge_weights.sum())
-    if wsum <= 0:
-        raise DegenerateStatistic("all edge weights are zero; mean edge length is undefined")
-    return float((t.lengths * t.edge_weights).sum() / wsum)
+    with _refuse_overflow("the weighted mean edge length"):
+        wsum = float(t.edge_weights.sum())
+        if wsum <= 0:
+            raise DegenerateStatistic("all edge weights are zero; mean edge length is undefined")
+        return float((t.lengths * t.edge_weights).sum() / wsum)
 
 
 def normalized_lengths(t: Tree) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +89,8 @@ def log_normalized_lengths(t: Tree) -> tuple[np.ndarray, np.ndarray]:
 def mean_log_norm_length(t: Tree) -> float:
     """Weighted mean of the log normalized edge length distribution."""
     norm, w = normalized_lengths(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    refuse = _refuse_overflow("the weighted mean log normalized length")
+    with np.errstate(divide="ignore", invalid="ignore"), refuse:
         return float((np.log(norm) * w).sum() / w.sum())
 
 
@@ -137,7 +153,8 @@ def extract_branches(t: Tree) -> tuple[np.ndarray, np.ndarray]:
         rows = np.flatnonzero(sizes == size)
         members = flat[offsets[rows, None] + np.arange(size)]
         totals[rows] = np.add.reduce(t.lengths[members], axis=1)
-        weights[rows] = np.multiply.reduce(t.edge_weights[members], axis=1)
+        with _refuse_overflow("a branch weight, the product of its edge weights,"):
+            weights[rows] = np.multiply.reduce(t.edge_weights[members], axis=1)
     return totals, weights
 
 
@@ -242,10 +259,13 @@ def histogram(
     # fractional overflow weight into it would truncate that weight
     contents = np.bincount(idx, weights=w[inside], minlength=nbins).astype(np.float64)
 
-    under_w = float(w[under].sum())
-    over_w = float(w[over].sum())
-    if overflow:
-        contents[nbins - 1] += over_w
-        over_w = 0.0
+    with _refuse_overflow("a histogram's weight sum"):
+        under_w = float(w[under].sum())
+        over_w = float(w[over].sum())
+        if overflow:
+            contents[nbins - 1] += over_w
+            over_w = 0.0
+    if not np.isfinite(contents).all():  # bincount adds without the overflow check
+        raise DegenerateStatistic("a histogram's weight sum overflows: the weights are too large")
     return Histogram(lo, hi, nbins, contents, under_w, over_w, overflow)
 

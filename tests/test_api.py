@@ -77,8 +77,8 @@ def test_star_import_gives_exactly_the_public_api():
     assert sorted(namespace) == sorted(PUBLIC_API)
 
 
-# Runs the CLI in a fresh interpreter, then prints its exit code and the
-# scipy modules it loaded.
+# Runs the CLI in a fresh interpreter, then prints its exit code and every
+# module it loaded.
 _PROBE = """
 import sys
 from spantree.cli import main
@@ -87,14 +87,11 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(code)
-# scipy, and the numpy modules that scipy.sparse's array API layer imports;
-# np.unique imports numpy.ma as well
-print(" ".join(m for m in sys.modules if m.partition(".")[0] == "scipy"
-               or m in ("numpy.f2py", "numpy.testing", "numpy.ma")))
+print(" ".join(sys.modules))
 """
 
 
-def _scipy_loaded_by(*argv) -> set[str]:
+def _loaded_by(*argv, code: int = 0) -> set[str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -104,12 +101,23 @@ def _scipy_loaded_by(*argv) -> set[str]:
         text=True,
         check=True,
     )
-    code, modules = proc.stdout.splitlines()[-2:]
-    assert code == "0", proc.stderr
-    loaded = set(modules.split())
+    exit_code, modules = proc.stdout.splitlines()[-2:]
+    assert exit_code == str(code), proc.stderr
+    return set(modules.split())
+
+
+def _scipy_part(loaded: set[str]) -> set[str]:
+    """scipy's modules among ``loaded``, and the numpy modules that scipy.sparse's
+    array API layer imports; np.unique imports numpy.ma as well."""
+    part = {m for m in loaded if m.partition(".")[0] == "scipy"
+            or m in ("numpy.f2py", "numpy.testing", "numpy.ma")}
     if np.lib.NumpyVersion(np.__version__) < "2.0.0":
-        loaded.discard("numpy.ma")  # numpy 1.x imports it with numpy itself
-    return loaded
+        part.discard("numpy.ma")  # numpy 1.x imports it with numpy itself
+    return part
+
+
+def _scipy_loaded_by(*argv) -> set[str]:
+    return _scipy_part(_loaded_by(*argv))
 
 
 def test_import_and_version_load_no_scipy():
@@ -117,11 +125,45 @@ def test_import_and_version_load_no_scipy():
 
 
 def test_gen_and_plot_hist_load_no_scipy(tmp_path):
+    # nor the tree builder; plot hist loads no fit module either
     events = tmp_path / "disc.csv"
-    assert _scipy_loaded_by("gen", "--preset", "disc", "-n", 50, "-o", events) == set()
+    loaded = _loaded_by("gen", "--preset", "disc", "-n", 50, "-o", events)
+    assert "spantree.generators" in loaded
+    assert _scipy_part(loaded) == set() and "spantree.mst" not in loaded
     hist = tmp_path / "hist.csv"
     write_histogram_csv(histogram([0.5, 1.5], [1.0, 2.0], 0.0, 2.0, 2), hist)
-    assert _scipy_loaded_by("plot", "hist", hist, "-o", tmp_path / "hist.svg") == set()
+    loaded = _loaded_by("plot", "hist", hist, "-o", tmp_path / "hist.svg")
+    assert "spantree.svg" in loaded
+    assert _scipy_part(loaded) == set() and not loaded & {"spantree.mst", "spantree.analysis"}
+
+
+@pytest.mark.parametrize("argv, code", [(("--version",), 0), (("--help",), 0),
+                                        (("gen", "--preset", "nope"), 2)],
+                         ids=["version", "help", "usage-error"])
+def test_parser_paths_load_no_numpy(argv, code):
+    loaded = _loaded_by(*argv, code=code)
+    assert "spantree.cli" in loaded
+    assert not {m for m in loaded if m.partition(".")[0] == "numpy"}
+
+
+def test_cli_preset_names_are_the_generators_presets():
+    # the parser's choices are spelt out in the CLI so that building it loads no numpy
+    from spantree import cli, generators
+
+    assert cli.PRESET_NAMES == generators.PRESET_NAMES
+    assert cli.PRESET_NAMES == tuple(sorted(generators._preset_table(0, None)))
+
+
+# modules that build and stats (without a run config) never run
+_UNUSED_BY_TREE_COMMANDS = {"spantree.analysis", "spantree.generators", "spantree.compare",
+                            "spantree.svg"}
+
+
+def test_build_loads_only_its_modules(tmp_path):
+    events = tmp_path / "events.csv"
+    write_events(PointSet(np.random.default_rng(8).random((40, 2))), events)
+    loaded = _loaded_by("build", events, "-o", tmp_path / "tree.csv")
+    assert "spantree.mst" in loaded and not loaded & _UNUSED_BY_TREE_COMMANDS
 
 
 def test_cli_import_loads_no_process_pool():
@@ -151,7 +193,9 @@ def _assert_loads_only_kd_tree(loaded: set[str]) -> None:
 def test_stats_loads_no_scipy_optimize(tmp_path):
     events = tmp_path / "events.csv"
     write_events(PointSet(np.random.default_rng(5).random((40, 2))), events)
-    _assert_loads_only_kd_tree(_scipy_loaded_by("stats", events, "-o", tmp_path / "out"))
+    loaded = _loaded_by("stats", events, "-o", tmp_path / "out")
+    assert "spantree.pipeline" in loaded and not loaded & _UNUSED_BY_TREE_COMMANDS
+    _assert_loads_only_kd_tree(_scipy_part(loaded))
 
 
 def test_compare_loads_only_the_kd_tree(tmp_path):
@@ -159,7 +203,10 @@ def test_compare_loads_only_the_kd_tree(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_events(PointSet(rng.random((40, 2))), a)
     write_events(PointSet(rng.random((30, 2))), b)
-    _assert_loads_only_kd_tree(_scipy_loaded_by("compare", a, b, "--both", "-o", tmp_path / "cmp"))
+    loaded = _loaded_by("compare", a, b, "--both", "-o", tmp_path / "cmp")
+    assert "spantree.compare" in loaded
+    assert not loaded & {"spantree.analysis", "spantree.generators", "spantree.svg"}
+    _assert_loads_only_kd_tree(_scipy_part(loaded))
 
 
 def _small_fit_config(path: Path) -> Path:

@@ -724,6 +724,21 @@ class TestCliBuildStats:
         assert err == ["error: edge weights overflow: weight(u) * weight(v) is not finite"]
         assert not out.exists()
 
+    def test_overflowing_weighted_mean_exit_3(self, tmp_path, capsys):
+        # edge weights near 1e308 are finite, but their sum is not
+        events = tmp_path / "disc.csv"
+        run_cli("gen", "--preset", "disc", "-n", 300, "-o", events)
+        config = tmp_path / "run.json"
+        heavy = {"region_weights": {"box": {"x": [-100, 100]}, "inside_weight": 1e154}}
+        config.write_text(json.dumps(heavy))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("stats", events, "--config", config, "-o", out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the weighted mean edge length overflows: the weights are too large"]
+        assert not out.exists()
+
     def test_failed_stats_writes_nothing(self, tmp_path):
         # a good run's outputs stay as they were: the coincident run fails
         # on its second statistic, after the tree and a first histogram
@@ -740,12 +755,13 @@ class TestCliBuildStats:
 
     def test_all_pairs_memory_refusal_exit_code(self, tmp_path, monkeypatch):
         # a package error while building: exit 3 and no tree file
-        from spantree import SpanTreeError, cli
+        from spantree import SpanTreeError, mst
 
         def refuse(ps):
             raise SpanTreeError("cannot build this tree")
 
-        monkeypatch.setattr(cli, "build_mst_kruskal", refuse)
+        # build imports the builder from its module when it runs
+        monkeypatch.setattr(mst, "build_mst_kruskal", refuse)
         events = tmp_path / "e.csv"
         rng = np.random.default_rng(59)
         write_events(PointSet(rng.random((40, 4))), events)
@@ -1152,12 +1168,13 @@ class TestCliFit:
     def test_dead_calibration_worker_exit_3(self, small_fit_config, tmp_path, monkeypatch, capsys):
         from concurrent.futures.process import BrokenProcessPool
 
-        from spantree import pipeline
+        from spantree import analysis
 
         def die(*args, **kwargs):
             raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
-        monkeypatch.setattr(pipeline, "calibrate_mu_vs_alpha", die)
+        # run_fit imports the calibration from its module when it runs
+        monkeypatch.setattr(analysis, "calibrate_mu_vs_alpha", die)
         out = tmp_path / "out"
         assert run_cli("fit", small_fit_config, "-o", out) == 3
         err = capsys.readouterr().err.splitlines()
@@ -1480,8 +1497,9 @@ class TestInputsRejectedBeforeAnyDraw:
         def draw(*args, **kwargs):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr("spantree.pipeline.generate", draw)
-        monkeypatch.setattr("spantree.pipeline.gen_two_component", draw)
+        # resolve_input imports both from their module when it runs
+        monkeypatch.setattr("spantree.generators.generate", draw)
+        monkeypatch.setattr("spantree.generators.gen_two_component", draw)
 
     @pytest.mark.parametrize("case", sorted(INPUT_CONFIG_ERRORS))
     def test_fit_input(self, case, tmp_path, capsys):

@@ -269,6 +269,40 @@ class TestHistogram:
             histogram([0.5], [1.0, 2.0], 0.0, 1.0, 2)
 
 
+class TestWeightOverflow:
+    """A weighted sum, mean or product beyond the float range is refused, not inf or nan."""
+
+    def test_mean_edge_length(self):
+        # two edges of weight 1e308: their sum overflows
+        ps = PointSet([0.0, 1.0, 3.0], weights=[1e154, 1e154, 1e154])
+        with pytest.raises(DegenerateStatistic, match="mean edge length overflows"):
+            normalized_lengths(build_mst_kruskal(ps))
+
+    def test_mean_log_norm_length(self):
+        # the weights sum within range, but ln(0.002) times 0.8e308 does not
+        ps = PointSet([0.0, 1e-3, 1.001])
+        tree = Tree(ps, [0, 1], [1, 2], [1e-3, 1.0], [0.8e308, 0.8e308])
+        assert np.isfinite(normalized_lengths(tree)[0]).all()
+        with pytest.raises(DegenerateStatistic, match="log normalized length overflows"):
+            mean_log_norm_length(tree)
+
+    def test_coincident_points_still_give_minus_infinity(self):
+        ps = PointSet([0.0, 0.0, 1.0])
+        assert mean_log_norm_length(build_mst_kruskal(ps)) == -np.inf
+
+    def test_branch_weight(self):
+        ps = PointSet([0.0, 1.0, 2.0])
+        tree = Tree(ps, [0, 1], [1, 2], [1.0, 1.0], [1e200, 1e200])
+        with pytest.raises(DegenerateStatistic, match="branch weight"):
+            extract_branches(tree)
+
+    @pytest.mark.parametrize("values", [[0.5, 0.6], [0.5, 1.5], [-1.0, -2.0]],
+                             ids=["one-bin", "folded-overflow", "underflow"])
+    def test_histogram(self, values):
+        with pytest.raises(DegenerateStatistic, match="weight sum overflows"):
+            histogram(values, [1e308, 1e308], 0.0, 1.0, 1)
+
+
 class TestNormalization:
     def test_normalize_to_matches_reference(self):
         h = histogram([0.5], [50.0], 0.0, 1.0, 1)
