@@ -18,16 +18,16 @@ __version__ = "0.1.0"
 # each public name and the submodule that defines it
 _SOURCES = {
     "analysis": ("BinnedModel", "CalibrationResult", "FitResult", "GridBinning", "MstConstraint",
-                 "RegionWeight", "apply_region_weights", "calibrate_mu_vs_alpha", "fit_alpha",
-                 "observed_mu"),
+                 "calibrate_mu_vs_alpha", "fit_alpha", "observed_mu"),
     "compare": ("ComparisonResult", "connection_lengths", "connection_ratios"),
     "errors": ("ConfigError", "DegenerateStatistic", "DimensionMismatch", "EventFileError",
                "FitError", "SpanTreeError"),
     "generators": ("GeneratorSpec", "gen_disc", "gen_disc3d", "gen_grid", "gen_quadratic_grid",
                    "gen_strip", "gen_two_component", "generate", "preset_spec", "sample_1d"),
-    "geometry": ("PointSet", "rescale_features"),
+    "geometry": ("PointSet", "RegionWeight", "apply_region_weights", "rescale_features"),
+    "io": ("load_sample",),
     "mst": ("Tree", "build_mst_kruskal", "tree_total_length"),
-    "pipeline": ("load_sample", "run_compare", "run_fit", "run_stats"),
+    "pipeline": ("run_compare", "run_fit", "run_stats"),
     "stats": ("Histogram", "TreeStatsSummary", "degrees", "edge_lengths", "extract_branches",
               "histogram", "log_normalized_lengths", "mean_edge_length", "mean_log_norm_length",
               "normalized_lengths", "summarize"),

@@ -1,9 +1,4 @@
-"""Event-sample analysis: region weighting, calibration, and the signal-fraction fit.
-
-Region weighting multiplies per-event weights by an inside/outside factor
-for an axis-aligned box; the structure of any tree built afterwards is
-unchanged, only the weights entering histograms and means are affected
-(edge weights are the product of their endpoint weights).
+"""Event-sample analysis: calibration and the signal-fraction fit.
 
 The signal-fraction fit is a binned likelihood over a 2-d feature plane:
 
@@ -29,61 +24,17 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateStatistic, FitError
-from .geometry import PointSet, feature_index
+from .geometry import PointSet
 from .mst import _kd_tree_class, build_mst_kruskal
 from .stats import mean_log_norm_length
 
 _FLAT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RegionWeight:
-    """Axis-aligned box with inside/outside weight factors.
-
-    ``box`` maps a feature (index or name) to (lo, hi) bounds; either bound
-    may be None for an open end. A point is inside when every constrained
-    coordinate lies strictly between its bounds, matching the usual
-    strict-inequality convention for suppression rectangles.
-    """
-
-    box: Mapping[int | str, tuple[float | None, float | None]]
-    inside_weight: float
-    outside_weight: float
-
-    def __post_init__(self) -> None:
-        if not all(0 <= w < np.inf for w in (self.inside_weight, self.outside_weight)):
-            raise ValueError(
-                f"region weights must be finite and non-negative, got inside "
-                f"{self.inside_weight!r} and outside {self.outside_weight!r}"
-            )
-        object.__setattr__(self, "box", dict(self.box))
-
-    def factors(self, coords: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
-        """Each row's factor: ``inside_weight`` inside the box, else ``outside_weight``;
-        ``names`` are the feature names of the columns of ``coords``."""
-        inside = np.ones(len(coords), dtype=bool)
-        for feature, (lo, hi) in self.box.items():
-            col = coords[:, feature_index(names, coords.shape[1], feature)]
-            if lo is not None:
-                inside &= col > lo
-            if hi is not None:
-                inside &= col < hi
-        return np.where(inside, self.inside_weight, self.outside_weight)
-
-
-def apply_region_weights(ps: PointSet, rw: RegionWeight) -> PointSet:
-    """Multiply each point's weight by the inside or outside factor.
-
-    Coordinates are untouched, so trees built from the result have exactly
-    the same edge set as before; only weights differ.
-    """
-    return replace(ps, weights=ps.weights * rw.factors(ps.coords, ps.feature_names))
 
 
 @dataclass(frozen=True)

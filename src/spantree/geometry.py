@@ -1,4 +1,4 @@
-"""Point sets and feature rescaling.
+"""Point sets, feature rescaling and region weights.
 
 A :class:`PointSet` is the substrate for everything else in the package:
 each point is an event in an n-dimensional feature space, carrying a
@@ -6,6 +6,8 @@ non-negative weight (default 1) and an optional process label. Coordinates
 are double precision. Distances are plain Euclidean, so features with very
 different units or ranges should be rescaled before building trees; both
 standard rescalings are provided and the default is to leave data untouched.
+A :class:`RegionWeight` multiplies each point's weight by an axis-aligned
+box's inside or outside factor; coordinates, and so every tree, stay the same.
 
 Like every value type in the package, a point set is a frozen dataclass:
 its arrays are read-only copies, so it is safe to share across threads,
@@ -14,10 +16,12 @@ and ``dataclasses.replace`` makes a checked copy with some fields changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Any, Mapping, Sequence
 
 import numpy as np
+
+from .errors import ConfigError
 
 RESCALE_MODES = ("none", "unit-range", "unit-variance")
 
@@ -143,3 +147,69 @@ def rescale_features(ps: PointSet, mode: str = "none") -> PointSet:
     """
     coords = rescaled(ps.coords, mode)
     return ps if coords is ps.coords else replace(ps, coords=coords)
+
+
+@dataclass(frozen=True)
+class RegionWeight:
+    """Axis-aligned box with inside/outside weight factors.
+
+    ``box`` maps a feature (index or name) to (lo, hi) bounds; either bound
+    may be None for an open end. A point is inside when every constrained
+    coordinate lies strictly between its bounds, matching the usual
+    strict-inequality convention for suppression rectangles. ``apply_to``
+    names the run-config inputs the weights apply to; empty means every one.
+    """
+
+    box: Mapping[int | str, tuple[float | None, float | None]]
+    inside_weight: float
+    outside_weight: float
+    apply_to: Sequence[str] = ()
+
+    def __post_init__(self) -> None:
+        if not all(0 <= w < np.inf for w in (self.inside_weight, self.outside_weight)):
+            raise ValueError(
+                f"region weights must be finite and non-negative, got inside "
+                f"{self.inside_weight!r} and outside {self.outside_weight!r}"
+            )
+        object.__setattr__(self, "box", dict(self.box))
+        object.__setattr__(self, "apply_to", tuple(self.apply_to))
+
+    @classmethod
+    def from_dict(cls, section: Any) -> "RegionWeight":
+        """A run config's ``region_weights`` section; a feature spelt in digits is an index."""
+        keys = tuple(f.name for f in fields(cls))
+        try:
+            unknown = sorted(set(section) - set(keys))
+            if unknown or "box" not in section:
+                raise ConfigError(
+                    f"region_weights takes a box and optionally {keys[1:]}, got {sorted(section)}"
+                )
+            box = {}
+            for feature, (lo, hi) in section["box"].items():
+                key: int | str = int(feature) if str(feature).lstrip("-").isdigit() else feature
+                box[key] = tuple(None if b is None else float(b) for b in (lo, hi))
+            inside, outside = section.get("inside_weight", 0.0), section.get("outside_weight", 1.0)
+            return cls(box, float(inside), float(outside), section.get("apply_to", ()))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"region_weights: {exc}") from exc
+
+    def factors(self, coords: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
+        """Each row's factor: ``inside_weight`` inside the box, else ``outside_weight``;
+        ``names`` are the feature names of the columns of ``coords``."""
+        inside = np.ones(len(coords), dtype=bool)
+        for feature, (lo, hi) in self.box.items():
+            col = coords[:, feature_index(names, coords.shape[1], feature)]
+            if lo is not None:
+                inside &= col > lo
+            if hi is not None:
+                inside &= col < hi
+        return np.where(inside, self.inside_weight, self.outside_weight)
+
+
+def apply_region_weights(ps: PointSet, rw: RegionWeight) -> PointSet:
+    """Multiply each point's weight by the inside or outside factor.
+
+    Coordinates are untouched, so trees built from the result have exactly
+    the same edge set as before; only weights differ. ``rw.apply_to`` is ignored.
+    """
+    return replace(ps, weights=ps.weights * rw.factors(ps.coords, ps.feature_names))

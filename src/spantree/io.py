@@ -35,11 +35,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DimensionMismatch, EventFileError
-from .geometry import PointSet, rescaled
+from .geometry import PointSet, RegionWeight, rescaled
 from .stats import STATISTICS, Histogram
 
 if TYPE_CHECKING:
-    from .analysis import RegionWeight
     from .generators import GeneratorSpec
     from .mst import Tree
 
@@ -539,7 +538,6 @@ ALL_STATISTICS = tuple(STATISTICS)
 # histograms a run config can set the range of: stats writes the first four,
 # compare the last two
 HISTOGRAM_NAMES = ALL_STATISTICS + ("connection_length", "connection_ratio")
-_REGION_KEYS = ("box", "inside_weight", "outside_weight", "apply_to")
 # one row per bin: a million bins already make a 28 MB file and a 0.44 GB peak
 MAX_NBINS = 10**6
 # the run-config keys each command reads; each also accepts the echoed "config" hash
@@ -573,27 +571,6 @@ def histogram_range(name: str, spec: Any) -> tuple[float, float, int, bool]:
     if not isinstance(overflow, bool):
         raise ConfigError(f"histogram_specs[{name!r}]: overflow is true or false, got {overflow!r}")
     return lo, hi, nbins, overflow
-
-
-def _region_weight(section: Any) -> tuple[RegionWeight, tuple[str, ...]]:
-    """A ``region_weights`` section as a box and the inputs it applies to."""
-    from .analysis import RegionWeight
-
-    try:
-        unknown = sorted(set(section) - set(_REGION_KEYS))
-        if unknown or "box" not in section:
-            raise ConfigError(
-                f"region_weights takes a box and optionally {_REGION_KEYS[1:]}, "
-                f"got {sorted(section)}"
-            )
-        box = {}
-        for feature, (lo, hi) in section["box"].items():
-            key: int | str = int(feature) if str(feature).lstrip("-").isdigit() else feature
-            box[key] = tuple(None if b is None else float(b) for b in (lo, hi))
-        inside, outside = section.get("inside_weight", 0.0), section.get("outside_weight", 1.0)
-        return RegionWeight(box, float(inside), float(outside)), tuple(section.get("apply_to", ()))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"region_weights: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -633,9 +610,9 @@ class RunConfig:
                     raise ConfigError(f"fit references undeclared input {role!r}")
         bins = {name: histogram_range(name, spec) for name, spec in self.histogram_specs.items()}
         object.__setattr__(self, "_bins", bins)
-        region = (None, ()) if self.region_weights is None else _region_weight(self.region_weights)
-        object.__setattr__(self, "_region", region)
-        undeclared = sorted(set(region[1]) - set(self.inputs))
+        rw = None if self.region_weights is None else RegionWeight.from_dict(self.region_weights)
+        object.__setattr__(self, "_region", rw)
+        undeclared = sorted(set(rw.apply_to if rw else ()) - set(self.inputs))
         if undeclared:
             raise ConfigError(f"region_weights: apply_to names undeclared inputs {undeclared}")
 
@@ -643,8 +620,8 @@ class RunConfig:
         """``weights`` times the region weight factors of ``coords`` (features ``names``)
         if they apply to input ``name``: an empty ``apply_to`` applies them to every
         input, and they always apply to an event file the config does not name (None)."""
-        rw, apply_to = self._region
-        if rw is None or (apply_to and name is not None and name not in apply_to):
+        rw = self._region
+        if rw is None or (rw.apply_to and name is not None and name not in rw.apply_to):
             return weights
         try:
             return weights * rw.factors(coords, names)

@@ -249,6 +249,8 @@ def histogram(
     w = np.asarray(weights, dtype=np.float64)
     if vals.ndim != 1 or vals.shape != w.shape:
         raise ValueError("values and weights must be 1-d arrays of equal length")
+    if np.isnan(vals).any():  # a NaN is neither < lo nor >= hi, and would land in bin 0
+        raise ValueError("histogram values must not be NaN")
 
     under = vals < lo
     over = vals >= hi

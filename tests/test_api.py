@@ -77,6 +77,26 @@ def test_star_import_gives_exactly_the_public_api():
     assert sorted(namespace) == sorted(PUBLIC_API)
 
 
+def test_each_name_is_listed_under_the_module_defining_it():
+    # a name listed under another module would load that module too
+    listed = {name: f"spantree.{spantree._MODULE_OF[name]}" for name in PUBLIC_API[1:]}
+    assert {name: getattr(spantree, name).__module__ for name in listed} == listed
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, importing this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+
+
+def test_load_sample_loads_no_tree_builder():
+    loaded = set(_python("-c", "import sys, spantree; spantree.load_sample; "
+                               "print(' '.join(sys.modules))").stdout.split())
+    assert "spantree.io" in loaded and not loaded & {"spantree.pipeline", "spantree.mst"}
+
+
 # Runs the CLI in a fresh interpreter, then prints its exit code and every
 # module it loaded.
 _PROBE = """
@@ -92,15 +112,7 @@ print(" ".join(sys.modules))
 
 
 def _loaded_by(*argv, code: int = 0) -> set[str]:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *map(str, argv)],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    proc = _python("-c", _PROBE, *map(str, argv))
     exit_code, modules = proc.stdout.splitlines()[-2:]
     assert exit_code == str(code), proc.stderr
     return set(modules.split())
@@ -168,12 +180,8 @@ def test_build_loads_only_its_modules(tmp_path):
 
 def test_cli_import_loads_no_process_pool():
     # the CLI maps a dead calibration worker to exit 3 without importing the pool
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = "import sys, spantree.cli; print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert _python("-c", probe).stdout.strip() == "False"
 
 
 def _assert_loads_only_kd_tree(loaded: set[str]) -> None:
@@ -207,6 +215,21 @@ def test_compare_loads_only_the_kd_tree(tmp_path):
     assert "spantree.compare" in loaded
     assert not loaded & {"spantree.analysis", "spantree.generators", "spantree.svg"}
     _assert_loads_only_kd_tree(_scipy_part(loaded))
+
+
+def test_region_weighted_stats_and_compare_load_no_analysis(tmp_path):
+    # the box is parsed and applied by spantree.geometry; only fit loads the fit module
+    rng = np.random.default_rng(7)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_events(PointSet(rng.random((40, 2)), feature_names=("x", "y")), a)
+    write_events(PointSet(rng.random((30, 2)), feature_names=("x", "y")), b)
+    config = tmp_path / "box.json"
+    config.write_text(json.dumps({"region_weights": {"box": {"x": [0.2, 0.6]},
+                                                     "inside_weight": 0.25}}))
+    for argv in (("stats", a), ("compare", a, b, "--both")):
+        loaded = _loaded_by(*argv, "--config", config, "-o", tmp_path / argv[0])
+        assert "spantree.geometry" in loaded and "spantree.analysis" not in loaded
+        assert (tmp_path / argv[0]).is_dir()
 
 
 def _small_fit_config(path: Path) -> Path:

@@ -268,6 +268,12 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([0.5], [1.0, 2.0], 0.0, 1.0, 2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_value_is_refused(self):
+        # a NaN is neither below lo nor at or above hi, so it would land in bin 0
+        with pytest.raises(ValueError, match="NaN"):
+            histogram([np.nan, 0.7], [1.0, 1.0], 0.0, 1.0, 2)
+
 
 class TestWeightOverflow:
     """A weighted sum, mean or product beyond the float range is refused, not inf or nan."""
