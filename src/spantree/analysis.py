@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -225,24 +228,9 @@ def _trial_mu(inputs: tuple, j: int) -> float:
     )
 
 
-# the calibration inputs, set by the pool initializer in each worker process
-_worker_inputs: tuple = ()
-
-
-def _init_worker(*inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _worker_trial_mu(j: int) -> float:
-    return _trial_mu(_worker_inputs, j)
-
-
 def _trial_workers(n_trials: int) -> int:
-    """Worker processes for ``n_trials`` calibration trees.
-
-    One per usable CPU, and at most one per trial.
-    """
+    """Processes, this one included, for ``n_trials`` calibration trees:
+    one per usable CPU, and at most one per trial."""
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -250,39 +238,80 @@ def _trial_workers(n_trials: int) -> int:
     return min(workers, n_trials)
 
 
+def _run_trials(queue: int, block: int, inputs: tuple, n_trials: int) -> dict:
+    """{trial: statistic or the exception it raised} for the trials this process
+    claims: record k read from the pipe ``queue`` names trials k * block on. A
+    failed trial (an exception or a non-finite statistic) empties the queue, so the
+    others stop after their current trial; every earlier trial is claimed already."""
+    results = {}
+    while record := os.read(queue, 4):
+        start = int.from_bytes(record, "little") * block
+        for j in range(start, min(start + block, n_trials)):
+            try:
+                results[j] = value = _trial_mu(inputs, j)
+            except Exception as exc:
+                results[j] = value = exc
+            if isinstance(value, Exception) or not math.isfinite(value):
+                while os.read(queue, 4096):
+                    pass
+                return results
+    return results
+
+
 def _trial_values(inputs: tuple, n_trials: int) -> Iterator[float]:
-    """The statistic of every calibration trial, in trial order.
+    """The statistic of every calibration trial, in trial order; a trial's
+    exception is raised at its position.
 
-    The trials run in forked worker processes when more than one worker is
-    allowed, fork is available, this process is not a daemon and no other
-    thread runs; otherwise in this process, one after another.
+    This process and ``_trial_workers(n_trials) - 1`` forked children (none
+    without fork, or while another thread runs) take trials from one queue.
+    A child sends its results pickled on its own pipe, and exits 0 only once
+    they are written; one that ends without them raises ``BrokenProcessPool``.
     """
-    import multiprocessing
-    import threading
+    # a fork while another thread runs can copy a lock that thread holds
+    lone = hasattr(os, "fork") and threading.active_count() == 1
+    _kd_tree_class()  # loaded before the first fork, so no child loads it again
+    # at most 1,024 4-byte records: one write of 4,096 bytes to an empty pipe never blocks
+    block = -(-n_trials // 1024)
+    queue, fill = os.pipe()
+    os.write(fill, np.arange(-(-n_trials // block), dtype="<u4").tobytes())
+    os.close(fill)
+    fds, children = [queue], []  # descriptors to close; children not yet reaped
+    try:
+        for _ in range(_trial_workers(n_trials) - 1 if lone else 0):
+            fd, out = os.pipe()
+            fds += (fd, out)
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(out, "wb") as fh:
+                        pickle.dump(_run_trials(queue, block, inputs, n_trials), fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append(pid)
+            os.close(fds.pop())
+        results = _run_trials(queue, block, inputs, n_trials)
+        for fd in fds[1:]:
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            pid, status = os.waitpid(children[0], 0)
+            children.pop(0)
+            if status:
+                from concurrent.futures.process import BrokenProcessPool
 
-    workers = _trial_workers(n_trials)
-    if (
-        workers > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-        # a fork while another thread runs can copy a lock that thread holds
-        and threading.active_count() == 1
-    ):
-        from concurrent.futures import ProcessPoolExecutor
-
-        # loaded once here, so the forked workers do not each load it again
-        _kd_tree_class()
-
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            workers, mp_context=ctx, initializer=_init_worker, initargs=inputs
-        ) as pool:
-            # map yields in trial order and raises a worker's error at its
-            # trial; a worker that dies raises BrokenProcessPool
-            yield from pool.map(_worker_trial_mu, range(n_trials))
-    else:
-        for j in range(n_trials):
-            yield _trial_mu(inputs, j)
+                code = os.waitstatus_to_exitcode(status)
+                raise BrokenProcessPool(f"child {pid} sent no results (exit code {code})")
+            results.update(pickle.loads(data))
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+    for j in range(n_trials):
+        if isinstance(results[j], Exception):
+            raise results[j]
+        yield results[j]
 
 
 def check_calibration(alphas: Sequence[float], trials: int, count: int | None) -> np.ndarray:
@@ -321,13 +350,13 @@ def calibrate_mu_vs_alpha(
     two distinct fractions, two trials, and components at least ``count``
     events each. ``count`` defaults to the smaller component size.
 
-    The trials run in forked worker processes, one per usable CPU, capped
-    by the trial count; every tree build takes O(count) memory. They run in
-    this process instead when that leaves one worker, fork is unavailable,
-    this process is a daemon, or other threads are running. Each trial
+    The trials run in this process and its forked children, one process
+    per usable CPU, capped by the trial count; every tree build takes
+    O(count) memory. They run in this process alone when that leaves one
+    process, fork is unavailable, or other threads are running. Each trial
     draws from its own spawned seed, so the result is bit for bit the same
     for any number of CPUs. The first trial in (fraction, trial) order that
-    fails decides the error; a worker process that dies raises
+    fails decides the error; a child that dies raises
     ``concurrent.futures.process.BrokenProcessPool``.
     """
     alphas = check_calibration(alphas, trials, count)
@@ -343,18 +372,14 @@ def calibrate_mu_vs_alpha(
     seqs = np.random.SeedSequence(seed).spawn(n_trials)
     values = _trial_values((background, signal, count, alphas, trials, seqs), n_trials)
     mu = np.empty(n_trials)
-    try:
-        for j, value in enumerate(values):
-            if not math.isfinite(value):
-                raise DegenerateStatistic(
-                    f"mixture at fraction {alphas[j // trials]:g} produced a "
-                    "non-finite statistic; coincident points (components "
-                    "sharing events?) make the log normalized length undefined"
-                )
-            mu[j] = value
-    finally:
-        # cancels the trials not yet started when one fails
-        values.close()
+    for j, value in enumerate(values):
+        if not math.isfinite(value):
+            raise DegenerateStatistic(
+                f"mixture at fraction {alphas[j // trials]:g} produced a "
+                "non-finite statistic; coincident points (components "
+                "sharing events?) make the log normalized length undefined"
+            )
+        mu[j] = value
     mu = mu.reshape(alphas.size, trials)
 
     x = np.repeat(alphas, trials)

@@ -8,7 +8,7 @@ fit driven by a run config), and ``plot`` (SVG renderings).
 Every output embeds a hash of the effective configuration, and reruns
 with identical configuration produce byte-identical outputs. Exit codes:
 0 success, 2 parse/config error, 3 numeric/domain error or lack of memory
-(a dead calibration worker included), 4 I/O error. Outputs go to ``-o``,
+(a dead calibration child included), 4 I/O error. Outputs go to ``-o``,
 else a run config's ``output_dir``, else ``SPANTREE_OUTPUT_DIR`` when set,
 else the current directory; the last three are directories, created when
 missing, while ``-o`` of a single-file command names the file unless it
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail(str(exc), 4)
     except RuntimeError as exc:
-        # a calibration worker that died; the pool's module loads only with the pool
+        # a calibration child that died; the error's module loads only then
         pool = sys.modules.get("concurrent.futures.process")
         if pool is None or not isinstance(exc, pool.BrokenProcessPool):
             raise

@@ -149,7 +149,7 @@ def rescale_features(ps: PointSet, mode: str = "none") -> PointSet:
     return ps if coords is ps.coords else replace(ps, coords=coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionWeight:
     """Axis-aligned box with inside/outside weight factors.
 
@@ -158,6 +158,7 @@ class RegionWeight:
     coordinate lies strictly between its bounds, matching the usual
     strict-inequality convention for suppression rectangles. ``apply_to``
     names the run-config inputs the weights apply to; empty means every one.
+    Equality is identity, so the hash need not hash the ``box`` dict.
     """
 
     box: Mapping[int | str, tuple[float | None, float | None]]
@@ -171,6 +172,8 @@ class RegionWeight:
                 f"region weights must be finite and non-negative, got inside "
                 f"{self.inside_weight!r} and outside {self.outside_weight!r}"
             )
+        if isinstance(self.apply_to, str):
+            raise ValueError(f"apply_to must be a list of input names, got {self.apply_to!r}")
         object.__setattr__(self, "box", dict(self.box))
         object.__setattr__(self, "apply_to", tuple(self.apply_to))
 

@@ -1,9 +1,10 @@
+import contextlib
 import math
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from bruteforce import calibration_mu_serial, edge_set, fit_alpha_scipy
 from spantree import (
     BinnedModel,
+    ConfigError,
     DegenerateStatistic,
     FitError,
     GeneratorSpec,
@@ -100,6 +102,17 @@ class TestRegionWeights:
                 RegionWeight(box={}, inside_weight=bad, outside_weight=1.0)
             with pytest.raises(ValueError, match="finite and non-negative"):
                 RegionWeight(box={}, inside_weight=0.0, outside_weight=bad)
+
+    def test_string_apply_to_refused(self):
+        # a string was once split into one input name per character
+        with pytest.raises(ValueError, match="apply_to must be a list of input names, got 'obs'"):
+            RegionWeight({"x": (0, 1)}, 0.0, 1.0, apply_to="obs")
+        with pytest.raises(ConfigError, match="region_weights: apply_to must be a list"):
+            RegionWeight.from_dict({"box": {"x": [0, 1]}, "apply_to": "observed"})
+
+    def test_hashable(self):
+        rw = RegionWeight({"x": (0, 1)}, 0.0, 1.0)
+        assert {rw: "box"}[rw] == "box"
 
 
 class TestGridBinning:
@@ -241,9 +254,12 @@ class TestCalibration:
         np.testing.assert_array_equal(a.mu_samples, b.mu_samples)
 
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _components(d: int, m: int, seed: int) -> tuple[PointSet, PointSet]:
@@ -274,12 +290,51 @@ class TestCalibrationPool:
             assert getattr(pooled, field) == getattr(serial, field)
 
     def test_trials_run_in_worker_processes(self, monkeypatch, two_workers):
-        monkeypatch.setattr(analysis, "observed_mu", lambda ps: float(os.getpid()))
+        def observed(ps):
+            # slow enough that the forked child takes trials too
+            time.sleep(0.02)
+            return float(os.getpid())
+
+        monkeypatch.setattr(analysis, "observed_mu", observed)
         bg, sig = _components(2, 200, seed=5)
         cal = calibrate_mu_vs_alpha(bg, sig, [0.2, 0.8], trials=4, seed=3, count=100)
         pids = set(cal.mu_samples.ravel().tolist())
-        assert os.getpid() not in pids
-        assert 1 <= len(pids) <= 2
+        assert os.getpid() in pids and len(pids) <= 2
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_trial_blocks_above_the_record_limit(self, monkeypatch, workers):
+        # 3,074 trials make 769 records of 4 trials, the last one of 2
+        monkeypatch.setattr(analysis, "_trial_workers", lambda n_trials: workers)
+        monkeypatch.setattr(analysis, "_trial_mu", lambda inputs, j: float(j))
+        bg, sig = _components(2, 200, seed=5)
+        cal = calibrate_mu_vs_alpha(bg, sig, [0.2, 0.8], trials=1537, seed=3, count=100)
+        np.testing.assert_array_equal(cal.mu_samples.ravel(), np.arange(3074.0))
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "case, error, match",
+        [("returns", None, None), ("degenerate", DegenerateStatistic, "fraction 0.2 "),
+         ("child-raises", ValueError, "child trial"), ("interrupted", KeyboardInterrupt, None)],
+        ids=["returns", "degenerate", "child-raises", "interrupted"],
+    )
+    def test_no_child_outlives_the_calibration(self, monkeypatch, two_workers, case, error, match):
+        parent = os.getpid()
+
+        def trial_mu(inputs, j):
+            in_child = os.getpid() != parent
+            if case == "child-raises" and in_child:
+                raise ValueError("child trial")
+            if case == "interrupted" and not in_child:
+                raise KeyboardInterrupt
+            # slow enough in the parent that the child takes a trial
+            time.sleep(0 if in_child else 0.05)
+            return math.nan if case == "degenerate" and j == 1 else float(j % 2)
+
+        monkeypatch.setattr(analysis, "_trial_mu", trial_mu)
+        bg, sig = _components(2, 200, seed=5)
+        with pytest.raises(error, match=match) if error else contextlib.nullcontext():
+            calibrate_mu_vs_alpha(bg, sig, [0.2, 0.8], trials=4, seed=3, count=100)
+        _assert_no_child_left()
 
     def test_serial_while_another_thread_runs(self, monkeypatch, two_workers):
         import threading
@@ -340,16 +395,20 @@ class TestCalibrationPool:
 
 _DEAD_WORKER = """
 import os
+import time
 
 import numpy as np
 from spantree import PointSet, analysis
 
 real_trial_mu = analysis._trial_mu
+parent = os.getpid()
 
 
 def trial_mu(inputs, j):
-    if j == 2:
+    if os.getpid() != parent:
         os._exit(1)
+    # slow enough that the child takes a trial
+    time.sleep(0.05)
     return real_trial_mu(inputs, j)
 
 
@@ -361,6 +420,12 @@ try:
     analysis.calibrate_mu_vs_alpha(bg, sig, [0.2, 0.8], trials=3, seed=3, count=100)
 except Exception as exc:
     print(type(exc).__name__)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    raise SystemExit("a child outlived the calibration")
 """
 
 

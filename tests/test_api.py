@@ -276,6 +276,14 @@ def test_fit_loads_no_scipy_optimize(tmp_path):
     _assert_loads_only_kd_tree(loaded)
 
 
+def test_fit_loads_no_process_pool(tmp_path):
+    # the calibration forks its own children; only a child that dies loads
+    # concurrent.futures, for BrokenProcessPool
+    config = _small_fit_config(tmp_path / "fit.json")
+    loaded = _loaded_by("fit", config, "--mode", "both", "-o", tmp_path / "both")
+    assert not {m for m in loaded if m.partition(".")[0] in ("multiprocessing", "concurrent")}
+
+
 def test_baseline_fit_loads_no_scipy(tmp_path):
     config = _small_fit_config(tmp_path / "fit.json")
     assert _scipy_loaded_by("fit", config, "--mode", "baseline", "-o", tmp_path / "base") == set()

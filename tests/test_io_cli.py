@@ -1334,6 +1334,16 @@ class TestCliConfigErrors:
         code = run_cli("fit", path, "-o", out)
         _assert_config_error(code, capsys, out, "region_weights: .*finite")
 
+    def test_fit_refuses_string_apply_to(self, tmp_path, capsys):
+        # a string was once split into one input name per character
+        cfg = json.loads(DEMO_CONFIG.read_text())
+        cfg["region_weights"] = {"box": {"x": [-100, 100]}, "apply_to": "observed"}
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        _assert_config_error(run_cli("fit", path, "-o", out), capsys, out,
+                             "region_weights: apply_to must be a list of input names, got 'observed'")
+
     # a key the command never reads; each once ran without it taking effect
     @pytest.mark.parametrize(
         "command, extra, match",
