@@ -32,7 +32,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateStatistic, FitError
+from .errors import CalibrationWorkerError, DegenerateStatistic, FitError
 from .geometry import PointSet
 from .mst import _kd_tree_class, build_mst_kruskal
 from .stats import mean_log_norm_length
@@ -265,7 +265,7 @@ def _trial_values(inputs: tuple, n_trials: int) -> Iterator[float]:
     This process and ``_trial_workers(n_trials) - 1`` forked children (none
     without fork, or while another thread runs) take trials from one queue.
     A child sends its results pickled on its own pipe, and exits 0 only once
-    they are written; one that ends without them raises ``BrokenProcessPool``.
+    they are written; one that ends without them raises ``CalibrationWorkerError``.
     """
     # a fork while another thread runs can copy a lock that thread holds
     lone = hasattr(os, "fork") and threading.active_count() == 1
@@ -297,10 +297,9 @@ def _trial_values(inputs: tuple, n_trials: int) -> Iterator[float]:
             pid, status = os.waitpid(children[0], 0)
             children.pop(0)
             if status:
-                from concurrent.futures.process import BrokenProcessPool
-
                 code = os.waitstatus_to_exitcode(status)
-                raise BrokenProcessPool(f"child {pid} sent no results (exit code {code})")
+                raise CalibrationWorkerError(f"a calibration worker process died: child {pid} "
+                                             f"sent no results (exit code {code})")
             results.update(pickle.loads(data))
     finally:
         for pid in children:
@@ -357,7 +356,7 @@ def calibrate_mu_vs_alpha(
     draws from its own spawned seed, so the result is bit for bit the same
     for any number of CPUs. The first trial in (fraction, trial) order that
     fails decides the error; a child that dies raises
-    ``concurrent.futures.process.BrokenProcessPool``.
+    :class:`~spantree.errors.CalibrationWorkerError`.
     """
     alphas = check_calibration(alphas, trials, count)
     if count is None:

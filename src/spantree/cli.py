@@ -365,12 +365,6 @@ def main(argv=None) -> int:
         return _fail(f"out of memory: {exc}" if str(exc) else "out of memory", 3)
     except OSError as exc:
         return _fail(str(exc), 4)
-    except RuntimeError as exc:
-        # a calibration child that died; the error's module loads only then
-        pool = sys.modules.get("concurrent.futures.process")
-        if pool is None or not isinstance(exc, pool.BrokenProcessPool):
-            raise
-        return _fail(f"a calibration worker process died: {exc}", 3)
 
 
 if __name__ == "__main__":

@@ -27,3 +27,7 @@ class EventFileError(SpanTreeError):
 
 class ConfigError(SpanTreeError):
     """A run configuration is malformed or inconsistent."""
+
+
+class CalibrationWorkerError(SpanTreeError, RuntimeError):
+    """A calibration worker process died before it sent its results."""

@@ -76,6 +76,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}; expected one of {KINDS}")
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.sigma >= 0:  # NaN too
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         if self.sigma and self.kind in KINDS_1D:

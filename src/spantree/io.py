@@ -444,6 +444,8 @@ class MixtureSpec:
         bg, sig = (GeneratorSpec(count=1, seed=0, **d[role]) for role in ("background", "signal"))
         seed = None if d.get("seed") is None else config_int("two_component seed", d["seed"])
         count = config_int("two_component count", d["count"])
+        if seed is not None and seed < 0:
+            raise ValueError(f"two_component seed must be non-negative, got {seed}")
         mix = cls(count, float(d["alpha_true"]), bg, sig, seed, d)
         check_mixture(mix.count, mix.alpha_true, mix.background, mix.signal)
         return mix
@@ -593,6 +595,8 @@ class RunConfig:
     histogram_specs: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.rescale != "none":
             raise ConfigError(
                 f"run configs support only rescale 'none', got {self.rescale!r}; "
@@ -689,7 +693,7 @@ class RunConfig:
             statistics = d.get("statistics", list(ALL_STATISTICS))
             if not isinstance(statistics, list):
                 raise ConfigError(f"statistics must be a list of names, got {statistics!r}")
-            return cls(
+            config = cls(
                 seed=config_int("seed", seed) if seed is not None else 0,
                 inputs=inputs,
                 output_dir=d.get("output_dir"),
@@ -701,6 +705,13 @@ class RunConfig:
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed run configuration: {exc}") from exc
+        # a spec for a histogram the command never writes would change only the hash
+        written = {"stats": config.statistics, "compare": HISTOGRAM_NAMES[-2:]}
+        unused = [n for n in config.histogram_specs if n not in written.get(command, HISTOGRAM_NAMES)]
+        if unused:
+            raise ConfigError(f"histogram_specs: {command} writes no {unused[0]!r} histogram; "
+                              f"it writes {list(written[command])}")
+        return config
 
     @classmethod
     def load(cls, path: str | Path, command: str | None = None) -> "RunConfig":

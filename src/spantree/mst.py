@@ -13,17 +13,18 @@ edge to that representative. Over the distinct points:
 * d = 1: consecutive points in sorted order;
 * d >= 2: the tree's own edges, found by Borůvka rounds over a kd-tree, in
   the spirit of dual-tree Borůvka (March, Ram & Gray 2010) and the
-  kNN-filtered EMST (Wang, Yu, Gu & Shun 2021).
+  kNN-filtered EMST (Wang, Yu, Gu & Shun 2021). In every round of both
+  phases below each component joins along its lightest offered edge, the
+  least in (length, u, v) order.
 
   At d = 2 a pass first finds the tree's edges shorter than a radius r, the
   median 7th-neighbour distance over a stride sample of the points. A grid
   of side r bounds the ordered pairs within r by 9 times the sum of the
   squared cell counts; if that allows at most 50 per point, one pair search
-  returns every pair within r, and Borůvka rounds over those shorter than
-  r (1 - 1e-9), in (length, u, v) order, join each component along its
-  lightest one. Every pair left out is at least that long. Dense clumps
-  and mixed scales fail the bound, as every d >= 3 input tried did (the
-  factor is 3^d), so d >= 3 runs no pass.
+  returns every pair within r, and the rounds offer those shorter than
+  r (1 - 1e-9) from both ends. Every pair left out is at least that long.
+  Dense clumps and mixed scales fail the bound, as every d >= 3 input
+  tried did (the factor is 3^d), so d >= 3 runs no pass.
 
   Then rounds over a table of each point's 16 nearest points join the
   rest. A largest component of more than one point never searches, since
@@ -153,7 +154,7 @@ def _hook(comp: np.ndarray, lowest: np.ndarray, roots: np.ndarray, other: np.nda
     """Component labels after each component in ``roots`` joins ``other``, and
     which of their lightest edges are new.
 
-    Labels are vertex ids, and ``lowest`` ranks each component's lightest
+    Labels are vertex ids, and ``lowest`` keys each component's lightest
     edge. Of a pair that picked the same edge the lower id stays a root and
     holds the new edge, every other component hooks onto the one it picked,
     and pointer jumping relabels each vertex with its new root.
@@ -174,19 +175,22 @@ def _keys(first: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray
     return np.minimum(u, v) * m + np.maximum(u, v)
 
 
-def _lightest(best: tuple, comp: np.ndarray, first: np.ndarray, m: int) -> tuple:
-    """Each component's lightest offer, as its key u * m + v (m * m if none) and
-    outside point, indexed by component: the lowest key among its shortest."""
+def _join(best: tuple, comp: np.ndarray, first: np.ndarray, m: int) -> tuple:
+    """Join each component along its lightest offer in ``best``, the lowest key
+    u * m + v among its shortest: the new labels and the new edges' keys."""
     bound, offers = best
-    a, b, length = (np.concatenate(col) for col in zip(*offers))
-    a, b = (col[length == bound[comp[a]]] for col in (a, b))
+    # only offers as short as their component's lightest can win
+    near = [np.flatnonzero(length == bound[comp[a]]) for a, _, length in offers]
+    a, b = (np.concatenate([offer[c][k] for offer, k in zip(offers, near)]) for c in (0, 1))
     key = _keys(first, a, b, m)
     lowest = np.full(comp.size, m * m)
     np.minimum.at(lowest, comp[a], key)
     won = key == lowest[comp[a]]
     reach = np.empty(comp.size, np.int64)
     reach[comp[a[won]]] = b[won]  # a component's winning offers are one edge
-    return lowest, reach
+    roots = np.flatnonzero(lowest < m * m)
+    comp, new = _hook(comp, lowest, roots, comp[reach[roots]])
+    return comp, lowest[roots[new]]
 
 
 _KD_MODULE = "scipy.spatial._ckdtree"
@@ -300,39 +304,27 @@ def _short_edges(tree, pts: np.ndarray, first: np.ndarray, m: int) -> tuple | No
     cells = ((pts - lo) / r).astype(np.int64) @ [1 << 31, 1]
     if 9 * (np.unique(cells, return_counts=True)[1] ** 2).sum() > 50 * n:
         return None
-    i, j = _ranked_pairs(tree, pts, first, r, m)
-    comp, keys = np.arange(n), [np.empty(0, np.int64)]
-    while True:
-        a, b = comp[i], comp[j]
-        out = a != b
-        if not out.any():
-            return comp, np.concatenate(keys)
-        if not out.all():
-            i, j, a, b = i[out], j[out], a[out], b[out]
-        # the pairs are in rank order: a component's lightest is its first
-        lowest = np.full(n, i.size)
-        np.minimum.at(lowest, a, np.arange(i.size))
-        np.minimum.at(lowest, b, np.arange(i.size))
-        roots = np.flatnonzero(lowest < i.size)
-        e = lowest[roots]
-        comp, new = _hook(comp, lowest, roots, a[e] + b[e] - roots)
-        keys.append(_keys(first, i[e[new]], j[e[new]], m))
-
-
-def _ranked_pairs(tree, pts: np.ndarray, first: np.ndarray, r: float, m: int) -> tuple:
-    """The pairs (i, j) of rows shorter than r (1 - 1e-9), in (length, u, v) order."""
     i, j = tree.query_pairs(r, output_type="ndarray").T
     length = _lengths(pts, i, j)
     kept = length < r * (1 - 1e-9)
     i, j, length = i[kept], j[kept], length[kept]
-    order = np.argsort(length)
-    if (length[order[1:]] == length[order[:-1]]).any():
-        order = np.lexsort((_keys(first, i, j, m), length))
-    return i[order], j[order]
+    comp, keys = np.arange(n), [np.empty(0, np.int64)]
+    while True:
+        a, b = comp[i], comp[j]
+        out = np.flatnonzero(a != b)
+        if not out.size:
+            return comp, np.concatenate(keys)
+        i, j, a, b, length = (col[out] for col in (i, j, a, b, length))
+        # each pair is offered from both ends
+        best = (np.full(n, np.inf), [(i, j, length), (j, i, length)])
+        np.minimum.at(best[0], a, length)
+        np.minimum.at(best[0], b, length)
+        comp, new = _join(best, comp, first, m)
+        keys.append(new)
 
 
-def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical tree's edges (u < v) between the distinct rows ``first``.
+def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Keys u * m + v (u < v) of the tree's edges between the distinct rows ``first``.
 
     The short edges, where the pass runs, then Borůvka rounds over one
     kd-tree of the rows and a packed table of their nearest points. Each
@@ -395,23 +387,20 @@ def _kd_candidates(coords: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, n
                 odist, onbr, complete = _query(local, pts[pending], k)
                 pending = _offer_rows(pts, comp, best, pending, odist, outside[onbr], complete)
                 k *= 2
-        lowest, reach = _lightest(best, comp, first, m)
-        roots = np.flatnonzero(lowest < m * m)
-        comp, new = _hook(comp, lowest, roots, comp[reach[roots]])
-        keys.append(lowest[roots[new]])
-        found += int(new.sum())
-    return np.divmod(np.concatenate(keys), m)
+        comp, new = _join(best, comp, first, m)
+        keys.append(new)
+        found += new.size
+    return np.concatenate(keys)
 
 
-def _candidates(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical tree's m - 1 edges (u < v), in no particular order."""
+def _candidates(coords: np.ndarray) -> np.ndarray:
+    """The canonical tree's m - 1 edges as sorted keys u * m + v (u < v)."""
     m, d = coords.shape
     first, rep = _distinct_rows(coords)
     dup = np.flatnonzero(rep != np.arange(m))
-    a, b = (first[:-1], first[1:]) if d == 1 else _kd_candidates(coords, first)
-    us = np.concatenate([rep[dup], np.minimum(a, b)])
-    vs = np.concatenate([dup, np.maximum(a, b)])
-    return us, vs
+    rows = np.arange(len(first))
+    tree = _keys(first, rows[:-1], rows[1:], m) if d == 1 else _kd_candidates(coords, first)
+    return np.sort(np.concatenate([rep[dup] * m + dup, tree]))
 
 
 def build_mst_kruskal(ps: PointSet) -> Tree:
@@ -425,17 +414,16 @@ def build_mst_kruskal(ps: PointSet) -> Tree:
     from Borůvka rounds over one kd-tree, in O(m) memory.
     """
     coords = ps.coords
-    us, vs = _candidates(coords)
+    us, vs = np.divmod(_candidates(coords), len(coords))
     lengths = _lengths(coords, us, vs)
-    # the keys u * m + v are distinct, so a stable sort by length keeps their order
-    o = np.argsort(us * len(coords) + vs)
-    order = o[np.argsort(lengths[o], kind="stable")]
-    us, vs = us[order], vs[order]
+    # the keys come sorted, so a stable sort by length breaks ties by (u, v)
+    order = np.argsort(lengths, kind="stable")
+    us, vs, lengths = us[order], vs[order], lengths[order]
     with np.errstate(over="ignore"):
         weights = ps.weights[us] * ps.weights[vs]
     if not np.isfinite(weights).all():
         raise DegenerateStatistic("edge weights overflow: weight(u) * weight(v) is not finite")
-    return Tree(ps, us, vs, lengths[order], weights)
+    return Tree(ps, us, vs, lengths, weights)
 
 
 def tree_total_length(t: Tree) -> float:

@@ -390,7 +390,7 @@ class TestCalibrationPool:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "BrokenProcessPool"
+        assert proc.stdout.strip() == "CalibrationWorkerError"
 
 
 _DEAD_WORKER = """

@@ -179,7 +179,7 @@ def test_build_loads_only_its_modules(tmp_path):
 
 
 def test_cli_import_loads_no_process_pool():
-    # the CLI maps a dead calibration worker to exit 3 without importing the pool
+    # a dead calibration worker raises the package's own error, which exits 3
     probe = "import sys, spantree.cli; print('concurrent.futures' in sys.modules)"
     assert _python("-c", probe).stdout.strip() == "False"
 
@@ -277,8 +277,7 @@ def test_fit_loads_no_scipy_optimize(tmp_path):
 
 
 def test_fit_loads_no_process_pool(tmp_path):
-    # the calibration forks its own children; only a child that dies loads
-    # concurrent.futures, for BrokenProcessPool
+    # the calibration forks its own children
     config = _small_fit_config(tmp_path / "fit.json")
     loaded = _loaded_by("fit", config, "--mode", "both", "-o", tmp_path / "both")
     assert not {m for m in loaded if m.partition(".")[0] in ("multiprocessing", "concurrent")}

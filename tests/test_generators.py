@@ -223,6 +223,11 @@ class TestSpecDispatch:
         with pytest.raises(ValueError, match=r"cols\*rows \(80\), got 800"):
             GeneratorSpec("quadratic_grid", 800, 0, 0.2, {"rows": 4})
 
+    def test_negative_seed_refused(self):
+        # refused before any draw, naming the field, not by numpy's seeding
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            GeneratorSpec("disc", 10, -1)
+
     def test_params_are_generator_keywords(self):
         # an omitted param takes the default of the generator's signature
         np.testing.assert_array_equal(

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +478,13 @@ class TestRunConfig:
                     },
                 }
             )
+
+    def test_negative_seed_refused(self):
+        # a replaced seed is checked again, as run_fit's --seed is
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            RunConfig.from_dict({"seed": -1})
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -5"):
+            replace(RunConfig(), seed=-5)
 
     def test_generator_requires_seed(self):
         with pytest.raises(ConfigError):
@@ -1166,19 +1174,19 @@ class TestCliFit:
         assert not out.exists()
 
     def test_dead_calibration_worker_exit_3(self, small_fit_config, tmp_path, monkeypatch, capsys):
-        from concurrent.futures.process import BrokenProcessPool
-
         from spantree import analysis
+        from spantree.errors import CalibrationWorkerError
 
         def die(*args, **kwargs):
-            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+            raise CalibrationWorkerError(
+                "a calibration worker process died: child 7 sent no results (exit code -9)")
 
         # run_fit imports the calibration from its module when it runs
         monkeypatch.setattr(analysis, "calibrate_mu_vs_alpha", die)
         out = tmp_path / "out"
         assert run_cli("fit", small_fit_config, "-o", out) == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: a calibration worker process died")
+        assert err == ["error: a calibration worker process died: child 7 sent no results (exit code -9)"]
         assert not out.exists()
 
     @pytest.mark.parametrize("apply_to", [["observed"], []], ids=["observed", "all"])
@@ -1353,8 +1361,17 @@ class TestCliConfigErrors:
             ("compare", {"statistics": ["degree"]}, r"keys \['statistics'\] for compare"),
             ("fit", {"statistics": ["degree"], "histogram_specs": {}},
              r"keys \['histogram_specs', 'statistics'\] for fit"),
+            # a histogram the command never writes
+            ("stats", {"histogram_specs": {"connection_ratio": {"lo": 0, "hi": 5, "nbins": 7}}},
+             "histogram_specs: stats writes no 'connection_ratio' histogram"),
+            ("compare", {"histogram_specs": {"degree": {"lo": 0, "hi": 6, "nbins": 6}}},
+             "histogram_specs: compare writes no 'degree' histogram"),
+            ("stats", {"statistics": ["degree"],
+                       "histogram_specs": {"edge_length": {"lo": 0, "hi": 1, "nbins": 5}}},
+             r"histogram_specs: stats writes no 'edge_length' histogram; it writes \['degree'\]"),
         ],
-        ids=["stats", "compare", "fit"],
+        ids=["stats", "compare", "fit", "stats-histogram", "compare-histogram",
+             "stats-unlisted-histogram"],
     )
     def test_key_the_command_does_not_read(self, command, extra, match, events, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -1461,6 +1478,12 @@ INPUT_CONFIG_ERRORS = {
     "mixture-alpha-1.5": (_set("observed/two_component/alpha_true", 1.5), r"alpha_true must lie in \[0, 1\]"),
     "mixture-kind-discc": (_set("observed/two_component/background/kind", "discc"), "'discc'"),
     "mixture-count-0": (_set("observed/two_component/count", 0), "count must be positive"),
+    "mixture-seed-negative": (
+        _set("observed/two_component/seed", -1), "two_component seed must be non-negative, got -1"
+    ),
+    "generator-seed-negative": (
+        _set("background/generator/seed", -2), "input 'background': seed must be non-negative, got -2"
+    ),
     "grid-count-off-lattice": (
         _set(
             "signal/generator",
@@ -1537,6 +1560,17 @@ class TestInputsRejectedBeforeAnyDraw:
         path.write_text(json.dumps({"count": 40, "seed": 1, **spec}))
         out = tmp_path / "events.csv"
         _assert_config_error(run_cli("gen", "--spec", path, "-o", out), capsys, out, match)
+
+    def test_gen_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "disc.csv"
+        code = run_cli("gen", "--preset", "disc", "--seed", -1, "-o", out)
+        _assert_config_error(code, capsys, out, "seed must be non-negative, got -1")
+
+    @pytest.mark.parametrize("mode", ["baseline", "both"])
+    def test_fit_negative_seed(self, mode, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli("fit", DEMO_CONFIG, "--seed", -5, "--mode", mode, "-o", out)
+        _assert_config_error(code, capsys, out, "^error: seed must be non-negative, got -5$")
 
 
 class TestFiltersOnEveryInput:

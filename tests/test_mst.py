@@ -741,14 +741,15 @@ class TestKdTreeLoader:
 
 
 class TestCandidates:
-    """The candidates are the canonical tree's m - 1 edges, with nothing to merge."""
+    """The candidates are the canonical tree's m - 1 edges as sorted keys, with nothing to merge."""
 
     @settings(max_examples=150, deadline=None)
     @given(dim=st.integers(1, 5), m=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
     def test_integer_ties_give_exactly_the_tree(self, dim, m, seed):
         coords = np.random.default_rng(seed).integers(0, 4, (m, dim)).astype(float)
-        us, vs = mst._candidates(coords)
-        assert us.size == m - 1
+        keys = mst._candidates(coords)
+        assert keys.size == m - 1 and (np.diff(keys) > 0).all()
+        us, vs = np.divmod(keys, m)
         want_u, want_v, _ = canonical_mst_dense(coords)
         assert set(zip(us.tolist(), vs.tolist())) == set(zip(want_u.tolist(), want_v.tolist()))
 
