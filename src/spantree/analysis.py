@@ -28,7 +28,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class GridBinning:
         object.__setattr__(self, "x_edges", tuple(float(e) for e in self.x_edges))
         object.__setattr__(self, "y_edges", tuple(float(e) for e in self.y_edges))
         for edges in (self.x_edges, self.y_edges):
-            if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-                raise ValueError("bin edges must be strictly increasing with >= 2 entries")
+            if len(edges) < 2 or not (np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
+                raise ValueError("bin edges must be >= 2 finite, strictly increasing values")
         if self.n_bins < 2:
             raise ValueError("a binned model needs at least two bins")
 
@@ -221,11 +221,9 @@ def _resample_mixture(
 
 def _trial_mu(inputs: tuple, j: int) -> float:
     """The statistic of calibration trial ``j``, numbered fraction-major."""
-    background, signal, count, alphas, trials, seqs = inputs
+    background, signal, count, fractions, seqs = inputs
     rng = np.random.Generator(np.random.PCG64(seqs[j]))
-    return observed_mu(
-        _resample_mixture(background, signal, count, float(alphas[j // trials]), rng)
-    )
+    return observed_mu(_resample_mixture(background, signal, count, float(fractions[j]), rng))
 
 
 def _trial_workers(n_trials: int) -> int:
@@ -240,27 +238,33 @@ def _trial_workers(n_trials: int) -> int:
 
 def _run_trials(queue: int, block: int, inputs: tuple, n_trials: int) -> dict:
     """{trial: statistic or the exception it raised} for the trials this process
-    claims: record k read from the pipe ``queue`` names trials k * block on. A
-    failed trial (an exception or a non-finite statistic) empties the queue, so the
-    others stop after their current trial; every earlier trial is claimed already."""
+    claims: record k read from the pipe ``queue`` names trials k * block on. A trial
+    that raises, a non-finite statistic included, empties the queue, so the others
+    stop after their current trial; every earlier trial is claimed already."""
+    fractions = inputs[3]
     results = {}
     while record := os.read(queue, 4):
         start = int.from_bytes(record, "little") * block
         for j in range(start, min(start + block, n_trials)):
             try:
-                results[j] = value = _trial_mu(inputs, j)
+                results[j] = _trial_mu(inputs, j)
+                if not math.isfinite(results[j]):
+                    raise DegenerateStatistic(
+                        f"mixture at fraction {fractions[j]:g} produced a "
+                        "non-finite statistic; coincident points (components "
+                        "sharing events?) make the log normalized length undefined"
+                    )
             except Exception as exc:
-                results[j] = value = exc
-            if isinstance(value, Exception) or not math.isfinite(value):
+                results[j] = exc
                 while os.read(queue, 4096):
                     pass
                 return results
     return results
 
 
-def _trial_values(inputs: tuple, n_trials: int) -> Iterator[float]:
-    """The statistic of every calibration trial, in trial order; a trial's
-    exception is raised at its position.
+def _trial_values(inputs: tuple, n_trials: int) -> np.ndarray:
+    """The statistic of every calibration trial as one float64 array in trial
+    order, or the exception of the first trial in that order that failed.
 
     This process and ``_trial_workers(n_trials) - 1`` forked children (none
     without fork, or while another thread runs) take trials from one queue.
@@ -307,10 +311,12 @@ def _trial_values(inputs: tuple, n_trials: int) -> Iterator[float]:
             os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
+    values = np.empty(n_trials)
     for j in range(n_trials):
         if isinstance(results[j], Exception):
             raise results[j]
-        yield results[j]
+        values[j] = results[j]
+    return values
 
 
 def check_calibration(alphas: Sequence[float], trials: int, count: int | None) -> np.ndarray:
@@ -354,9 +360,10 @@ def calibrate_mu_vs_alpha(
     O(count) memory. They run in this process alone when that leaves one
     process, fork is unavailable, or other threads are running. Each trial
     draws from its own spawned seed, so the result is bit for bit the same
-    for any number of CPUs. The first trial in (fraction, trial) order that
-    fails decides the error; a child that dies raises
-    :class:`~spantree.errors.CalibrationWorkerError`.
+    for any number of CPUs. A trial whose statistic is not finite raises
+    :class:`~spantree.errors.DegenerateStatistic`, and the first trial in
+    (fraction, trial) order that raises decides the error; a child that dies
+    raises :class:`~spantree.errors.CalibrationWorkerError`.
     """
     alphas = check_calibration(alphas, trials, count)
     if count is None:
@@ -366,23 +373,13 @@ def calibrate_mu_vs_alpha(
             f"mixture size {count} exceeds a component sample "
             f"({len(background)} background, {len(signal)} signal events)"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
-    n_trials = alphas.size * trials
-    seqs = np.random.SeedSequence(seed).spawn(n_trials)
-    values = _trial_values((background, signal, count, alphas, trials, seqs), n_trials)
-    mu = np.empty(n_trials)
-    for j, value in enumerate(values):
-        if not math.isfinite(value):
-            raise DegenerateStatistic(
-                f"mixture at fraction {alphas[j // trials]:g} produced a "
-                "non-finite statistic; coincident points (components "
-                "sharing events?) make the log normalized length undefined"
-            )
-        mu[j] = value
-    mu = mu.reshape(alphas.size, trials)
-
-    x = np.repeat(alphas, trials)
-    y = mu.ravel()
+    x = np.repeat(alphas, trials)  # each trial's fraction, fraction-major
+    seqs = np.random.SeedSequence(seed).spawn(x.size)
+    y = _trial_values((background, signal, count, x, seqs), x.size)
+    mu = y.reshape(alphas.size, trials)
     xbar = x.mean()
     sxx = float(((x - xbar) ** 2).sum())
     slope = float(((x - xbar) * (y - y.mean())).sum() / sxx)

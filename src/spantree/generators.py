@@ -46,9 +46,16 @@ BACKGROUND_LABEL = "background"
 SIGNAL_LABEL = "signal"
 
 
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    """The SeedSequence of ``seed``, refused with ``ValueError`` when negative."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.SeedSequence(seed)
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     """The package-wide PRNG: PCG64 seeded through a SeedSequence."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
 
 
 @dataclass(frozen=True)
@@ -333,7 +340,7 @@ def gen_two_component(
     function of ``seed`` alone.
     """
     check_mixture(count, alpha_true, background_spec, signal_spec)
-    flag_seq, bg_seq, sig_seq = np.random.SeedSequence(seed).spawn(3)
+    flag_seq, bg_seq, sig_seq = _seed_sequence(seed).spawn(3)
     flags = np.random.Generator(np.random.PCG64(flag_seq)).random(count) < alpha_true
     n_sig = int(flags.sum())
     n_bg = count - n_sig

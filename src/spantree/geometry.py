@@ -153,8 +153,8 @@ def rescale_features(ps: PointSet, mode: str = "none") -> PointSet:
 class RegionWeight:
     """Axis-aligned box with inside/outside weight factors.
 
-    ``box`` maps a feature (index or name) to (lo, hi) bounds; either bound
-    may be None for an open end. A point is inside when every constrained
+    ``box`` maps a feature (index or name) to finite (lo, hi) bounds; either
+    bound may be None for an open end. A point is inside when every constrained
     coordinate lies strictly between its bounds, matching the usual
     strict-inequality convention for suppression rectangles. ``apply_to``
     names the run-config inputs the weights apply to; empty means every one.
@@ -175,6 +175,11 @@ class RegionWeight:
         if isinstance(self.apply_to, str):
             raise ValueError(f"apply_to must be a list of input names, got {self.apply_to!r}")
         object.__setattr__(self, "box", dict(self.box))
+        for feature, bounds in self.box.items():
+            # written so that a NaN bound fails it
+            if not all(b is None or -np.inf < b < np.inf for b in bounds):
+                raise ValueError(f"box bounds must be finite or null, got {list(bounds)} "
+                                 f"for feature {feature!r}")
         object.__setattr__(self, "apply_to", tuple(self.apply_to))
 
     @classmethod

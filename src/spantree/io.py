@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DimensionMismatch, EventFileError
+from .errors import ConfigError, DegenerateStatistic, DimensionMismatch, EventFileError
 from .geometry import PointSet, RegionWeight, rescaled
 from .stats import STATISTICS, Histogram
 
@@ -623,14 +623,21 @@ class RunConfig:
     def weigh(self, coords: np.ndarray, weights: np.ndarray, names=None, name=None) -> np.ndarray:
         """``weights`` times the region weight factors of ``coords`` (features ``names``)
         if they apply to input ``name``: an empty ``apply_to`` applies them to every
-        input, and they always apply to an event file the config does not name (None)."""
+        input, and they always apply to an event file the config does not name (None).
+        A product that overflows raises ``DegenerateStatistic``."""
         rw = self._region
         if rw is None or (rw.apply_to and name is not None and name not in rw.apply_to):
             return weights
         try:
-            return weights * rw.factors(coords, names)
+            factors = rw.factors(coords, names)
         except ValueError as exc:  # a box feature the events lack
             raise ConfigError(f"region_weights: {exc}") from exc
+        with np.errstate(over="ignore"):
+            weighted = weights * factors
+        if not np.isfinite(weighted).all():
+            raise DegenerateStatistic(
+                "event weights overflow: a weight times its region weight factor is not finite")
+        return weighted
 
     def binning(self, name: str, values: np.ndarray) -> tuple[float, float, int, bool]:
         """The (lo, hi, nbins, overflow) arguments of ``histogram`` for ``values`` of ``name``:

@@ -110,6 +110,16 @@ class TestRegionWeights:
         with pytest.raises(ConfigError, match="region_weights: apply_to must be a list"):
             RegionWeight.from_dict({"box": {"x": [0, 1]}, "apply_to": "observed"})
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_refused(self, bound):
+        # a NaN bound once matched no event, and its config echo null made an open end
+        for box in ({"x": (bound, 5.0)}, {"x": (None, bound)}):
+            with pytest.raises(ValueError, match="box bounds must be finite or null"):
+                RegionWeight(box, 0.0, 1.0)
+        with pytest.raises(ConfigError, match="region_weights: box bounds must be finite"):
+            RegionWeight.from_dict({"box": {"x": [bound, 5.0]}})
+        assert RegionWeight({"x": (None, 5.0)}, 0.0, 1.0).box == {"x": (None, 5.0)}
+
     def test_hashable(self):
         rw = RegionWeight({"x": (0, 1)}, 0.0, 1.0)
         assert {rw: "box"}[rw] == "box"
@@ -126,6 +136,14 @@ class TestGridBinning:
             GridBinning(0, 1, (0.0, 1.0), (0.0,))
         with pytest.raises(ValueError):
             GridBinning(0, 1, (1.0, 0.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf])
+    def test_non_finite_edges_refused(self, edge):
+        # b <= a is false for NaN, so a NaN edge once passed the ordering check
+        with pytest.raises(ValueError, match="finite, strictly increasing"):
+            GridBinning(0, 1, (-21.0, edge, 12.0, 21.0), (0.0, 1.0))
+        with pytest.raises(ValueError, match="finite, strictly increasing"):
+            GridBinning(0, 1, (0.0, 1.0), (edge, 0.0) if edge < 0 else (0.0, edge))
 
     def test_round_trip(self):
         again = GridBinning.from_dict(DEMO_BINNING.to_dict())

@@ -10,6 +10,7 @@ from spantree import (
     GeneratorSpec,
     PointSet,
     build_mst_kruskal,
+    calibrate_mu_vs_alpha,
     degrees,
     gen_disc,
     gen_disc3d,
@@ -342,3 +343,22 @@ class TestSeededStreams:
         assert _digest(ps) == "f5dd53551ab316aa"
         labels = hashlib.sha256("\n".join(ps.labels).encode()).hexdigest()[:16]
         assert labels == "3ada3c0629ade5b0"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gen_disc(100, (0, 0), 1.0, 0.0, -1),
+            lambda: sample_1d("uniform1d", 10, -1),
+            lambda: gen_two_component(100, 0.3, TestTwoComponent.BG, TestTwoComponent.SIG, -1),
+            lambda: calibrate_mu_vs_alpha(
+                PointSet(np.random.default_rng(1).random((200, 2))),
+                PointSet(np.random.default_rng(2).random((200, 2))),
+                [0.2, 0.8], trials=2, seed=-1, count=100,
+            ),
+        ],
+        ids=["gen_disc", "sample_1d", "gen_two_component", "calibrate_mu_vs_alpha"],
+    )
+    def test_negative_seed_refused(self, call):
+        # numpy's own refusal does not name the seed
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            call()

@@ -747,6 +747,34 @@ class TestCliBuildStats:
         assert err == ["error: the weighted mean edge length overflows: the weights are too large"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["stats", "compare", "fit"])
+    def test_overflowing_event_weight_exit_3(self, command, tmp_path, capsys):
+        # an event weight of 1e300 times an inside weight of 1e10 overflows as it is weighted
+        rng = np.random.default_rng(8)
+        weights = np.ones(200)
+        weights[0] = 1e300
+        events = tmp_path / "heavy.csv"
+        write_events(PointSet(rng.random((200, 2)) * 20 - 10, weights, feature_names=("x", "y")),
+                     events)
+        heavy = {"region_weights": {"box": {"x": [-100, 100]}, "inside_weight": 1e10}}
+        out = tmp_path / "out"
+        config = tmp_path / "run.json"
+        if command == "fit":
+            cfg = json.loads(DEMO_CONFIG.read_text())
+            cfg["inputs"]["observed"] = {"file": str(events)}
+            config.write_text(json.dumps({**cfg, **heavy}))
+            argv = ("fit", config)
+        else:
+            config.write_text(json.dumps(heavy))
+            argv = (command, events, *([events] if command == "compare" else []), "--config", config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "-o", out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: event weights overflow: a weight times its region weight factor "
+                       "is not finite"]
+        assert not out.exists()
+
     def test_failed_stats_writes_nothing(self, tmp_path):
         # a good run's outputs stay as they were: the coincident run fails
         # on its second statistic, after the tree and a first histogram
@@ -1259,6 +1287,17 @@ FIT_CONFIG_ERRORS = {
         {"binning": {"x_feature": "energy", "y_feature": "y", **_DEMO_EDGES}},
         "unknown feature 'energy'",
     ),
+    # b <= a is false for NaN, so a NaN edge once fit; JSON writes NaN and Infinity
+    "edge-nan": (
+        {"binning": {"x_feature": "x", "y_feature": "y", "x_edges": [-21.0, math.nan, 12.0, 21.0],
+                     "y_edges": [-21.0, 2.0, 21.0]}},
+        "finite, strictly increasing",
+    ),
+    "edge-infinite": (
+        {"binning": {"x_feature": "x", "y_feature": "y", "x_edges": [-21.0, 6.0, 12.0, 21.0],
+                     "y_edges": [-math.inf, 2.0, 21.0]}},
+        "finite, strictly increasing",
+    ),
     "edges-outside-events": (
         {"binning": {"x_feature": "x", "y_feature": "y", "x_edges": [100.0, 101.0, 102.0],
                      "y_edges": [100.0, 101.0]}},
@@ -1341,6 +1380,17 @@ class TestCliConfigErrors:
         out = tmp_path / "out"
         code = run_cli("fit", path, "-o", out)
         _assert_config_error(code, capsys, out, "region_weights: .*finite")
+
+    # a NaN bound once matched no event, and its echo null made an open end on a rerun
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_fit_refuses_non_finite_box_bound(self, bound, tmp_path, capsys):
+        cfg = json.loads(DEMO_CONFIG.read_text())
+        cfg["region_weights"] = {"box": {"x": [bound, 5]}, "inside_weight": 0}
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        _assert_config_error(run_cli("fit", path, "-o", out), capsys, out,
+                             "region_weights: box bounds must be finite or null")
 
     def test_fit_refuses_string_apply_to(self, tmp_path, capsys):
         # a string was once split into one input name per character
