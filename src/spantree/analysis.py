@@ -137,11 +137,13 @@ class BinnedModel:
         b = binning.weighted_counts(background)
         s = binning.weighted_counts(signal)
         n = binning.weighted_counts(observed)
-        if b.sum() <= 0 or s.sum() <= 0:
+        with np.errstate(over="ignore"):
+            b_total, s_total = b.sum(), s.sum()
+        if b_total <= 0 or s_total <= 0:
             raise ValueError("templates must have positive total weight inside the binning")
-        if not (b.sum() < np.inf and s.sum() < np.inf):
-            raise ValueError("the templates' total weight inside the binning overflows")
-        return cls(b / b.sum(), s / s.sum(), n)
+        if not (b_total < np.inf and s_total < np.inf):
+            raise DegenerateStatistic("the templates' total weight inside the binning overflows")
+        return cls(b / b_total, s / s_total, n)
 
     def asimov(self, alpha: float, total: float) -> "BinnedModel":
         """Replace observed counts with their expectation at a given fraction."""
@@ -418,8 +420,7 @@ def resolve_alpha_grid(alpha_grid) -> np.ndarray:
         if alpha_grid < 3:
             raise ValueError("alpha grid needs at least three samples")
         return np.linspace(0.0, 1.0, alpha_grid)
-    grid = np.sort(np.asarray(alpha_grid, dtype=np.float64), axis=None)
-    grid = grid[np.append(True, grid[1:] != grid[:-1])[: grid.size]]  # [: size] for size 0
+    grid = np.unique(np.asarray(alpha_grid, dtype=np.float64), equal_nan=False)
     if grid.size < 3:
         raise ValueError("alpha grid needs at least three samples")
     if not (grid[0] >= 0.0 and grid[-1] <= 1.0):
@@ -607,45 +608,34 @@ def fit_alpha(
     q_curve = np.column_stack([alphas, curve])
 
     i_min = int(np.argmin(curve))
+    alpha_hat, q_min = float(alphas[i_min]), float(curve[i_min])
     spread = float(curve.max() - curve.min())
-    if spread <= _FLAT_TOL * max(1.0, abs(float(curve.min()))):
+    if spread <= _FLAT_TOL * max(1.0, abs(q_min)):
         # unidentifiable: Q carries no information about the fraction
-        return FitResult(float(alphas[i_min]), math.inf, q_curve, mode, float(curve[i_min]))
+        return FitResult(alpha_hat, math.inf, q_curve, mode, q_min)
 
     lo_b = float(alphas[max(i_min - 1, 0)])
     hi_b = float(alphas[min(i_min + 1, alphas.size - 1)])
-    alpha_hat = float(alphas[i_min])
-    q_min = float(curve[i_min])
-    if hi_b > lo_b:
-        x, q = _brent_minimize(q_of, lo_b, hi_b, xatol=1e-12)
-        if q <= q_min:
-            alpha_hat, q_min = x, q
+    x, q = _brent_minimize(q_of, lo_b, hi_b, xatol=1e-12)
+    if q <= q_min:
+        alpha_hat, q_min = x, q
 
     sigma = _interval_halfwidth(q_of, alphas, curve, alpha_hat, q_min)
     return FitResult(alpha_hat, sigma, q_curve, mode, q_min)
 
 
 def _interval_halfwidth(q_of, alphas, curve, alpha_hat, q_min) -> float:
-    """Half-width of the interval where Q <= Q_min + 1."""
+    """Half-width of the interval where Q <= Q_min + 1: each end, left first, is the
+    root between ``alpha_hat`` and its side's nearest grid point above Q_min + 1, or
+    the grid's end where that side has none; infinite where neither side has one."""
     target = q_min + 1.0
-
-    def crossing(side: str) -> float | None:
-        if side == "left":
-            idx = np.flatnonzero((alphas < alpha_hat) & (curve > target))
-            if idx.size == 0:
-                return None
-            a, bnd = float(alphas[idx[-1]]), alpha_hat
-        else:
-            idx = np.flatnonzero((alphas > alpha_hat) & (curve > target))
-            if idx.size == 0:
-                return None
-            a, bnd = alpha_hat, float(alphas[idx[0]])
-        return _brent_root(lambda x: q_of(x) - target, a, bnd, xtol=1e-12)
-
-    left = crossing("left")
-    right = crossing("right")
-    if left is None and right is None:
+    left = alphas[(alphas < alpha_hat) & (curve > target)]
+    right = alphas[(alphas > alpha_hat) & (curve > target)]
+    if not (left.size or right.size):
         return math.inf
-    lo = left if left is not None else float(alphas[0])
-    hi = right if right is not None else float(alphas[-1])
+    lo, hi = float(alphas[0]), float(alphas[-1])
+    if left.size:
+        lo = _brent_root(lambda x: q_of(x) - target, float(left[-1]), alpha_hat, xtol=1e-12)
+    if right.size:
+        hi = _brent_root(lambda x: q_of(x) - target, alpha_hat, float(right[0]), xtol=1e-12)
     return 0.5 * (hi - lo)

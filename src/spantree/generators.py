@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
@@ -97,6 +98,8 @@ class GeneratorSpec:
         if self.kind in LATTICE_KINDS:  # cols and rows fix the size before any draw
             shape = {**taken, **self.params}
             _lattice_shape(shape["cols"], shape["rows"], self.count)
+        if "center" in self.params:  # so is a disc's or strip's center
+            _center(self.params["center"])
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -223,6 +226,18 @@ def _lattice(cols, rows, x_extent, y_extent, sigma, seed, count, quadratic: bool
 # ---------------------------------------------------------------------------
 # discs and strips
 
+def _center(center) -> tuple[float, float]:
+    """``center`` as two floats, refused with ``ValueError`` unless two finite numbers."""
+    try:
+        x, y = center
+    except (TypeError, ValueError):  # a scalar, or a sequence of another length
+        x = y = None
+    if not all(isinstance(c, numbers.Real) and not isinstance(c, bool) and math.isfinite(c)
+               for c in (x, y)):
+        raise ValueError(f"center must be two finite numbers, got {center!r}")
+    return float(x), float(y)
+
+
 def _disc_xy(count: int, center: tuple[float, float], radius: float, rng) -> np.ndarray:
     u = rng.random((count, 2))
     r = radius * np.sqrt(u[:, 0])
@@ -243,7 +258,7 @@ def gen_disc(
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     rng = rng_from_seed(seed)
-    coords = _disc_xy(count, center, radius, rng)
+    coords = _disc_xy(count, _center(center), radius, rng)
     coords = coords + rng.normal(0.0, sigma, size=coords.shape)
     return PointSet(coords, feature_names=("x", "y"))
 
@@ -261,6 +276,7 @@ def gen_strip(
         raise ValueError(f"count must be positive, got {count}")
     if width <= 0 or height <= 0:
         raise ValueError("strip width and height must be positive")
+    center = _center(center)
     rng = rng_from_seed(seed)
     u = rng.random((count, 2))
     coords = np.column_stack(
@@ -292,7 +308,7 @@ def gen_disc3d(
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     rng = rng_from_seed(seed)
-    xy = _disc_xy(count, center, radius, rng)
+    xy = _disc_xy(count, _center(center), radius, rng)
     xy = xy + rng.normal(0.0, sigma, size=xy.shape)
     z = _inverse_cdf(f"{z_kind}1d", rng.random(count))
     return PointSet(np.column_stack([xy, z]), feature_names=("x", "y", "z"))

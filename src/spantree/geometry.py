@@ -21,7 +21,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateStatistic
 
 RESCALE_MODES = ("none", "unit-range", "unit-variance")
 
@@ -213,11 +213,23 @@ class RegionWeight:
                 inside &= col < hi
         return np.where(inside, self.inside_weight, self.outside_weight)
 
+    def weigh(self, coords: np.ndarray, weights: np.ndarray,
+              names: Sequence[str] | None = None) -> np.ndarray:
+        """``weights`` times each row's factor; a product that overflows raises
+        ``DegenerateStatistic``."""
+        with np.errstate(over="ignore"):
+            weighted = weights * self.factors(coords, names)
+        if not np.isfinite(weighted).all():
+            raise DegenerateStatistic(
+                "event weights overflow: a weight times its region weight factor is not finite")
+        return weighted
+
 
 def apply_region_weights(ps: PointSet, rw: RegionWeight) -> PointSet:
     """Multiply each point's weight by the inside or outside factor.
 
     Coordinates are untouched, so trees built from the result have exactly
     the same edge set as before; only weights differ. ``rw.apply_to`` is ignored.
+    A product that overflows raises ``DegenerateStatistic``.
     """
-    return replace(ps, weights=ps.weights * rw.factors(ps.coords, ps.feature_names))
+    return replace(ps, weights=rw.weigh(ps.coords, ps.weights, ps.feature_names))

@@ -49,9 +49,11 @@ _RESERVED = (WEIGHT_COLUMN, LABEL_COLUMN)
 
 
 def config_int(name: str, value: Any) -> int:
-    """``value`` as an int; booleans and numbers with a fraction are refused
-    with ``ValueError``, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int: an integer or a float with no fraction. Anything
+    else, a bool, a string or None included, is refused with ``ValueError``."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    whole = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    if not (integral or whole):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -311,6 +313,8 @@ def load_sample(path: str | Path, rescale: str = "none", weigh=None) -> PointSet
         return PointSet(coords, w, labels if any(labels) else None, names)
     except ValueError as exc:  # a rescale the sample cannot take, or an overflowing span
         raise EventFileError(f"{path}: {exc}") from None
+    except DegenerateStatistic as exc:  # weights that overflow times their region factors
+        raise DegenerateStatistic(f"{path}: {exc}") from None
 
 
 # the same reader, named for reading a table as written: no rescale, no weigh
@@ -527,6 +531,9 @@ class FitSettings:
             object.__setattr__(self, "calibration_alphas", tuple(self.calibration_alphas))
             for name in ("calibration_trials", "alpha_grid"):
                 object.__setattr__(self, name, config_int(name, getattr(self, name)))
+            if self.calibration_count is not None:  # None: the smaller component's size
+                count = config_int("calibration_count", self.calibration_count)
+                object.__setattr__(self, "calibration_count", count)
             GridBinning.from_dict(self.binning)
             resolve_alpha_grid(self.alpha_grid)
             check_calibration(
@@ -629,15 +636,9 @@ class RunConfig:
         if rw is None or (rw.apply_to and name is not None and name not in rw.apply_to):
             return weights
         try:
-            factors = rw.factors(coords, names)
+            return rw.weigh(coords, weights, names)
         except ValueError as exc:  # a box feature the events lack
             raise ConfigError(f"region_weights: {exc}") from exc
-        with np.errstate(over="ignore"):
-            weighted = weights * factors
-        if not np.isfinite(weighted).all():
-            raise DegenerateStatistic(
-                "event weights overflow: a weight times its region weight factor is not finite")
-        return weighted
 
     def binning(self, name: str, values: np.ndarray) -> tuple[float, float, int, bool]:
         """The (lo, hi, nbins, overflow) arguments of ``histogram`` for ``values`` of ``name``:

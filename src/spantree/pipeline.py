@@ -124,7 +124,10 @@ def run_fit(config: RunConfig, seed: int | None = None, mode: str | None = None)
     samples = {role: resolve_input(config.inputs[role], config.seed, i) for i, role in roles}
     # weighted once every input is resolved, so a failing input stops the fit first
     for role, ps in samples.items():
-        weights = config.weigh(ps.coords, ps.weights, ps.feature_names, role)
+        try:
+            weights = config.weigh(ps.coords, ps.weights, ps.feature_names, role)
+        except DegenerateStatistic as exc:  # weights that overflow times their region factors
+            raise DegenerateStatistic(f"input {role!r}: {exc}") from None
         samples[role] = ps if weights is ps.weights else replace(ps, weights=weights)
     background, signal, observed = (samples[r] for r in (fit.background, fit.signal, fit.observed))
 

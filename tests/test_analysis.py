@@ -33,6 +33,7 @@ from spantree import (
     observed_mu,
 )
 from spantree import analysis
+from spantree.io import RunConfig
 
 # shared demo components: broad background disc with a denser signal disc inside
 BG_SPEC = GeneratorSpec("disc", 12000, 101, 0.2, {"center": (0.0, 0.0), "radius": 20.0})
@@ -93,6 +94,20 @@ class TestRegionWeights:
         ps = PointSet(rng.random((100, 2)) * 100, feature_names=("mll", "qt"))
         weighted = apply_region_weights(ps, self._box())
         assert edge_set(build_mst_kruskal(ps)) == edge_set(build_mst_kruskal(weighted))
+
+    def test_overflowing_product_refused(self):
+        # the library and a run config refuse it alike; the library once warned and
+        # raised ValueError from the PointSet it built
+        ps = PointSet([[70.0, 50.0], [120.0, 20.0]], weights=[1e300, 1.0],
+                      feature_names=("mll", "qt"))
+        rw = {"box": {"mll": [50.0, 90.0]}, "inside_weight": 1e10}
+        config = RunConfig(region_weights=rw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateStatistic, match="event weights overflow"):
+                apply_region_weights(ps, RegionWeight.from_dict(rw))
+            with pytest.raises(DegenerateStatistic, match="event weights overflow"):
+                config.weigh(ps.coords, ps.weights, ps.feature_names)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -166,7 +181,17 @@ class TestBinnedModel:
         binning = GridBinning("x", "y", (0.0, 1.0, 2.0), (0.0, 2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows"):
+            with pytest.raises(DegenerateStatistic, match="overflows"):
+                BinnedModel.from_samples(ps, ps, ps, binning)
+
+    def test_template_total_overflow_refused_without_warning(self):
+        # every bin holds a finite weight, but their sum overflows as numpy reduces it
+        ps = PointSet([[0.5, 0.5], [1.5, 0.5], [2.5, 0.5]], weights=[1e308, 1e308, 1.0],
+                      feature_names=("x", "y"))
+        binning = GridBinning("x", "y", (0.0, 1.0, 2.0, 3.0), (0.0, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateStatistic, match="total weight inside the binning overflows"):
                 BinnedModel.from_samples(ps, ps, ps, binning)
 
     def test_needs_two_bins(self):

@@ -162,6 +162,17 @@ class TestDiscsAndStrips:
         with pytest.raises(ValueError):
             gen_disc3d(10, z_kind="gamma", seed=0)
 
+    # one value once raised IndexError, and a third was dropped without a word
+    @pytest.mark.parametrize("center", [[0], [0, 0, 0], 5, [0, math.nan]],
+                             ids=["one", "three", "scalar", "nan"])
+    @pytest.mark.parametrize("kind, gen", [("disc", gen_disc), ("strip", gen_strip),
+                                           ("disc3d", gen_disc3d)])
+    def test_center_must_be_two_finite_numbers(self, kind, gen, center):
+        with pytest.raises(ValueError, match="center must be two finite numbers"):
+            gen(10, center=center, seed=1)
+        with pytest.raises(ValueError, match="center must be two finite numbers"):
+            GeneratorSpec(kind, 10, 1, 0.0, {"center": center})
+
 
 class TestTwoComponent:
     BG = GeneratorSpec("disc", 1, 0, 0.2, {"center": (0.0, 0.0), "radius": 20.0})

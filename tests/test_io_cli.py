@@ -551,18 +551,33 @@ class TestRunConfig:
             cfg["fit"][field] = value
         return cfg
 
-    @pytest.mark.parametrize("value", [2.9, True], ids=["fraction", "boolean"])
+    # a string once went through int(), and "abc" gave a message naming no field
+    @pytest.mark.parametrize("value", [2.9, True, "7", "abc"],
+                             ids=["fraction", "boolean", "string", "non-numeric-string"])
     @pytest.mark.parametrize(
         "field",
-        ["calibration_trials", "alpha_grid", "seed", "nbins", "generator count",
-         "generator seed", "two_component count", "two_component seed"],
+        ["calibration_trials", "alpha_grid", "calibration_count", "seed", "nbins",
+         "generator count", "generator seed", "two_component count", "two_component seed"],
     )
     def test_integers_are_not_truncated(self, field, value):
         key = field.split()[-1]
         with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value!r}"):
             RunConfig.from_dict(self._demo_with(field, value))
 
-    @pytest.mark.parametrize("field", ["calibration_trials", "alpha_grid", "seed"])
+    # fields where null means no default: None once reached int() unnamed
+    @pytest.mark.parametrize(
+        "field",
+        ["calibration_trials", "alpha_grid", "nbins", "generator count", "generator seed",
+         "two_component count"],
+    )
+    def test_null_integers_refused(self, field):
+        key = field.split()[-1]
+        with pytest.raises(ConfigError, match=f"{key} must be an integer, got None"):
+            RunConfig.from_dict(self._demo_with(field, None))
+
+    # calibration_count once skipped config_int, so 7.0 was refused where 7 loaded
+    @pytest.mark.parametrize("field", ["calibration_trials", "alpha_grid", "calibration_count",
+                                       "seed"])
     def test_integral_numbers_load_as_integers(self, field):
         cfg = RunConfig.from_dict(self._demo_with(field, 7.0))
         value = cfg.seed if field == "seed" else getattr(cfg.fit, field)
@@ -771,8 +786,48 @@ class TestCliBuildStats:
             warnings.simplefilter("error")
             assert run_cli(*argv, "-o", out) == 3
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: event weights overflow: a weight times its region weight factor "
-                       "is not finite"]
+        where = "input 'observed'" if command == "fit" else str(events)
+        assert err == [f"error: {where}: event weights overflow: a weight times its region "
+                       "weight factor is not finite"]
+        assert not out.exists()
+
+    def test_overflowing_reference_weight_names_its_file(self, tmp_path, capsys):
+        # only the reference file overflows, and the line names it, not the subject
+        rng = np.random.default_rng(8)
+        light, heavy = tmp_path / "light.csv", tmp_path / "heavy.csv"
+        weights = np.ones(200)
+        write_events(PointSet(rng.random((200, 2)), weights, feature_names=("x", "y")), light)
+        weights[0] = 1e300
+        write_events(PointSet(rng.random((200, 2)), weights, feature_names=("x", "y")), heavy)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"region_weights": {"box": {"x": [-100, 100]}, "inside_weight": 1e10}}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("compare", light, heavy, "--config", config, "-o", out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {heavy}: event weights overflow: a weight times its region "
+                       "weight factor is not finite"]
+        assert not out.exists()
+
+    def test_overflowing_template_total_exit_3(self, tmp_path, capsys):
+        # each bin's weight is finite, their sum is not: numpy once warned, and the fit
+        # exited 2 as if the binning were at fault
+        rng = np.random.default_rng(9)
+        background = tmp_path / "background.csv"
+        write_events(PointSet(rng.uniform(-20.0, 20.0, (400, 2)), np.full(400, 1e306),
+                              feature_names=("x", "y")), background)
+        cfg = json.loads(DEMO_CONFIG.read_text())
+        cfg["inputs"]["background"] = {"file": str(background)}
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", config, "-o", out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the templates' total weight inside the binning overflows"]
         assert not out.exists()
 
     def test_failed_stats_writes_nothing(self, tmp_path):
@@ -1267,12 +1322,16 @@ _DEMO_EDGES = {"x_edges": [-21.0, 6.0, 12.0, 21.0], "y_edges": [-21.0, 2.0, 21.0
 FIT_CONFIG_ERRORS = {
     "count-above-components": ({"calibration_count": 20000}, "exceeds a component"),
     "count-zero": ({"calibration_count": 0}, "calibration count"),
-    "count-string": ({"calibration_count": "abc"}, "calibration count"),
+    "count-string": ({"calibration_count": "abc"}, "calibration_count must be an integer"),
+    "count-fraction": ({"calibration_count": 3000.5}, "calibration_count must be an integer"),
     "alphas-repeated": ({"calibration_alphas": [0.2, 0.2]}, "two distinct"),
     "alphas-outside": ({"calibration_alphas": [0.2, 1.5]}, r"\[0, 1\]"),
     "alphas-string": ({"calibration_alphas": "ab"}, "must be numbers"),
     "one-trial": ({"calibration_trials": 1}, "two trials"),
     "fractional-trials": ({"calibration_trials": 2.9}, "calibration_trials must be an integer"),
+    "trials-string": ({"calibration_trials": "6"}, "calibration_trials must be an integer, got '6'"),
+    "trials-null": ({"calibration_trials": None}, "calibration_trials must be an integer, got None"),
+    "grid-string": ({"alpha_grid": "51"}, "alpha_grid must be an integer, got '51'"),
     "grid-two": ({"alpha_grid": 2}, "three samples"),
     "one-bin": (
         {"binning": {"x_feature": "x", "y_feature": "y", "x_edges": [-21.0, 21.0],
@@ -1534,6 +1593,21 @@ INPUT_CONFIG_ERRORS = {
     "generator-seed-negative": (
         _set("background/generator/seed", -2), "input 'background': seed must be non-negative, got -2"
     ),
+    "generator-count-string": (
+        _set("background/generator/count", "12000"),
+        "input 'background': count must be an integer, got '12000'",
+    ),
+    "mixture-count-string": (
+        _set("observed/two_component/count", "6000"), "two_component count must be an integer"
+    ),
+    "generator-center-one": (
+        _set("background/generator/params/center", [0]),
+        r"input 'background': center must be two finite numbers, got \[0\]",
+    ),
+    "mixture-center-three": (
+        _set("observed/two_component/signal/params/center", [10, 4, 0]),
+        r"input 'observed': center must be two finite numbers, got \[10, 4, 0\]",
+    ),
     "grid-count-off-lattice": (
         _set(
             "signal/generator",
@@ -1602,8 +1676,13 @@ class TestInputsRejectedBeforeAnyDraw:
             ({"kind": "strip", "params": {"widht": 50.0}}, "widht"),
             ({"kind": "sin2_1d", "sigma": 0.1}, "sin2_1d takes no sigma"),
             ({"kind": "exponential1d", "params": {"radius": 1.0}}, "exponential1d takes no params"),
+            ({"kind": "disc", "params": {"center": [0]}}, r"center must be two finite numbers, got \[0\]"),
+            ({"kind": "strip", "params": {"center": [0]}}, "center must be two finite numbers"),
+            ({"kind": "disc3d", "params": {"center": [0, 0, 0]}}, "center must be two finite numbers"),
+            ({"kind": "disc", "count": "10"}, "count must be an integer, got '10'"),
         ],
-        ids=["misspelt-param", "sigma-on-1d", "params-on-1d"],
+        ids=["misspelt-param", "sigma-on-1d", "params-on-1d", "disc-center-one",
+             "strip-center-one", "disc3d-center-three", "count-string"],
     )
     def test_gen_spec(self, spec, match, tmp_path, capsys):
         path = tmp_path / "spec.json"
