@@ -420,7 +420,7 @@ def resolve_alpha_grid(alpha_grid) -> np.ndarray:
         if alpha_grid < 3:
             raise ValueError("alpha grid needs at least three samples")
         return np.linspace(0.0, 1.0, alpha_grid)
-    grid = np.unique(np.asarray(alpha_grid, dtype=np.float64), equal_nan=False)
+    grid = np.unique(np.asarray(alpha_grid, np.float64), return_counts=True, equal_nan=False)[0]
     if grid.size < 3:
         raise ValueError("alpha grid needs at least three samples")
     if not (grid[0] >= 0.0 and grid[-1] <= 1.0):

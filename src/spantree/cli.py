@@ -18,6 +18,8 @@ ends in a path separator or names a directory.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 from pathlib import Path
@@ -353,7 +355,14 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+_EXIT_HOOKS: list = []
+
+
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # no command calls BLAS, whose idle threads spin
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # a value already set wins
+    if not _EXIT_HOOKS:  # once per process: leave the heap at exit, not collect it
+        _EXIT_HOOKS.append(atexit.register(gc.freeze))
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

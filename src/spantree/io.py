@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import math
 import numbers
@@ -279,6 +281,62 @@ def filter_events(ps: PointSet, filters: Sequence[ColumnFilter]) -> PointSet:
     )
 
 
+def _plain_table(path: str | Path) -> tuple | None:
+    """The header, values and labels (None) of an event file that numpy's C reader
+    reads as ``_walked_table`` does; None for any other file.
+
+    That is a regular file with features, no labels and no name twice, whose rows
+    start right after the header and hold finite numbers, no negative weight, no
+    U+001C to U+001F (numpy strips them, ``float()`` refuses them) and no field
+    over the ``csv`` size limit.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read() if os.path.isfile(path) else b""  # the walker reads a pipe
+        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+        header = [h.strip() for h in next(_csv_records(lines))[1]]
+        first = lines.readline()  # numpy warns of a file without rows
+        if (LABEL_COLUMN in header or len(set(header)) < len(header) or header == [WEIGHT_COLUMN]
+                or not first.strip() or any(c in raw for c in range(0x1C, 0x20))):
+            return None
+        if len(raw) > csv.field_size_limit():  # fields lie between commas, and line ends
+            b = np.frombuffer(raw, np.uint8)  # too unless a quoted field may span lines
+            cut = np.flatnonzero((b == 44) if b'"' in raw else (b == 44) | (b == 10) | (b == 13))
+            if np.diff(cut, prepend=-1, append=len(raw)).max() > csv.field_size_limit():
+                return None
+        values = np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"',
+                            comments=None, ndmin=2)
+    except (OSError, ValueError, StopIteration, csv.Error):  # a decoding error is a ValueError
+        return None
+    weighted = WEIGHT_COLUMN in header
+    if (values.shape[1] != len(header) or not np.isfinite(values).all()
+            or weighted and (values[:, header.index(WEIGHT_COLUMN)] < 0).any()):
+        return None
+    if weighted and header[-1] != WEIGHT_COLUMN:  # _numbers' order: the features, then the weight
+        values = values[:, sorted(range(len(header)), key=lambda i: header[i] == WEIGHT_COLUMN)]
+    return header, values, None
+
+
+def _walked_table(path: str | Path) -> tuple:
+    """Any event file's header, values (features, then any weight) and labels, walked."""
+    header, rows = read_table(path, "event file")
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise EventFileError(f"{path}: header names {repeated} more than once")
+    features = [i for i, h in enumerate(header) if h not in _RESERVED]
+    if not features:
+        raise EventFileError(f"{path}: header declares no feature columns")
+    col = {h: i for i, h in enumerate(header)}
+    if not rows:
+        raise EventFileError(f"{path}: event file contains no rows")
+    values = _numbers(path, rows, features + ([col[WEIGHT_COLUMN]] if WEIGHT_COLUMN in col else []))
+    if WEIGHT_COLUMN in col and (values[:, -1] < 0).any():
+        i = int(np.argmax(values[:, -1] < 0))
+        raise EventFileError(f"{path}: line {rows[i][0]}: negative weight {float(values[i, -1])!r}")
+    labels = [cells[col[LABEL_COLUMN]] or None for _, cells in rows] if LABEL_COLUMN in col else []
+    return header, values, labels if any(labels) else None
+
+
 def load_sample(path: str | Path, rescale: str = "none", weigh=None) -> PointSet:
     """Parse an event table into one PointSet, checked once rescaled and weighted.
 
@@ -288,29 +346,16 @@ def load_sample(path: str | Path, rescale: str = "none", weigh=None) -> PointSet
     cells are kept as written, and an empty one is no label. An error names a
     header that names a column twice, else the first line with the wrong
     field count, else the first with a feature or weight that is no finite
-    float, else the first with a negative weight.
+    float, else the first with a negative weight. numpy's C reader reads the
+    plain files (``_plain_table``), the row walker the rest: the same values.
     """
-    header, rows = read_table(path, "event file")
-    repeated = sorted({h for h in header if header.count(h) > 1})
-    if repeated:
-        raise EventFileError(f"{path}: header names {repeated} more than once")
-    features = [i for i, h in enumerate(header) if h not in _RESERVED]
-    if not features:
-        raise EventFileError(f"{path}: header declares no feature columns")
-    col = {h: i for i, h in enumerate(header)}
-    names = tuple(header[i] for i in features)
-    if not rows:
-        raise EventFileError(f"{path}: event file contains no rows")
-    values = _numbers(path, rows, features + ([col[WEIGHT_COLUMN]] if WEIGHT_COLUMN in col else []))
-    w = values[:, -1] if WEIGHT_COLUMN in col else np.ones(len(rows))
-    if (w < 0).any():
-        i = int(np.argmax(w < 0))
-        raise EventFileError(f"{path}: line {rows[i][0]}: negative weight {float(w[i])!r}")
-    labels = [cells[col[LABEL_COLUMN]] or None for _, cells in rows] if LABEL_COLUMN in col else []
+    header, values, labels = _plain_table(path) or _walked_table(path)
+    names = tuple(h for h in header if h not in _RESERVED)
+    w = values[:, -1] if WEIGHT_COLUMN in header else np.ones(len(values))
     try:
         coords = rescaled(values[:, : len(names)], rescale)
         w = w if weigh is None else weigh(coords, w, names)
-        return PointSet(coords, w, labels if any(labels) else None, names)
+        return PointSet(coords, w, labels, names)
     except ValueError as exc:  # a rescale the sample cannot take, or an overflowing span
         raise EventFileError(f"{path}: {exc}") from None
     except DegenerateStatistic as exc:  # weights that overflow times their region factors

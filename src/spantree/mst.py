@@ -124,6 +124,9 @@ def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lexicographic order, and ``rep``, the lowest index equal to each row.
     Rows compare as numbers, so -0.0 and 0.0 are one value.
     """
+    order = np.argsort(coords[:, 0], kind="stable")
+    if (np.diff(coords[order, 0]) != 0).all():  # no first coordinate repeats, so no row does
+        return order, np.arange(len(order))
     order = np.lexsort(coords.T[::-1])
     rows = coords[order]
     new = np.empty(len(order), dtype=bool)
@@ -215,20 +218,21 @@ def _kd_tree_class() -> type:
     """scipy's compiled ``cKDTree`` class, loaded without the rest of scipy.spatial.
 
     ``import scipy.spatial`` also loads Qhull, scipy.linalg and scipy.special,
-    about 0.45 s on top of numpy. The extension takes about 15 ms when, with no
+    about 0.45 s on top of numpy. The extension takes about 2 ms when, with no
     other thread running, it runs beside ``_STAND_INS`` in place of the two
-    modules it imports; they leave ``sys.modules`` when it returns. It is
-    registered under its own name before it runs, so a later ``import
-    scipy.spatial`` reuses it and ``scipy.spatial.cKDTree`` is this class
-    (the package then lacks the attribute ``_ckdtree``; ``sys.modules`` has
-    it). A scipy that keeps the extension elsewhere gets the public import.
+    modules it imports, and beside a ``scipy`` that holds only the package's
+    path, so ``scipy/__init__`` does not run; they leave ``sys.modules`` when
+    it returns. It is registered under its own name before it runs, so a later
+    ``import scipy.spatial`` reuses it and ``scipy.spatial.cKDTree`` is this
+    class (the package then lacks the attribute ``_ckdtree``; ``sys.modules``
+    has it). A scipy that keeps the extension elsewhere gets the public import.
     """
     with _KD_LOCK:
         module = sys.modules.get(_KD_MODULE)
         if module is None:
-            import scipy
-
-            spatial = [os.path.join(path, "spatial") for path in scipy.__path__]
+            scipy = importlib.util.find_spec("scipy")
+            paths = (scipy and scipy.submodule_search_locations) or []
+            spatial = [os.path.join(path, "spatial") for path in paths]
             spec = importlib.machinery.PathFinder.find_spec(_KD_MODULE, spatial)
             if spec is None:
                 from scipy.spatial import cKDTree
@@ -238,9 +242,10 @@ def _kd_tree_class() -> type:
             sys.modules[_KD_MODULE] = module
             # another thread could import a stand-in while it sits in sys.modules
             lone = threading.active_count() == 1
-            stand_ins = [_StandIn(name) for name in _STAND_INS if lone and name not in sys.modules]
+            fill = dict(_STAND_INS, scipy={"__path__": paths})  # for its compiled submodules
+            stand_ins = [_StandIn(name) for name in fill if lone and name not in sys.modules]
             for stand_in in stand_ins:
-                vars(stand_in).update(_STAND_INS[stand_in.__name__])
+                vars(stand_in).update(fill[stand_in.__name__])
                 sys.modules[stand_in.__name__] = stand_in
             try:
                 spec.loader.exec_module(module)
@@ -314,7 +319,8 @@ def _short_edges(tree, pts: np.ndarray, first: np.ndarray, m: int) -> tuple | No
         out = np.flatnonzero(a != b)
         if not out.size:
             return comp, np.concatenate(keys)
-        i, j, a, b, length = (col[out] for col in (i, j, a, b, length))
+        if out.size < i.size:  # in the first round every pair is still between components
+            i, j, a, b, length = (col[out] for col in (i, j, a, b, length))
         # each pair is offered from both ends
         best = (np.full(n, np.inf), [(i, j, length), (j, i, length)])
         np.minimum.at(best[0], a, length)

@@ -589,6 +589,44 @@ class TestFit:
             assert grid.tobytes() == np.unique(np.asarray(points, dtype=np.float64)).tobytes()
 
     @pytest.mark.parametrize(
+        "points",
+        [[], 0.5, [[0.0, 0.5], [1.0, 0.5]], [1.0, 0.5, 0.5, 0.0, 0.5], [0.0, -0.0, 0.5, 1.0],
+         [-0.0, 0.0, 0.5, 1.0], [math.nan, 0.0, math.nan, 0.5, 1.0], [0.0, 0.5, 1.0, math.inf]],
+        ids=["empty", "scalar", "nested", "repeats", "zero-then-negative-zero",
+             "negative-zero-then-zero", "two-nans", "inf"],
+    )
+    def test_alpha_grid_points_as_plain_unique_gives_them(self, points):
+        # the grid as it was taken from np.unique without counts: the same bytes, the same error
+        def plain(points):
+            grid = np.unique(np.asarray(points, dtype=np.float64), equal_nan=False)
+            if grid.size < 3:
+                raise ValueError("alpha grid needs at least three samples")
+            if not (grid[0] >= 0.0 and grid[-1] <= 1.0):
+                raise ValueError("alpha grid must lie within [0, 1]")
+            return grid
+
+        outcomes = []
+        for resolve in (analysis.resolve_alpha_grid, plain):
+            try:
+                grid = resolve(points)
+                outcomes.append((grid.dtype, grid.shape, grid.tobytes()))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_alpha_grid_points_load_no_masked_arrays(self):
+        if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+            pytest.skip("numpy 1.x imports numpy.ma with numpy itself")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = ("import sys; from spantree.analysis import resolve_alpha_grid; "
+                 "resolve_alpha_grid([0, 0.5, 0.5, 1]); print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
         "alphas, match",
         [([0.2, 0.2], "two distinct"), ([math.nan, math.nan], "two distinct"),
          ([0.2, math.nan], r"lie in \[0, 1\]"), ([0.2, 0.2, math.nan], r"lie in \[0, 1\]")],

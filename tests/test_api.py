@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -156,6 +157,78 @@ def test_parser_paths_load_no_numpy(argv, code):
     loaded = _loaded_by(*argv, code=code)
     assert "spantree.cli" in loaded
     assert not {m for m in loaded if m.partition(".")[0] == "numpy"}
+
+
+# Runs the CLI in a fresh interpreter, after loading numpy when argv[1] is
+# "numpy-first", and prints OPENBLAS_NUM_THREADS, the process's thread count
+# and whether os.environ is as it was before the call.
+_BLAS_PROBE = """
+import os
+import sys
+
+if sys.argv[1] == "numpy-first":
+    import numpy
+from spantree.cli import main
+
+before = dict(os.environ)
+assert main(sys.argv[2:]) == 0
+threads = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else 1
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads, dict(os.environ) == before)
+"""
+
+
+@pytest.mark.parametrize("preset, first", [(None, "cli-first"), ("2", "cli-first"),
+                                           (None, "numpy-first")],
+                         ids=["default", "preset", "numpy-loaded"])
+def test_cli_defaults_one_blas_thread(tmp_path, preset, first):
+    events = tmp_path / "events.csv"
+    write_events(PointSet(np.random.default_rng(5).random((40, 2))), events)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, first, "stats", str(events), "-o",
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, threads, unchanged = proc.stdout.splitlines()[-1].split()
+    if first == "numpy-first":
+        # numpy loaded with its own thread count, so the environment is left alone
+        assert (value, unchanged) == ("None", "True")
+    else:
+        # a value set by the user wins
+        assert value == (preset or "1")
+        if not preset:
+            assert threads == "1"
+
+
+# Calls the CLI twice with gc.freeze counting its calls, then runs the exit
+# hooks and prints how often it ran.
+_EXIT_HOOK_PROBE = """
+import atexit
+import gc
+import sys
+
+from spantree.cli import main
+
+calls = []
+gc.freeze = lambda: calls.append(1)
+for _ in range(2):
+    assert main(["gen", "--preset", "disc", "-n", "20", "-o", sys.argv[1]]) == 0
+atexit._run_exitfuncs()
+print(len(calls))
+"""
+
+
+def test_main_freezes_the_heap_once_at_exit(tmp_path):
+    from spantree.cli import main
+
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert main(["gen", "--preset", "disc", "-n", "20", "-o", str(tmp_path / "d.csv")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    proc = _python("-c", _EXIT_HOOK_PROBE, str(tmp_path / "e.csv"))
+    assert proc.stdout.splitlines()[-1] == "1"
 
 
 def test_cli_preset_names_are_the_generators_presets():

@@ -9,6 +9,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from spantree import (
     BinnedModel,
     ConfigError,
+    DegenerateStatistic,
     EventFileError,
     GridBinning,
     Histogram,
@@ -37,6 +39,8 @@ from spantree.io import (
     ColumnFilter,
     RunConfig,
     _numbers,
+    _plain_table,
+    _quote,
     config_hash,
     filter_events,
     histogram_range,
@@ -331,6 +335,105 @@ class TestNumbers:
         assert got.dtype == (np.int64 if read is int else np.float64)
         assert got.shape == (nrows, width)
         assert got.tolist() == [[read(cells[i]) for i in cols] for _, cells in rows]
+
+
+# cell forms only the row walker reads, that neither reader reads, or that
+# numpy's reader reads and float() does not (U+001C at a cell's edge)
+_ODD_EVENT_CELLS = st.sampled_from([
+    "nan", "-inf", "1e400", "1_0", "١٢", "１", "abc", "", "#1", "1 # x", "-1", "\x1c1", "1\x1f",
+    "\xa01", "\x0b1\x0c", " 1 ", "1 \n", "\n1", "0x10", '1"2', '"1"2', '""', '"1', "1\x00",
+])
+
+
+@st.composite
+def _event_text(draw) -> str:
+    """An event file's text: mostly plain rows, at times one odd cell, row or line."""
+    names = draw(st.lists(st.sampled_from(["x", "y", " z ", '"q"', "weight"]), min_size=1,
+                          max_size=3, unique=True))
+    if draw(st.integers(0, 7)) == 0:
+        names.append(draw(st.sampled_from(["label", "x"])))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(
+        -(10**20), 10**20).map(str)
+    weight = st.floats(0.0, 1e300).map(repr)
+    rows = [[_quote(draw(_LABELS)) if h == "label" else draw(weight if h == "weight" else number)
+             for h in names] for _ in range(draw(st.integers(0, 5)))]
+    for row in rows:  # quoted cells, and blanks float() and numpy both strip
+        for i, cell in enumerate(row):
+            row[i] = draw(st.sampled_from([cell] * 4 + [f'"{cell}"', f" {cell}\t", f'"\n{cell}"']))
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        at = draw(st.integers(0, len(row) - 1))
+        kind = draw(st.sampled_from(["cell", "quoted", "extra", "missing"]))
+        if kind == "cell" or kind == "quoted":
+            odd = draw(_ODD_EVENT_CELLS)
+            row[at] = _quote(odd) if kind == "quoted" else odd
+        elif kind == "extra":
+            row.append(row[at])
+        else:
+            del row[at]
+    lines = [",".join(row) for row in rows]
+    if draw(st.integers(0, 3)) == 0:  # a blank or comment line between rows, or at their head
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# c", " ", "\x0c"])))
+    head = draw(st.lists(st.sampled_from(["# made by hand", "", " # note"]), max_size=2))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join([*head, ",".join(names), *lines]) + draw(st.sampled_from(["", eol]))
+
+
+def _loaded(path) -> tuple:
+    """What ``load_sample`` gives for ``path``, every array as bytes, or its error."""
+    try:
+        ps = read_events(path)
+    except (EventFileError, DegenerateStatistic) as exc:
+        return type(exc), str(exc)
+    return (ps.feature_names, ps.coords.shape, ps.coords.tobytes(), ps.weights.tobytes(),
+            ps.labels)
+
+
+def _walked(path) -> tuple:
+    """``_loaded`` with every file read by the row walker alone."""
+    with mock.patch("spantree.io._plain_table", return_value=None):
+        return _loaded(path)
+
+
+class TestEventReaders:
+    """numpy's reader takes the plain event files; the row walker reads the rest.
+    Both give the same values for a file, or the same error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_event_text())
+    def test_numpy_reader_agrees_with_the_walker(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("events") / "e.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _loaded(path) == _walked(path)
+
+    @pytest.mark.parametrize("text, plain", [
+        ("x,y\n0,1\n2.5,-3e-300\n", True),
+        ("# a comment\n\n x , y ,weight\r\n0,1,2\r\n\"2\",  3\t,0\r\n", True),
+        ("x,y\r0,1\r\r2,3", True),  # blank lines between rows; line ends of carriage returns
+        ('weight,x,y\n1,0,"\n1"\n2,1,2\n', True),  # the weight first, a quoted cell over two lines
+        ("x,y,label\n0,1,a\n1,2,\n", False),
+        ("x,y\n0,1\n# c\n2,3\n", False),
+        ("x,y\n\n0,1\n", False),
+        ("x,y\n", False),
+        ("x,y\n0,nan\n", False),
+        ("x,weight\n0,-1\n", False),
+        ("x,y\n1_0,1\n", False),
+        ("x,y\n١,1\n", False),
+        ("x,y\n0,1\x1c\n", False),
+        ("x,x\n0,1\n", False),
+        ("weight\n1\n", False),
+        ("x,y\n0,1,2\n", False),
+        ("x,y\n0,1 # x\n", False),
+        ("x\n0." + "0" * 140_000 + "1\n", False),  # csv refuses a field this long
+    ], ids=["plain", "blanks-quotes-crlf", "cr-blank-lines", "weight-first-multiline", "labels",
+            "comment-row", "blank-first-row", "no-rows", "nan", "negative-weight", "underscore",
+            "arabic-indic-digit", "separator-char", "repeated-name", "only-weight", "extra-field",
+            "trailing-comment", "long-field"])
+    def test_which_reader_reads_a_file(self, tmp_path, text, plain):
+        path = tmp_path / "e.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (_plain_table(path) is not None) == plain
+        assert _loaded(path) == _walked(path)
 
 
 # text holding every character the table format must quote; the event

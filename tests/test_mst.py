@@ -26,6 +26,7 @@ from spantree.generators import PRESET_NAMES
 from bruteforce import (
     build_mst_prim,
     canonical_mst_dense,
+    distinct_rows_lexsort,
     edge_set,
     min_spanning_total_bruteforce,
     validate_tree,
@@ -407,6 +408,18 @@ class TestExactnessGate:
         np.testing.assert_array_equal(rep, unique_first[inverse.reshape(-1)])
         _assert_canonical(PointSet(coords))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4), m=st.integers(1, 30))
+    def test_distinct_rows_match_one_lexsort(self, data, dim, m):
+        # few values, so first coordinates and whole rows repeat; -0.0 beside 0.0
+        values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0]) | st.floats(-4, 4)
+        coords = np.array(data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                             min_size=m, max_size=m)), dtype=np.float64)
+        first, rep = mst._distinct_rows(coords)
+        want_first, want_rep = distinct_rows_lexsort(coords)
+        assert first.dtype == want_first.dtype and first.tobytes() == want_first.tobytes()
+        assert rep.dtype == want_rep.dtype and rep.tobytes() == want_rep.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         dim=st.integers(1, 10),
@@ -621,6 +634,17 @@ for module in (scipy.sparse, scipy._lib._util, scipy.spatial):
 assert scipy.sparse.csr_matrix and scipy.spatial.cKDTree is loaded
 """
 
+_KD_LOAD_RUNS_NO_PACKAGE_INIT = """
+import sys
+from spantree import mst
+
+loaded = mst._kd_tree_class()
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+import scipy.spatial
+
+assert scipy.spatial.cKDTree is loaded
+"""
+
 _KD_LOAD_SERVES_SCIPYS_VALUES = """
 import sys
 import numpy as np
@@ -708,6 +732,9 @@ class TestKdTreeLoader:
     def test_later_imports_get_the_real_modules(self):
         _run_fresh(_KD_LOAD_LEAVES_REAL_MODULES)
 
+    def test_package_init_does_not_run(self):
+        _run_fresh(_KD_LOAD_RUNS_NO_PACKAGE_INIT)
+
     @_STAND_INS_CHECKED
     def test_served_values_are_scipys(self):
         _run_fresh(_KD_LOAD_SERVES_SCIPYS_VALUES)
@@ -782,6 +809,26 @@ try:
 except OSError:
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+
+
+def test_short_edge_pass_peak_memory():
+    # numpy reports its buffers to tracemalloc; the pass copied all its pairs
+    # once more in its first round, which took the peak past this bound
+    import tracemalloc
+
+    m = 200_000
+    u = np.random.default_rng(1).random((m, 2))
+    r, t = np.sqrt(u[:, 0]), 2 * np.pi * u[:, 1]
+    ps = PointSet(np.column_stack([r * np.cos(t), r * np.sin(t)]))
+    mst._kd_tree_class()
+    tracemalloc.start()
+    try:
+        tree = build_mst_kruskal(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.edge_count == m - 1
+    assert peak < 335 * m, f"{peak / m:.0f} bytes per point"
 
 
 def test_memory_is_linear_in_points():
