@@ -355,14 +355,11 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-_EXIT_HOOKS: list = []
-
-
 def main(argv=None) -> int:
     if "numpy" not in sys.modules:  # no command calls BLAS, whose idle threads spin
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # a value already set wins
-    if not _EXIT_HOOKS:  # once per process: leave the heap at exit, not collect it
-        _EXIT_HOOKS.append(atexit.register(gc.freeze))
+    atexit.unregister(gc.freeze)  # once per process: leave the heap at exit, not collect it
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import itertools
 import json
 import math
 import numbers
@@ -48,6 +47,7 @@ WEIGHT_COLUMN = "weight"
 LABEL_COLUMN = "label"
 
 _RESERVED = (WEIGHT_COLUMN, LABEL_COLUMN)
+_PLAIN_BYTES = b'0123456789+-.eE,"\t\n\r '  # in rows that numpy reads as float() does
 
 
 def config_int(name: str, value: Any) -> int:
@@ -286,26 +286,31 @@ def _plain_table(path: str | Path) -> tuple | None:
     reads as ``_walked_table`` does; None for any other file.
 
     That is a regular file with features, no labels and no name twice, whose rows
-    start right after the header and hold finite numbers, no negative weight, no
-    U+001C to U+001F (numpy strips them, ``float()`` refuses them) and no field
-    over the ``csv`` size limit.
+    start right after the header, hold only ``_PLAIN_BYTES`` (no ``#``, ``_``,
+    ``nan``, non-ASCII digit or U+001C to U+001F, which numpy strips and
+    ``float()`` refuses) and no line of blanks, and give finite numbers, no
+    negative weight and no field over the ``csv`` size limit.
     """
+    if not os.path.isfile(path):  # the walker reads a pipe, which gives its rows once
+        return None
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read() if os.path.isfile(path) else b""  # the walker reads a pipe
-        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-        header = [h.strip() for h in next(_csv_records(lines))[1]]
-        first = lines.readline()  # numpy warns of a file without rows
+        with io.TextIOWrapper(io.BytesIO(Path(path).read_bytes()), encoding="utf-8",
+                              newline="") as lines:
+            header = [h.strip() for h in next(_csv_records(lines))[1]]
+            first = lines.readline()  # numpy warns of a file without rows
+            data = (first + lines.read()).encode()
         if (LABEL_COLUMN in header or len(set(header)) < len(header) or header == [WEIGHT_COLUMN]
-                or not first.strip() or any(c in raw for c in range(0x1C, 0x20))):
+                or not first.strip() or data.translate(None, _PLAIN_BYTES)
+                or any(s in data for s in (b"\n ", b"\n\t", b"\r ", b"\r\t"))
+                and re.search(rb"[\r\n][ \t]+(?:[\r\n]|\Z)", data)):  # numpy refuses a line of blanks
             return None
-        if len(raw) > csv.field_size_limit():  # fields lie between commas, and line ends
-            b = np.frombuffer(raw, np.uint8)  # too unless a quoted field may span lines
-            cut = np.flatnonzero((b == 44) if b'"' in raw else (b == 44) | (b == 10) | (b == 13))
-            if np.diff(cut, prepend=-1, append=len(raw)).max() > csv.field_size_limit():
+        if len(data) > csv.field_size_limit():  # fields lie between commas, and line ends
+            b = np.frombuffer(data, np.uint8)  # too unless a quoted field may span lines
+            cut = np.flatnonzero((b == 44) if b'"' in data else (b == 44) | (b == 10) | (b == 13))
+            if np.diff(cut, prepend=-1, append=len(data)).max() > csv.field_size_limit():
                 return None
-        values = np.loadtxt(itertools.chain([first], lines), delimiter=",", quotechar='"',
-                            comments=None, ndmin=2)
+        values = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
+                            delimiter=",", quotechar='"', comments=None, ndmin=2)
     except (OSError, ValueError, StopIteration, csv.Error):  # a decoding error is a ValueError
         return None
     weighted = WEIGHT_COLUMN in header

@@ -124,9 +124,6 @@ def _distinct_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lexicographic order, and ``rep``, the lowest index equal to each row.
     Rows compare as numbers, so -0.0 and 0.0 are one value.
     """
-    order = np.argsort(coords[:, 0], kind="stable")
-    if (np.diff(coords[order, 0]) != 0).all():  # no first coordinate repeats, so no row does
-        return order, np.arange(len(order))
     order = np.lexsort(coords.T[::-1])
     rows = coords[order]
     new = np.empty(len(order), dtype=bool)

@@ -34,10 +34,6 @@ It runs the trials one after another in this process, from the same
 spawned seeds, so a calibration on worker processes must reproduce its
 statistics bit for bit.
 
-The distinct-row oracle is the package's duplicate collapse as it stood
-before it skipped the full lexicographic sort: one ``lexsort`` over every
-coordinate, whatever the input.
-
 The branch oracle walks each branch from its leaf over a plain adjacency
 list and returns the vertices and edges that the package's branch arrays
 only total.
@@ -165,21 +161,6 @@ def canonical_mst_dense(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     order = np.lexsort((vs, us, lengths))
     picked = order[kruskal_positions(m, us[order], vs[order])]
     return us[picked].astype(np.int64), vs[picked].astype(np.int64), lengths[picked]
-
-
-def distinct_rows_lexsort(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, rep) of ``mst._distinct_rows`` from one lexsort of all coordinates:
-    the lowest index of each distinct row in lexicographic order, and the
-    lowest index equal to each row."""
-    order = np.lexsort(coords.T[::-1])
-    rows = coords[order]
-    new = np.empty(len(order), dtype=bool)
-    new[0] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
-    first = order[new]
-    rep = np.empty_like(order)
-    rep[order] = first[np.cumsum(new) - 1]
-    return first, rep
 
 
 def validate_tree(tree: Tree) -> None:

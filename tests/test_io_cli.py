@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -414,6 +415,8 @@ class TestEventReaders:
         ("x,y,label\n0,1,a\n1,2,\n", False),
         ("x,y\n0,1\n# c\n2,3\n", False),
         ("x,y\n\n0,1\n", False),
+        ("x,y\n0,1\n \t\n2,3\n", False),
+        ("x,y\n0,1\r\n 2,3\r\n", True),
         ("x,y\n", False),
         ("x,y\n0,nan\n", False),
         ("x,weight\n0,-1\n", False),
@@ -426,7 +429,8 @@ class TestEventReaders:
         ("x,y\n0,1 # x\n", False),
         ("x\n0." + "0" * 140_000 + "1\n", False),  # csv refuses a field this long
     ], ids=["plain", "blanks-quotes-crlf", "cr-blank-lines", "weight-first-multiline", "labels",
-            "comment-row", "blank-first-row", "no-rows", "nan", "negative-weight", "underscore",
+            "comment-row", "blank-first-row", "line-of-blanks",
+            "blank-led-row", "no-rows", "nan", "negative-weight", "underscore",
             "arabic-indic-digit", "separator-char", "repeated-name", "only-weight", "extra-field",
             "trailing-comment", "long-field"])
     def test_which_reader_reads_a_file(self, tmp_path, text, plain):
@@ -434,6 +438,26 @@ class TestEventReaders:
         path.write_bytes(text.encode("utf-8"))
         assert (_plain_table(path) is not None) == plain
         assert _loaded(path) == _walked(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+    def test_named_pipe_is_opened_once(self, tmp_path):
+        # a pipe gives its rows to the first reader only, so the walker alone opens it
+        text = b"x,y,weight\n0,1,2\n2.5,-3e-300,0\n"
+        fifo, plain = tmp_path / "pipe.csv", tmp_path / "e.csv"
+        plain.write_bytes(text)
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(_loaded(fifo)), daemon=True)
+        reader.start()
+        try:
+            fifo.write_bytes(text)  # waits for the reader to open the pipe
+        finally:
+            reader.join(10)
+            if reader.is_alive():  # it opened the pipe again and waits for a writer
+                fifo.write_bytes(b"")
+                reader.join(10)
+        assert not reader.is_alive()
+        assert got == [_walked(plain)]
 
 
 # text holding every character the table format must quote; the event
